@@ -93,4 +93,10 @@ awk -F': ' '
     printf "bench_smoke: replica-local %.1f MB/s vs WAN-window %.1f MB/s (gate: >= 3x)\n", loc, wan
   }' "$site_json"
 
+# MGFS benchmark determinism: every workload at --small, same seed twice
+# and traced vs untraced must agree on every sim-clock metric, and the
+# metric names must match BENCHMARK.json. The only check that a src/
+# refactor still builds perfbench/ and keeps it deterministic.
+python3 "$repo_root/perfbench/selftest.py"
+
 echo "bench_smoke: wrote $repo_root/BENCH_fig11.json and $repo_root/BENCH_chaos.json"

@@ -278,8 +278,7 @@ void Client::ensure_token(InodeNum ino, TokenRange required,
 // block map cache
 // --------------------------------------------------------------------------
 
-std::optional<BlockPlacement>* Client::map_entry(InodeNum ino,
-                                                std::uint64_t bi) {
+BlockPlacement* Client::map_entry(InodeNum ino, std::uint64_t bi) {
   auto fit = block_map_.find(ino);
   if (fit == block_map_.end()) return nullptr;
   auto bit = fit->second.find(bi);
@@ -288,17 +287,8 @@ std::optional<BlockPlacement>* Client::map_entry(InodeNum ino,
 
 void Client::install_chunk(InodeNum ino, const BlockMapChunk& chunk) {
   auto& m = block_map_[ino];
-  // placements parallels addrs for replicated files; otherwise wrap the
-  // single address so the data path has one shape to deal with.
-  const bool rep = chunk.placements.size() == chunk.addrs.size();
-  for (std::size_t i = 0; i < chunk.addrs.size(); ++i) {
-    if (!chunk.addrs[i].has_value()) {
-      m[chunk.first_block + i] = std::nullopt;
-    } else if (rep) {
-      m[chunk.first_block + i] = chunk.placements[i];
-    } else {
-      m[chunk.first_block + i] = BlockPlacement::single(*chunk.addrs[i]);
-    }
+  for (std::size_t i = 0; i < chunk.placements.size(); ++i) {
+    m[chunk.first_block + i] = chunk.placements[i];
   }
 }
 
@@ -686,9 +676,9 @@ bool Client::redirect_failed_fills(const NsdRun& r, const Status& st) {
   std::vector<BlockFetch> redirect;
   std::vector<BlockFetch> dead;
   for (const BlockFetch& f : r.items) {
-    std::optional<BlockPlacement>* entry = map_entry(f.key.ino, f.key.block);
-    if (entry != nullptr && entry->has_value()) {
-      const BlockPlacement& pl = **entry;
+    const BlockPlacement* entry = map_entry(f.key.ino, f.key.block);
+    if (entry != nullptr && entry->copies > 0) {
+      const BlockPlacement& pl = *entry;
       const std::uint8_t c = pick_copy(pl, f.tried);
       if (c < pl.copies) {
         redirect.push_back(
@@ -758,14 +748,14 @@ void Client::prefetch_strided(InodeNum ino, std::uint64_t b0,
             }
             const PageKey key{ino, bi};
             if (pool_.contains(key) || fill_waiters_.count(key) > 0) continue;
-            std::optional<BlockPlacement>* entry = map_entry(ino, bi);
-            if (entry == nullptr || !entry->has_value()) continue;
+            const BlockPlacement* entry = map_entry(ino, bi);
+            if (entry == nullptr || entry->copies == 0) continue;
             const TokenRange r{bi * bs, (bi + 1) * bs};
             if (!token_covers(ino, r, LockMode::ro) &&
                 !token_covers(ino, r, LockMode::rw)) {
               continue;
             }
-            const BlockPlacement& pl = **entry;
+            const BlockPlacement& pl = *entry;
             std::uint8_t c = pick_copy(pl, 0);
             if (c >= pl.copies) c = 0;
             fill_waiters_[key];
@@ -793,13 +783,13 @@ void Client::ensure_block_present(InodeNum ino, std::uint64_t bi,
     wit->second.push_back(std::move(done));
     return;
   }
-  std::optional<BlockPlacement>* entry = map_entry(ino, bi);
+  const BlockPlacement* entry = map_entry(ino, bi);
   MGFS_ASSERT(entry != nullptr, "block map not populated before fill");
-  if (!entry->has_value()) {
+  if (entry->copies == 0) {
     done(Status{});  // hole: zeros, nothing to fetch
     return;
   }
-  const BlockPlacement pl = **entry;
+  const BlockPlacement pl = *entry;
   std::uint8_t c = pick_copy(pl, 0);
   if (c >= pl.copies) c = 0;
   fill_waiters_[key].push_back(std::move(done));
@@ -928,11 +918,11 @@ void Client::read(Fh fh, Bytes offset, Bytes len,
                   wait.push_back(bi);
                   continue;
                 }
-                std::optional<BlockPlacement>* entry = map_entry(ino, bi);
+                const BlockPlacement* entry = map_entry(ino, bi);
                 MGFS_ASSERT(entry != nullptr,
                             "block map not populated before fill");
-                if (!entry->has_value()) continue;  // hole: zeros
-                const BlockPlacement& pl = **entry;
+                if (entry->copies == 0) continue;  // hole: zeros
+                const BlockPlacement& pl = *entry;
                 std::uint8_t c = pick_copy(pl, 0);
                 if (c >= pl.copies) c = 0;
                 wait.push_back(bi);
@@ -953,14 +943,14 @@ void Client::read(Fh fh, Bytes offset, Bytes len,
                 if (pool_.contains(key) || fill_waiters_.count(key) > 0) {
                   continue;
                 }
-                std::optional<BlockPlacement>* entry = map_entry(ino, bi);
-                if (entry == nullptr || !entry->has_value()) continue;
+                const BlockPlacement* entry = map_entry(ino, bi);
+                if (entry == nullptr || entry->copies == 0) continue;
                 const TokenRange r{bi * bs, (bi + 1) * bs};
                 if (!token_covers(ino, r, LockMode::ro) &&
                     !token_covers(ino, r, LockMode::rw)) {
                   continue;
                 }
-                const BlockPlacement& pl = **entry;
+                const BlockPlacement& pl = *entry;
                 std::uint8_t c = pick_copy(pl, 0);
                 if (c >= pl.copies) c = 0;
                 fill_waiters_[key];
@@ -1052,8 +1042,8 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
         // when any entry is unknown or a hole.
         bool need_alloc = false;
         for (std::uint64_t bi = b0; bi <= b1 && !need_alloc; ++bi) {
-          auto* e = map_entry(ino, bi);
-          if (e == nullptr || !e->has_value()) need_alloc = true;
+          const BlockPlacement* e = map_entry(ino, bi);
+          if (e == nullptr || e->copies == 0) need_alloc = true;
         }
         if (!need_alloc) {
           // Covered by an earlier allocate-ahead batch: an allocation
@@ -1095,11 +1085,11 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
                 return;
               }
               if (!was_dirty) {
-                auto* e = map_entry(ino, bi);
-                MGFS_ASSERT(e != nullptr && e->has_value(),
+                const BlockPlacement* e = map_entry(ino, bi);
+                MGFS_ASSERT(e != nullptr && e->copies > 0,
                             "dirty page without placement");
                 dirty_fifo_.push_back(key);
-                dirty_addr_[key] = **e;
+                dirty_addr_[key] = *e;
               }
             }
             // Commits can land out of order: an allocate-ahead-covered
@@ -1369,9 +1359,9 @@ void Client::mark_divergent(const PageKey& k, std::uint8_t copy,
       },
       [this, k, copy, done = std::move(done)](Result<int> r) {
         if (r.ok()) {
-          if (auto* e = map_entry(k.ino, k.block);
-              e != nullptr && e->has_value()) {
-            (*e)->divergent |= static_cast<std::uint8_t>(1u << copy);
+          if (BlockPlacement* e = map_entry(k.ino, k.block);
+              e != nullptr && e->copies > 0) {
+            e->divergent |= static_cast<std::uint8_t>(1u << copy);
           }
           if (auto it = dirty_addr_.find(k); it != dirty_addr_.end()) {
             it->second.divergent |= static_cast<std::uint8_t>(1u << copy);
@@ -1759,8 +1749,22 @@ void Client::crash_reset() {
   discard_cached_state(/*reset_breakers=*/true);
 }
 
-void Client::handle_revoke(InodeNum ino, TokenRange range,
-                           sim::Callback done) {
+bool Client::handle_revoke(InodeNum ino, TokenRange range,
+                           std::uint64_t mgr_epoch, sim::Callback done) {
+  const std::uint32_t shard = fs_->shard_of(ino);
+  if (mgr_epoch < mgr_[shard].epoch) {
+    // A deposed manager trying to strip a token the successor already
+    // re-granted. Refuse without flushing anything — `done` never runs.
+    ++stale_mgr_rejects_;
+    MGFS_WARN("client", "client " << id_ << ": revoke under stale manager "
+                                  << "epoch " << mgr_epoch << " (have "
+                                  << mgr_[shard].epoch << "); refused");
+    return false;
+  }
+  // A newer-epoch revoke doubles as first contact with the successor:
+  // adopt its view before flushing, or the dirty pages this revoke
+  // forces out would carry the old manager epoch and be fenced.
+  adopt_manager_view(shard, fs_->manager_node(shard), mgr_epoch);
   flush_inode(ino, range, [this, ino, range, done = std::move(done)] {
     const Bytes bs = block_size();
     const std::uint64_t lo_blk = range.lo / bs;
@@ -1782,25 +1786,6 @@ void Client::handle_revoke(InodeNum ino, TokenRange range,
     token_trim(ino, range);
     done();
   });
-}
-
-bool Client::handle_revoke(InodeNum ino, TokenRange range,
-                           std::uint64_t mgr_epoch, sim::Callback done) {
-  const std::uint32_t shard = fs_->shard_of(ino);
-  if (mgr_epoch < mgr_[shard].epoch) {
-    // A deposed manager trying to strip a token the successor already
-    // re-granted. Refuse without flushing anything — `done` never runs.
-    ++stale_mgr_rejects_;
-    MGFS_WARN("client", "client " << id_ << ": revoke under stale manager "
-                                  << "epoch " << mgr_epoch << " (have "
-                                  << mgr_[shard].epoch << "); refused");
-    return false;
-  }
-  // A newer-epoch revoke doubles as first contact with the successor:
-  // adopt its view before flushing, or the dirty pages this revoke
-  // forces out would carry the old manager epoch and be fenced.
-  adopt_manager_view(shard, fs_->manager_node(shard), mgr_epoch);
-  handle_revoke(ino, range, std::move(done));
   return true;
 }
 

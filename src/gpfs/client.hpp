@@ -137,13 +137,12 @@ class Client {
               const Principal& who, std::function<void(Status)> done);
 
   // --- coherence (called by cluster glue on manager's behalf) -----------
-  /// Flush dirty pages overlapping `range`, drop cached pages and token.
-  void handle_revoke(InodeNum ino, TokenRange range, sim::Callback done);
-  /// Epoch-checked variant: a revoke stamped with a manager epoch older
-  /// than the one this client has adopted is refused (returns false,
-  /// `done` never runs) — a deposed manager cannot strip tokens the
-  /// successor re-granted. Current-or-newer epochs are adopted and the
-  /// revoke proceeds.
+  /// Flush dirty pages overlapping `range`, drop cached pages, map
+  /// entries and token, then run `done`. A revoke stamped with a manager
+  /// epoch older than the one this client has adopted is refused
+  /// (returns false, `done` never runs) — a deposed manager cannot strip
+  /// tokens the successor re-granted. Current-or-newer epochs are
+  /// adopted and the revoke proceeds.
   bool handle_revoke(InodeNum ino, TokenRange range, std::uint64_t mgr_epoch,
                      sim::Callback done);
 
@@ -244,10 +243,10 @@ class Client {
   void ensure_token(InodeNum ino, TokenRange required, TokenRange desired,
                     LockMode mode, std::function<void(Status)> done);
 
-  // block map cache helpers. Entries carry the full replica placement
-  // (single-copy files are a one-copy placement), so the read path can
-  // pick the nearest live copy and fail over across copies.
-  std::optional<BlockPlacement>* map_entry(InodeNum ino, std::uint64_t bi);
+  // block map cache helpers. Entries carry the full placement (0 copies
+  // = hole, 1 for an unreplicated block), so the read path can pick the
+  // nearest live copy and fail over across copies. nullptr = not cached.
+  BlockPlacement* map_entry(InodeNum ino, std::uint64_t bi);
   void ensure_map(InodeNum ino, std::uint64_t first, std::uint64_t count,
                   std::function<void(Status)> done);
   void install_chunk(InodeNum ino, const BlockMapChunk& chunk);
@@ -379,8 +378,7 @@ class Client {
   std::map<Fh, OpenFile> open_;
   std::unordered_map<InodeNum, std::vector<HeldToken>> held_;
   std::unordered_map<InodeNum,
-                     std::unordered_map<std::uint64_t,
-                                        std::optional<BlockPlacement>>>
+                     std::unordered_map<std::uint64_t, BlockPlacement>>
       block_map_;
 
   // in-flight read fills: waiters per page (an entry with no waiters

@@ -223,7 +223,6 @@ Result<OpenResult> FileSystem::op_open(const std::string& path,
     for (const BlockAddr& b : *freed) {
       MGFS_ASSERT(alloc_.free_block(b).ok(), "truncate freed unknown block");
     }
-    free_replicas_of(*ino);
     // The namespace-level free already reclaimed every block; pending
     // alloc undos for this inode would double-free on replay.
     MetaJournal& jrnl = shards_[shard_of(*ino)].journal;
@@ -264,10 +263,7 @@ Status FileSystem::op_unlink(const std::string& path, const Principal& who,
   for (const BlockAddr& b : *freed) {
     MGFS_ASSERT(alloc_.free_block(b).ok(), "unlink freed unknown block");
   }
-  if (ino.ok()) {
-    free_replicas_of(*ino);
-    shards_[shard_of(*ino)].journal.forget_inode(*ino);
-  }
+  if (ino.ok()) shards_[shard_of(*ino)].journal.forget_inode(*ino);
   shards_[ino.ok() ? shard_of(*ino) : 0].journal.note_sync_op(
       client, JournalOp::unlink, ino.ok() ? *ino : 0);
   return Status{};
@@ -292,27 +288,9 @@ Result<BlockMapChunk> FileSystem::op_block_map(InodeNum ino,
   if (shards_[shard_of(ino)].recovering) {
     return err(Errc::unavailable, "manager takeover in progress");
   }
-  const Inode* n = ns_.inode(ino);
-  if (n == nullptr) return err(Errc::not_found, "stale inode");
-  BlockMapChunk chunk;
-  chunk.first_block = first_block;
-  chunk.addrs.reserve(count);
-  const bool replicated = n->replication > 1;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t bi = first_block + i;
-    if (bi < n->blocks.size() && n->blocks[bi].has_value()) {
-      chunk.addrs.push_back(n->blocks[bi]);
-      if (replicated) {
-        const BlockPlacement* p = replica_placement(ino, bi);
-        chunk.placements.push_back(
-            p != nullptr ? *p : BlockPlacement::single(*n->blocks[bi]));
-      }
-    } else {
-      chunk.addrs.push_back(std::nullopt);
-      if (replicated) chunk.placements.push_back(BlockPlacement{});
-    }
-  }
-  return chunk;
+  auto map = ns_.placements(ino, first_block, count);
+  if (!map.ok()) return map.error();
+  return BlockMapChunk{first_block, std::move(*map)};
 }
 
 Result<BlockMapChunk> FileSystem::op_allocate(InodeNum ino,
@@ -335,23 +313,15 @@ Result<BlockMapChunk> FileSystem::op_allocate(InodeNum ino,
   if (n == nullptr) return err(Errc::not_found, "stale inode");
   const auto want_copies = static_cast<std::uint8_t>(
       std::min<std::uint32_t>(n->replication, kMaxReplicas));
-  const bool replicated = want_copies > 1;
+  auto map = ns_.placements(ino, first_block, count);
+  MGFS_ASSERT(map.ok(), "placements of a live inode");
 
-  BlockMapChunk chunk;
-  chunk.first_block = first_block;
-  chunk.addrs.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint64_t bi = first_block + i;
-    if (bi < n->blocks.size() && n->blocks[bi].has_value()) {
-      chunk.addrs.push_back(n->blocks[bi]);  // concurrent writer beat us
-      // This caller now references the block: whoever logged its
-      // install must not undo it on expel anymore.
+    if ((*map)[i].copies > 0) {
+      // A concurrent writer beat us, and this caller now references the
+      // block: whoever logged its install must not undo it on expel.
       jrnl.commit_block(ino, bi, client);
-      if (replicated) {
-        const BlockPlacement* p = replica_placement(ino, bi);
-        chunk.placements.push_back(
-            p != nullptr ? *p : BlockPlacement::single(*n->blocks[bi]));
-      }
       continue;
     }
     const std::uint32_t preferred = nsd_for_block(ino, bi);
@@ -364,34 +334,29 @@ Result<BlockMapChunk> FileSystem::op_allocate(InodeNum ino,
       addr = alloc_.allocate_on(cand);
     }
     if (!addr.ok()) return err(Errc::no_space, cfg_.name + " is full");
-    // WAL rule: the undo record exists before the in-place mutation.
+    // WAL rule: every copy's undo record exists before the in-place
+    // mutation, so a writer that dies mid-propagation has its
+    // half-written copies removed (and blocks freed) at replay instead
+    // of surviving as silent stale replicas. Further copies prefer a
+    // site-distinct NSD; a full/down cluster degrades to fewer copies
+    // rather than failing the write.
     jrnl.log_alloc(client, ino, bi, *addr);
-    MGFS_ASSERT(ns_.set_block(ino, bi, *addr).ok(), "set_block failed");
-    chunk.addrs.push_back(*addr);
-    if (replicated) {
-      // Replica copies ride the same WAL discipline: log_replica before
-      // the placement-table insert, so a writer that dies mid-propagation
-      // has its half-written copies removed (and blocks freed) at replay
-      // instead of surviving as silent stale replicas. Placement prefers
-      // a site-distinct NSD; a full/down cluster degrades to fewer
-      // copies rather than failing the write.
-      BlockPlacement p = BlockPlacement::single(*addr);
-      for (std::uint8_t c = 1; c < want_copies; ++c) {
-        const std::uint32_t target = pick_replica_nsd(preferred, p);
-        if (target >= nsds_.size()) break;
-        auto ra = alloc_.allocate_on(target);
-        if (!ra.ok()) break;
-        jrnl.log_replica(client, ino, bi, *ra);
-        p.add(*ra);
-        ++replicas_allocated_;
-      }
-      if (p.copies > 1) replicas_[ino][bi] = p;
-      chunk.placements.push_back(p);
+    BlockPlacement& p = (*map)[i];
+    p = BlockPlacement::single(*addr);
+    for (std::uint8_t c = 1; c < want_copies; ++c) {
+      const std::uint32_t target = pick_replica_nsd(preferred, p);
+      if (target >= nsds_.size()) break;
+      auto ra = alloc_.allocate_on(target);
+      if (!ra.ok()) break;
+      jrnl.log_replica(client, ino, bi, *ra);
+      p.add(*ra);
+      ++replicas_allocated_;
     }
+    MGFS_ASSERT(ns_.set_placement(ino, bi, p).ok(), "set_placement failed");
   }
   MGFS_ASSERT(ns_.extend_size(ino, size_hint, sim_.now()).ok(),
               "extend_size failed");
-  return chunk;
+  return BlockMapChunk{first_block, std::move(*map)};
 }
 
 Status FileSystem::op_extend_size(InodeNum ino, Bytes size, ClientId client) {
@@ -673,11 +638,6 @@ NsdServer::GateDecision FileSystem::write_gate(ClientId client, InodeNum ino,
   return NsdServer::GateDecision::admit;
 }
 
-bool FileSystem::write_admitted(ClientId client, std::uint64_t epoch) {
-  return write_gate(client, 0, epoch, shards_[0].manager_epoch) ==
-         NsdServer::GateDecision::admit;
-}
-
 void FileSystem::begin_takeover(net::NodeId successor, std::uint32_t shard) {
   MGFS_ASSERT(shard < shards_.size(), "bad shard");
   MetaShard& sh = shards_[shard];
@@ -836,100 +796,45 @@ void FileSystem::replay_journal_slice(std::uint32_t shard, ClientId client) {
   // the alloc itself.
   for (const JournalRecord& r :
        shards_[shard].journal.take_uncommitted(client)) {
-    const Inode* n = ns_.inode(r.ino);
-    if (n == nullptr) continue;  // inode gone; blocks already freed
-    if (r.op == JournalOp::replica) {
-      undo_replica(r);
-      continue;
-    }
-    if (r.block >= n->blocks.size() || !n->blocks[r.block].has_value() ||
-        !(*n->blocks[r.block] == r.addr)) {
-      continue;  // slot re-placed since; not ours to undo
-    }
-    MGFS_ASSERT(ns_.clear_block(r.ino, r.block).ok(),
-                "journal replay: clear_block failed");
-    MGFS_ASSERT(alloc_.free_block(r.addr).ok(),
-                "journal replay: free_block failed");
-    ++journal_replays_;
-    // Belt and braces: the block's replica records came first in the
-    // undo order, so by now the placement entry is normally gone. If a
-    // copy somehow survives (e.g. a future committed-replica path),
-    // dropping the entry here keeps fsck's mirror check clean.
-    if (auto it = replicas_.find(r.ino); it != replicas_.end()) {
-      if (auto bit = it->second.find(r.block); bit != it->second.end()) {
-        for (std::uint8_t c = 1; c < bit->second.copies; ++c) {
-          MGFS_ASSERT(alloc_.free_block(bit->second.addr[c]).ok(),
-                      "journal replay: replica free failed");
-        }
-        it->second.erase(bit);
-        if (it->second.empty()) replicas_.erase(it);
+    BlockPlacement p = ns_.placement(r.ino, r.block);
+    const std::uint8_t c = p.find(r.addr);
+    // An alloc record owns copy 0, a replica record one further copy;
+    // an address found elsewhere (or nowhere) was re-placed since and
+    // is not ours to undo. The inode may be gone entirely — unlink
+    // already freed its blocks.
+    if (c >= p.copies || (c == 0) != (r.op == JournalOp::alloc)) continue;
+    if (c == 0) {
+      // Undoing the allocation punches a hole: every copy goes.
+      for (std::uint8_t k = 0; k < p.copies; ++k) {
+        MGFS_ASSERT(alloc_.free_block(p.addr[k]).ok(),
+                    "journal replay: free_block failed");
       }
+      p = BlockPlacement{};
+    } else {
+      MGFS_ASSERT(alloc_.free_block(r.addr).ok(),
+                  "journal replay: free_block failed");
+      p.remove(c);
     }
-  }
-}
-
-void FileSystem::undo_replica(const JournalRecord& r) {
-  auto it = replicas_.find(r.ino);
-  if (it == replicas_.end()) return;
-  auto bit = it->second.find(r.block);
-  if (bit == it->second.end()) return;
-  BlockPlacement& p = bit->second;
-  for (std::uint8_t c = 1; c < p.copies; ++c) {
-    if (!(p.addr[c] == r.addr)) continue;
-    // Remove copy c, compacting the address array and divergence mask.
-    std::uint8_t mask = 0, w = 0;
-    for (std::uint8_t j = 0; j < p.copies; ++j) {
-      if (j == c) continue;
-      if (p.is_divergent(j)) mask |= static_cast<std::uint8_t>(1u << w);
-      ++w;
-    }
-    for (std::uint8_t j = c; j + 1 < p.copies; ++j) p.addr[j] = p.addr[j + 1];
-    --p.copies;
-    p.divergent = mask;
-    MGFS_ASSERT(alloc_.free_block(r.addr).ok(),
-                "journal replay: replica free failed");
+    MGFS_ASSERT(ns_.set_placement(r.ino, r.block, p).ok(),
+                "journal replay: set_placement failed");
     ++journal_replays_;
-    break;
-  }
-  if (bit->second.copies <= 1) {
-    it->second.erase(bit);
-    if (it->second.empty()) replicas_.erase(it);
   }
 }
 
 FsckReport FileSystem::fsck() const {
   FsckReport rep;
-  // Reference counts per (nsd, block) from the inode block maps.
+  // Reference counts per (nsd, block) over every copy of every block.
   std::vector<std::vector<std::uint8_t>> refs(alloc_.nsd_count());
   for (std::size_t d = 0; d < refs.size(); ++d) {
     refs[d].assign(alloc_.capacity_blocks(static_cast<std::uint32_t>(d)), 0);
   }
   for (InodeNum ino : ns_.inode_list()) {
-    const Inode* n = ns_.inode(ino);
-    for (const auto& slot : n->blocks) {
-      if (!slot.has_value()) continue;
-      ++rep.referenced_blocks;
-      const BlockAddr& a = *slot;
-      if (a.nsd >= refs.size() || a.block >= refs[a.nsd].size()) {
-        ++rep.dangling_refs;
-        continue;
-      }
-      if (refs[a.nsd][a.block]++) ++rep.duplicate_refs;
-      if (!alloc_.is_allocated(a)) ++rep.dangling_refs;
-    }
-  }
-  // Replica table: copy 0 must mirror the inode block map; copies 1..
-  // are real block references (counted so the orphan scan below sees
-  // them) and must each be live in the allocation map.
-  for (const auto& [ino, blocks] : replicas_) {
-    const Inode* n = ns_.inode(ino);
-    for (const auto& [bi, p] : blocks) {
-      if (n == nullptr || bi >= n->blocks.size() ||
-          !n->blocks[bi].has_value() || !(*n->blocks[bi] == p.addr[0])) {
-        ++rep.placement_mismatches;
-      }
-      for (std::uint8_t c = 1; c < p.copies; ++c) {
-        ++rep.replica_refs;
+    const std::uint64_t slots = ns_.inode(ino)->blocks.size();
+    for (std::uint64_t bi = 0; bi < slots; ++bi) {
+      const BlockPlacement p = ns_.placement(ino, bi);
+      for (std::uint8_t c = 0; c < p.copies; ++c) {
+        ++(c == 0 ? rep.referenced_blocks : rep.replica_refs);
+        if (p.is_divergent(c)) ++rep.divergent_replicas;
         const BlockAddr& a = p.addr[c];
         if (a.nsd >= refs.size() || a.block >= refs[a.nsd].size()) {
           ++rep.dangling_refs;
@@ -937,9 +842,6 @@ FsckReport FileSystem::fsck() const {
         }
         if (refs[a.nsd][a.block]++) ++rep.duplicate_refs;
         if (!alloc_.is_allocated(a)) ++rep.dangling_refs;
-      }
-      for (std::uint8_t c = 0; c < p.copies; ++c) {
-        if (p.is_divergent(c)) ++rep.divergent_replicas;
       }
     }
   }
@@ -1058,15 +960,6 @@ Status FileSystem::set_replication(const std::string& path,
   return ns_.set_replication(*ino, copies);
 }
 
-const BlockPlacement* FileSystem::replica_placement(InodeNum ino,
-                                                    std::uint64_t bi) const {
-  auto it = replicas_.find(ino);
-  if (it == replicas_.end()) return nullptr;
-  auto bit = it->second.find(bi);
-  if (bit == it->second.end()) return nullptr;
-  return &bit->second;
-}
-
 Status FileSystem::op_replica_divergence(ClientId client, InodeNum ino,
                                          std::uint64_t bi, std::uint8_t copy) {
   if (shards_[shard_of(ino)].recovering || shards_[0].recovering) {
@@ -1082,15 +975,10 @@ Status FileSystem::op_replica_divergence(ClientId client, InodeNum ino,
       return Status(Errc::stale, "client expelled: rejoin required");
     }
   }
-  auto it = replicas_.find(ino);
-  if (it == replicas_.end()) {
+  BlockPlacement p = ns_.placement(ino, bi);
+  if (p.copies <= 1) {
     return Status(Errc::not_found, "no replica set for block");
   }
-  auto bit = it->second.find(bi);
-  if (bit == it->second.end()) {
-    return Status(Errc::not_found, "no replica set for block");
-  }
-  BlockPlacement& p = bit->second;
   if (copy >= p.copies) {
     return Status(Errc::invalid_argument, "no such replica copy");
   }
@@ -1102,27 +990,27 @@ Status FileSystem::op_replica_divergence(ClientId client, InodeNum ino,
   }
   p.divergent |= static_cast<std::uint8_t>(1u << copy);
   ++replica_divergences_;
-  return Status{};
+  return ns_.set_placement(ino, bi, p);
 }
 
 std::size_t FileSystem::reconcile_replicas() {
   std::size_t fixed = 0;
-  for (auto& [ino, blocks] : replicas_) {
-    for (auto& [bi, p] : blocks) {
-      if (p.divergent == 0) continue;
-      if (p.clean_copies() == 0) continue;  // nothing to copy from
-      for (std::uint8_t c = 0; c < p.copies; ++c) {
-        if (!p.is_divergent(c)) continue;
-        const BlockAddr& a = p.addr[c];
-        if (nsd_down_[a.nsd] || nsds_[a.nsd].device->failed()) {
-          continue;  // still unreachable; stays divergent until healed
-        }
-        // Modeled data copy from a clean replica: the metadata flips
-        // back to clean, which is the part correctness rides on.
-        p.divergent &= static_cast<std::uint8_t>(~(1u << c));
-        ++fixed;
+  for (const auto& [ino, bi] : ns_.replicated_blocks()) {
+    BlockPlacement p = ns_.placement(ino, bi);
+    if (p.divergent == 0) continue;
+    if (p.clean_copies() == 0) continue;  // nothing to copy from
+    for (std::uint8_t c = 0; c < p.copies; ++c) {
+      if (!p.is_divergent(c)) continue;
+      const BlockAddr& a = p.addr[c];
+      if (nsd_down_[a.nsd] || nsds_[a.nsd].device->failed()) {
+        continue;  // still unreachable; stays divergent until healed
       }
+      // Modeled data copy from a clean replica: the metadata flips
+      // back to clean, which is the part correctness rides on.
+      p.divergent &= static_cast<std::uint8_t>(~(1u << c));
+      ++fixed;
     }
+    MGFS_ASSERT(ns_.set_placement(ino, bi, p).ok(), "reconcile: set failed");
   }
   replicas_reconciled_ += fixed;
   return fixed;
@@ -1141,39 +1029,31 @@ bool FileSystem::nsd_is_down(std::uint32_t id) const {
 std::size_t FileSystem::evacuate_nsd(std::uint32_t id) {
   set_nsd_down(id, true);
   std::size_t moved = 0;
-  for (auto& [ino, blocks] : replicas_) {
-    for (auto& [bi, p] : blocks) {
-      for (std::uint8_t c = 0; c < p.copies; ++c) {
-        if (p.addr[c].nsd != id) continue;
-        // Re-protection needs a clean surviving copy to read from.
-        bool have_source = false;
-        for (std::uint8_t s = 0; s < p.copies; ++s) {
-          if (s != c && !p.is_divergent(s) && p.addr[s].nsd != id) {
-            have_source = true;
-            break;
-          }
+  for (const auto& [ino, bi] : ns_.replicated_blocks()) {
+    BlockPlacement p = ns_.placement(ino, bi);
+    for (std::uint8_t c = 0; c < p.copies; ++c) {
+      if (p.addr[c].nsd != id) continue;
+      // Re-protection needs a clean surviving copy to read from.
+      bool have_source = false;
+      for (std::uint8_t s = 0; s < p.copies; ++s) {
+        if (s != c && !p.is_divergent(s) && p.addr[s].nsd != id) {
+          have_source = true;
+          break;
         }
-        if (!have_source) continue;  // single surviving copy is lost data
-        const std::uint32_t target = pick_replica_nsd(p.addr[c].nsd, p);
-        if (target >= nsds_.size()) continue;  // nowhere to rebuild
-        auto ra = alloc_.allocate_on(target);
-        if (!ra.ok()) continue;
-        MGFS_ASSERT(alloc_.free_block(p.addr[c]).ok(),
-                    "evacuate: free of lost block failed");
-        if (c == 0) {
-          // Primary moved: the inode block map must follow (clear the
-          // dead address first — set_block refuses occupied slots).
-          MGFS_ASSERT(ns_.clear_block(ino, bi).ok(),
-                      "evacuate: clear_block failed");
-          MGFS_ASSERT(ns_.set_block(ino, bi, *ra).ok(),
-                      "evacuate: set_block failed");
-        }
-        p.addr[c] = *ra;
-        // The fresh copy is populated from a clean survivor.
-        p.divergent &= static_cast<std::uint8_t>(~(1u << c));
-        ++moved;
       }
+      if (!have_source) continue;  // single surviving copy is lost data
+      const std::uint32_t target = pick_replica_nsd(p.addr[c].nsd, p);
+      if (target >= nsds_.size()) continue;  // nowhere to rebuild
+      auto ra = alloc_.allocate_on(target);
+      if (!ra.ok()) continue;
+      MGFS_ASSERT(alloc_.free_block(p.addr[c]).ok(),
+                  "evacuate: free of lost block failed");
+      p.addr[c] = *ra;
+      // The fresh copy is populated from a clean survivor.
+      p.divergent &= static_cast<std::uint8_t>(~(1u << c));
+      ++moved;
     }
+    MGFS_ASSERT(ns_.set_placement(ino, bi, p).ok(), "evacuate: set failed");
   }
   replicas_reconciled_ += moved;
   return moved;
@@ -1204,18 +1084,6 @@ std::uint32_t FileSystem::pick_replica_nsd(std::uint32_t preferred,
     }
   }
   return n;  // no eligible NSD: caller degrades to fewer copies
-}
-
-void FileSystem::free_replicas_of(InodeNum ino) {
-  auto it = replicas_.find(ino);
-  if (it == replicas_.end()) return;
-  for (const auto& [bi, p] : it->second) {
-    for (std::uint8_t c = 1; c < p.copies; ++c) {
-      MGFS_ASSERT(alloc_.free_block(p.addr[c]).ok(),
-                  "replica free on unlink/truncate failed");
-    }
-  }
-  replicas_.erase(it);
 }
 
 }  // namespace mgfs::gpfs

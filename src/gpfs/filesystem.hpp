@@ -44,33 +44,28 @@ struct OpenResult {
   bool writable = false;
 };
 
+/// A run of a file's block map: placements[i] holds every copy of block
+/// first_block + i (0 copies = hole, 1 for an unreplicated block).
 struct BlockMapChunk {
   std::uint64_t first_block = 0;
-  std::vector<std::optional<BlockAddr>> addrs;
-  /// Replica-aware block map: parallel to `addrs` for replicated files
-  /// (placements[i].addr[0] == *addrs[i]); empty for unreplicated files
-  /// so the single-copy wire format and payload stay unchanged.
   std::vector<BlockPlacement> placements;
 };
 
 /// Result of an fsck-style consistency scan (tests / chaos bench).
 struct FsckReport {
-  std::uint64_t referenced_blocks = 0;  // block addrs in inode maps
+  std::uint64_t referenced_blocks = 0;  // primaries (copy 0) in block maps
   std::uint64_t allocated_blocks = 0;   // bits set in allocation maps
   std::uint64_t orphaned_blocks = 0;    // allocated but referenced nowhere
-  std::uint64_t duplicate_refs = 0;     // same addr in two inode slots
+  std::uint64_t duplicate_refs = 0;     // same addr held by two copies
   std::uint64_t dangling_refs = 0;      // referenced but not allocated
   std::uint64_t uncommitted_records = 0;  // journal tail of expelled clients
-  std::uint64_t replica_refs = 0;        // replica copies in placement table
+  std::uint64_t replica_refs = 0;        // further copies (copy 1..)
   std::uint64_t divergent_replicas = 0;  // copies awaiting reconciliation
-  /// Placement-table primaries that disagree with the inode block map —
-  /// always an invariant violation.
-  std::uint64_t placement_mismatches = 0;
 
   bool clean() const {
     return orphaned_blocks == 0 && duplicate_refs == 0 &&
            dangling_refs == 0 && uncommitted_records == 0 &&
-           divergent_replicas == 0 && placement_mismatches == 0;
+           divergent_replicas == 0;
   }
 };
 
@@ -189,9 +184,6 @@ class FileSystem {
   NsdServer::GateDecision write_gate(ClientId client, InodeNum ino,
                                      std::uint64_t lease_epoch,
                                      std::uint64_t mgr_epoch);
-  /// Lease-epoch-only fence (raw tests; implies the current manager
-  /// epoch of shard 0).
-  bool write_admitted(ClientId client, std::uint64_t epoch);
   /// Expel `client`: mark its lease dead, replay (undo) its uncommitted
   /// journal records, release all its tokens so blocked revokes
   /// complete, and notify the expel listener. Idempotent.
@@ -272,8 +264,8 @@ class FileSystem {
   /// recovery-latency SLO.
   double takeover_to_first_grant_s() const { return last_first_grant_s_; }
 
-  /// Consistency scan: cross-check inode block maps against the
-  /// allocation bitmaps and the journal's uncommitted tail.
+  /// Consistency scan: cross-check every copy in the block maps against
+  /// the allocation bitmaps and the journal's uncommitted tail.
   FsckReport fsck() const;
 
   // --- metadata operations (manager-side logic) ------------------------
@@ -306,12 +298,9 @@ class FileSystem {
   Status op_extend_size(InodeNum ino, Bytes size, ClientId client);
 
   // --- replication (DESIGN.md §6, replication model) --------------------
+  // Every copy of a block is read through ns().placement(ino, bi).
   /// mmchattr -r: set the file's data-copy count for future allocations.
   Status set_replication(const std::string& path, std::uint8_t copies);
-  /// Full placement of (ino, bi), or nullptr when the block has a single
-  /// copy / no replica-table entry (clients then use the inode map).
-  const BlockPlacement* replica_placement(InodeNum ino,
-                                          std::uint64_t bi) const;
   /// A writer could not propagate a committed write to copy `copy` of
   /// (ino, bi): mark it divergent so no reader serves stale data from it
   /// until reconciliation. Counted in replica_divergences().
@@ -319,8 +308,8 @@ class FileSystem {
                                std::uint64_t bi, std::uint8_t copy);
   /// mmrestripefs -r analogue: copy every divergent replica back up to
   /// date from a clean copy of the same block (data copy is modeled; the
-  /// metadata flip is real) and clear its divergent bit. Returns the
-  /// number of copies reconciled.
+  /// metadata flip is real) and clear its divergent bit, in ascending
+  /// (inode, block) order. Returns the number of copies reconciled.
   std::size_t reconcile_replicas();
   /// mmchdisk down/up: a down NSD takes no new allocations (primary or
   /// replica). Reads/writes to existing copies are governed by the data
@@ -331,10 +320,11 @@ class FileSystem {
   /// `id` with a surviving clean copy elsewhere is re-protected — a
   /// replacement block is allocated on another NSD (site-spread), data
   /// is copied from the survivor (modeled), and the lost block is freed.
-  /// Lost primaries are repointed at a surviving replica first. Returns
-  /// the number of copies re-protected; copies with no clean survivor
-  /// are counted as data loss in the return's complement (callers check
-  /// fsck + read paths). Marks the NSD down.
+  /// A lost primary moves like any other copy. Blocks are visited in
+  /// ascending (inode, block) order. Returns the number of copies
+  /// re-protected; copies with no clean survivor are counted as data
+  /// loss in the return's complement (callers check fsck + read paths).
+  /// Marks the NSD down.
   std::size_t evacuate_nsd(std::uint32_t id);
 
   std::uint64_t replicas_allocated() const { return replicas_allocated_; }
@@ -427,18 +417,11 @@ class FileSystem {
   /// cfg_.auto_delegate_ops consecutive single-client acquires on an
   /// inode, move its metanode to the picker's preferred shard.
   void note_grant_for_delegation(ClientId client, InodeNum ino);
-  /// Undo one replica journal record: remove the matching copy from the
-  /// placement (compacting addrs + divergence mask) and free its block.
-  void undo_replica(const JournalRecord& r);
   /// Pick an NSD for the next copy of (ino, bi): prefer a site not yet
   /// holding a copy, then any distinct NSD; skip down NSDs. Returns
   /// nsd_count() when no candidate exists (degrade: skip the copy).
   std::uint32_t pick_replica_nsd(std::uint32_t preferred,
                                  const BlockPlacement& have) const;
-  /// Drop every replica-table entry of `ino`, freeing the replica
-  /// copies (addr[1..]) in the allocation map. The primary (addr[0]) is
-  /// owned by the inode block map and freed by the caller's path.
-  void free_replicas_of(InodeNum ino);
 
   sim::Simulator& sim_;
   FsConfig cfg_;
@@ -470,13 +453,7 @@ class FileSystem {
   std::unordered_map<InodeNum, GrantStreak> grant_streaks_;
   std::uint64_t delegations_ = 0;
 
-  // replication state
-  /// Replica-aware block map side-table: placements for blocks of
-  /// replicated files (absent = single copy, inode map is authoritative).
-  /// addr[0] mirrors the inode block map; addr[1..] are the copies.
-  std::unordered_map<InodeNum,
-                     std::unordered_map<std::uint64_t, BlockPlacement>>
-      replicas_;
+  // replication state (the copies themselves live in ns_)
   std::vector<std::uint8_t> nsd_down_;
   std::uint64_t replicas_allocated_ = 0;
   std::uint64_t replica_divergences_ = 0;

@@ -6,13 +6,14 @@
 // bring metadata back to a consistent state without a full fsck.
 //
 // We journal the one multi-step metadata mutation a client drives
-// incrementally: block allocation. `op_allocate` installs block
-// addresses ahead of the data landing on disk (allocate-ahead), and a
+// incrementally: block allocation. `op_allocate` installs every copy of
+// a block ahead of the data landing on disk (allocate-ahead), and a
 // client that dies before fsync leaves those installs dangling — the
-// block map references storage that holds no committed data. Each
-// allocate is logged before `Namespace::set_block`; fsync
-// (`op_extend_size`) is the commit point that retires records up to the
-// committed size. On expel, the surviving manager walks the dead
+// block map references storage that holds no committed data. Each copy
+// is logged (an alloc record for the primary, a replica record for each
+// further copy) before `Namespace::set_placement` installs the block;
+// fsync (`op_extend_size`) is the commit point that retires records up
+// to the committed size. On expel, the surviving manager walks the dead
 // client's uncommitted tail newest-first and undoes each install.
 //
 // Create / unlink / truncate execute atomically inside one manager op,
@@ -42,14 +43,15 @@ struct JournalRecord {
 
 class MetaJournal {
  public:
-  /// WAL rule: call before Namespace::set_block for the same install.
+  /// WAL rule: call before Namespace::set_placement for the same install.
+  /// Undoing it punches a hole, freeing every copy still attached.
   std::uint64_t log_alloc(ClientId c, InodeNum ino, std::uint64_t bi,
                           BlockAddr addr);
 
-  /// A replica copy was placed for (ino, bi) at `addr`, ahead of the
+  /// A further copy of (ino, bi) was placed at `addr`, ahead of the
   /// writer propagating data to it. Same commit points as allocs
   /// (fsync / shared-block reference); on expel-replay the copy is
-  /// removed from the replica set and its block freed — a crashed
+  /// dropped from the block's placement and its block freed — a crashed
   /// writer's partially-propagated copies are undone, never left as
   /// silent stale replicas.
   std::uint64_t log_replica(ClientId c, InodeNum ino, std::uint64_t bi,

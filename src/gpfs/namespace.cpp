@@ -210,6 +210,7 @@ Result<std::vector<BlockAddr>> Namespace::unlink(std::string_view path,
   for (const auto& b : victim.blocks) {
     if (b.has_value()) freed.push_back(*b);
   }
+  drop_replicas(it->second, 0, freed);
   inodes_.erase(it->second);
   parent.entries.erase(it);
   return freed;
@@ -306,6 +307,7 @@ Result<std::vector<BlockAddr>> Namespace::truncate(std::string_view path,
     if (n.blocks.back().has_value()) freed.push_back(*n.blocks.back());
     n.blocks.pop_back();
   }
+  drop_replicas(*ino, keep, freed);
   n.size = size;
   return freed;
 }
@@ -328,15 +330,35 @@ Status Namespace::check_write(InodeNum ino, const Principal& who) const {
   return Status{};
 }
 
-Result<std::optional<BlockAddr>> Namespace::block_at(InodeNum ino,
-                                                     Bytes offset) const {
+BlockPlacement Namespace::placement_of(const Inode& n,
+                                      std::uint64_t bi) const {
+  if (bi >= n.blocks.size() || !n.blocks[bi].has_value()) return {};
+  BlockPlacement p = BlockPlacement::single(*n.blocks[bi]);
+  if (replicas_.empty()) return p;
+  auto it = replicas_.find(BlockKey{n.ino, bi});
+  if (it == replicas_.end()) return p;
+  const ReplicaTail& t = it->second;
+  for (std::uint8_t c = 1; c < t.copies; ++c) p.add(t.addr[c - 1]);
+  p.divergent = t.divergent;
+  return p;
+}
+
+BlockPlacement Namespace::placement(InodeNum ino, std::uint64_t bi) const {
+  auto it = inodes_.find(ino);
+  if (it == inodes_.end()) return {};
+  return placement_of(it->second, bi);
+}
+
+Result<std::vector<BlockPlacement>> Namespace::placements(
+    InodeNum ino, std::uint64_t first, std::size_t count) const {
   auto it = inodes_.find(ino);
   if (it == inodes_.end()) return err(Errc::not_found, "stale inode");
-  const std::uint64_t bi = offset / block_size_;
-  if (bi >= it->second.blocks.size() || !it->second.blocks[bi].has_value()) {
-    return std::optional<BlockAddr>{};
+  std::vector<BlockPlacement> out;
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    out.push_back(placement_of(it->second, first + i));
   }
-  return std::optional<BlockAddr>{*it->second.blocks[bi]};
+  return out;
 }
 
 Status Namespace::set_block(InodeNum ino, std::uint64_t bi, BlockAddr addr) {
@@ -351,15 +373,45 @@ Status Namespace::set_block(InodeNum ino, std::uint64_t bi, BlockAddr addr) {
   return Status{};
 }
 
-Status Namespace::clear_block(InodeNum ino, std::uint64_t bi) {
+Status Namespace::set_placement(InodeNum ino, std::uint64_t bi,
+                                const BlockPlacement& p) {
   auto it = inodes_.find(ino);
   if (it == inodes_.end()) return Status(Errc::not_found, "stale inode");
   Inode& n = it->second;
-  if (n.blocks.size() <= bi || !n.blocks[bi].has_value()) {
-    return Status(Errc::not_found, "block not placed");
+  if (p.copies == 0) {
+    if (bi < n.blocks.size()) n.blocks[bi] = std::nullopt;
+  } else {
+    if (n.blocks.size() <= bi) n.blocks.resize(bi + 1);
+    n.blocks[bi] = p.addr[0];
   }
-  n.blocks[bi] = std::nullopt;
+  if (p.copies <= 1) {
+    if (!replicas_.empty()) replicas_.erase(BlockKey{ino, bi});
+    return Status{};
+  }
+  ReplicaTail& t = replicas_[BlockKey{ino, bi}];
+  t.copies = p.copies;
+  t.divergent = p.divergent;
+  for (std::uint8_t c = 1; c < p.copies; ++c) t.addr[c - 1] = p.addr[c];
   return Status{};
+}
+
+std::vector<std::pair<InodeNum, std::uint64_t>> Namespace::replicated_blocks()
+    const {
+  std::vector<BlockKey> out;
+  out.reserve(replicas_.size());
+  for (const auto& entry : replicas_) out.push_back(entry.first);
+  return out;
+}
+
+void Namespace::drop_replicas(InodeNum ino, std::uint64_t first,
+                              std::vector<BlockAddr>& out) {
+  auto it = replicas_.lower_bound(BlockKey{ino, first});
+  while (it != replicas_.end() && it->first.first == ino) {
+    for (std::uint8_t c = 1; c < it->second.copies; ++c) {
+      out.push_back(it->second.addr[c - 1]);
+    }
+    it = replicas_.erase(it);
+  }
 }
 
 Status Namespace::extend_size(InodeNum ino, Bytes new_size, double now) {

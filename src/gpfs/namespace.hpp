@@ -1,18 +1,20 @@
 // Hierarchical namespace and inodes.
 //
 // A real (in-memory) file-system metadata store: directory tree, inode
-// table, permission checks against grid principals, block lists per
-// file. It lives on the file-system manager node; clients reach it via
-// RPC (filesystem.hpp glues the two). File *contents* are not stored —
-// only block placement — per DESIGN.md's "real metadata, modeled data"
-// rule.
+// table, permission checks against grid principals, and the one record
+// of where every copy of every file block lives. It lives on the
+// file-system manager node; clients reach it via RPC (filesystem.hpp
+// glues the two). File *contents* are not stored — only block placement
+// — per DESIGN.md's "real metadata, modeled data" rule.
 #pragma once
 
+#include <array>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.hpp"
@@ -29,10 +31,12 @@ struct Inode {
   double mtime = 0;
   std::uint32_t nlink = 1;
   /// Data copies kept for this file (mmchattr -r). 1 = unreplicated.
-  /// Replica placements live in the FileSystem's replica table; the
-  /// inode only records how many copies allocation should produce.
+  /// Only tells allocation how many copies to produce; the copies
+  /// themselves are read through Namespace::placement.
   std::uint8_t replication = 1;
-  /// Per-block placement; nullopt = hole (never written).
+  /// Primary copy (copy 0) of each block; nullopt = hole (never
+  /// written). Dense, because every file has one; further copies of
+  /// replicated blocks live in the Namespace's sparse replica table.
   std::vector<std::optional<BlockAddr>> blocks;
   /// Directory entries (only for type == directory).
   std::map<std::string, InodeNum> entries;
@@ -69,8 +73,8 @@ class Namespace {
                           Mode mode, double now);
   Result<InodeNum> mkdir(std::string_view path, const Principal& who,
                          Mode mode, double now);
-  /// Unlink a file; returns the blocks it held so the caller can free
-  /// them in the allocation map.
+  /// Unlink a file; returns every copy of every block it held so the
+  /// caller can free them in the allocation map.
   Result<std::vector<BlockAddr>> unlink(std::string_view path,
                                         const Principal& who);
   Status rmdir(std::string_view path, const Principal& who);
@@ -79,7 +83,8 @@ class Namespace {
   Status chmod(std::string_view path, const Principal& who, Mode mode);
   Status chown(std::string_view path, const Principal& who,
                const std::string& new_owner_dn);
-  /// Shrink (or logically extend) a file; returns blocks cut loose.
+  /// Shrink (or logically extend) a file; returns every copy of the
+  /// blocks cut loose.
   Result<std::vector<BlockAddr>> truncate(std::string_view path,
                                           const Principal& who, Bytes size);
 
@@ -88,13 +93,23 @@ class Namespace {
   Status check_read(InodeNum ino, const Principal& who) const;
   Status check_write(InodeNum ino, const Principal& who) const;
 
-  /// Block address covering byte offset, nullopt for holes.
-  Result<std::optional<BlockAddr>> block_at(InodeNum ino, Bytes offset) const;
-  /// Install a freshly allocated block at block index `bi`.
+  /// Every copy of block `bi`: one for an unreplicated block, none for a
+  /// hole, a slot past the end of the map or a stale inode.
+  BlockPlacement placement(InodeNum ino, std::uint64_t bi) const;
+  /// The placements of blocks [first, first + count).
+  Result<std::vector<BlockPlacement>> placements(InodeNum ino,
+                                                 std::uint64_t first,
+                                                 std::size_t count) const;
+  /// Install a freshly allocated single-copy block at block index `bi`.
   Status set_block(InodeNum ino, std::uint64_t bi, BlockAddr addr);
-  /// Undo of set_block (journal replay): drop the address at `bi`,
-  /// turning the slot back into a hole.
-  Status clear_block(InodeNum ino, std::uint64_t bi);
+  /// Overwrite every copy of block `bi`: `p.addr[0]` becomes the primary,
+  /// the rest and the divergence mask go to the replica table (a single
+  /// copy carries no mask), and `copies == 0` turns the slot into a hole.
+  /// The caller frees whatever addresses it drops.
+  Status set_placement(InodeNum ino, std::uint64_t bi,
+                       const BlockPlacement& p);
+  /// Every (inode, block) holding more than one copy, in ascending order.
+  std::vector<std::pair<InodeNum, std::uint64_t>> replicated_blocks() const;
   /// Grow size after a write reaching `new_size` (never shrinks).
   Status extend_size(InodeNum ino, Bytes new_size, double now);
   /// Set the file's data-copy count (mmchattr -r). Applies to blocks
@@ -126,10 +141,27 @@ class Namespace {
   Result<Walk> walk_to_parent(std::string_view path) const;
   static bool may_read(const Inode& n, const Principal& who);
   static bool may_write(const Inode& n, const Principal& who);
+  BlockPlacement placement_of(const Inode& n, std::uint64_t bi) const;
+  /// Remove the replica-table entries of `ino` from block `first` on,
+  /// appending their copies to `out`.
+  void drop_replicas(InodeNum ino, std::uint64_t first,
+                     std::vector<BlockAddr>& out);
+
+  /// Copies 1.. of a replicated block and the divergence mask over all
+  /// of its copies; copy 0 is the inode's `blocks` slot.
+  struct ReplicaTail {
+    std::uint8_t copies = 0;  // including the primary
+    std::uint8_t divergent = 0;
+    std::array<BlockAddr, kMaxReplicas - 1> addr{};
+  };
+  using BlockKey = std::pair<InodeNum, std::uint64_t>;
 
   Bytes block_size_;
   InodeNum next_ino_ = kRootIno;
   std::unordered_map<InodeNum, Inode> inodes_;
+  /// Sparse: only blocks with more than one copy have an entry. Ordered,
+  /// so admin walks (reconcile, evacuate) visit blocks in a fixed order.
+  std::map<BlockKey, ReplicaTail> replicas_;
 };
 
 /// Split an absolute path into components; invalid_argument on bad paths.

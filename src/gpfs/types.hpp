@@ -35,12 +35,13 @@ struct BlockAddr {
 /// sites", so the placement array is fixed-size rather than heap-backed.
 inline constexpr std::uint32_t kMaxReplicas = 3;
 
-/// All copies of one logical file block. `addr[0]` is the primary (the
-/// striping-rule placement); further copies live on NSDs in *different*
-/// failure domains (Nsd::site — a cluster/site in the DEISA multi-site
-/// configuration). Bit i of `divergent` set means copy i missed a
-/// committed write (its NSD was unreachable when the writer propagated)
-/// and must not serve reads until reconciled.
+/// All copies of one logical file block; `copies == 0` is a hole and an
+/// unreplicated block is a one-copy placement. `addr[0]` is the primary
+/// (the striping-rule placement); further copies live on NSDs in
+/// *different* failure domains (Nsd::site — a cluster/site in the DEISA
+/// multi-site configuration). Bit i of `divergent` set means copy i
+/// missed a committed write (its NSD was unreachable when the writer
+/// propagated) and must not serve reads until reconciled.
 struct BlockPlacement {
   std::uint8_t copies = 0;
   std::uint8_t divergent = 0;  // bitmask over addr[0..copies)
@@ -59,6 +60,20 @@ struct BlockPlacement {
       if (!is_divergent(i)) ++n;
     }
     return n;
+  }
+  /// Index of the copy at `a`, or `copies` when no copy lives there.
+  std::uint8_t find(BlockAddr a) const {
+    std::uint8_t i = 0;
+    while (i < copies && !(addr[i] == a)) ++i;
+    return i;
+  }
+  /// Drop copy `i`, compacting the address array and divergence mask.
+  void remove(std::uint8_t i) {
+    const auto below = static_cast<std::uint8_t>((1u << i) - 1);
+    divergent = static_cast<std::uint8_t>((divergent & below) |
+                                          ((divergent >> 1) & ~below));
+    for (std::uint8_t j = i; j + 1 < copies; ++j) addr[j] = addr[j + 1];
+    --copies;
   }
   static BlockPlacement single(BlockAddr a) {
     BlockPlacement p;

@@ -106,10 +106,15 @@ TEST_F(NsFixture, GridIdentityCrossSite) {
 TEST_F(NsFixture, UnlinkReturnsBlocks) {
   auto ino = ns.create("/f", kAlice, Mode{}, 0);
   ASSERT_TRUE(ns.set_block(*ino, 0, BlockAddr{1, 10}).ok());
-  ASSERT_TRUE(ns.set_block(*ino, 2, BlockAddr{2, 20}).ok());
+  BlockPlacement two = BlockPlacement::single(BlockAddr{2, 20});
+  two.add(BlockAddr{3, 30});
+  ASSERT_TRUE(ns.set_placement(*ino, 2, two).ok());
   auto freed = ns.unlink("/f", kAlice);
   ASSERT_TRUE(freed.ok());
-  EXPECT_EQ(freed->size(), 2u);  // hole at block 1 yields nothing
+  // Every copy comes back; the hole at block 1 yields nothing.
+  EXPECT_EQ(*freed, (std::vector<BlockAddr>{
+                        BlockAddr{1, 10}, BlockAddr{2, 20}, BlockAddr{3, 30}}));
+  EXPECT_TRUE(ns.replicated_blocks().empty());
   EXPECT_FALSE(ns.exists("/f"));
 }
 
@@ -173,13 +178,44 @@ TEST_F(NsFixture, TruncateFreesTailBlocks) {
 TEST_F(NsFixture, BlockAtAndHoles) {
   auto ino = ns.create("/f", kAlice, Mode{064}, 0);
   ASSERT_TRUE(ns.set_block(*ino, 1, BlockAddr{3, 7}).ok());
-  auto b0 = ns.block_at(*ino, 0);
-  ASSERT_TRUE(b0.ok());
-  EXPECT_FALSE(b0->has_value());  // hole
-  auto b1 = ns.block_at(*ino, 1 * MiB + 17);
-  ASSERT_TRUE(b1.ok());
-  ASSERT_TRUE(b1->has_value());
-  EXPECT_EQ((*b1)->nsd, 3u);
+  // Holes: a never-written slot inside the map, a slot past its end, and
+  // any slot of a stale inode all read as zero copies.
+  EXPECT_EQ(ns.placement(*ino, 0).copies, 0);
+  EXPECT_EQ(ns.placement(*ino, 5).copies, 0);
+  EXPECT_EQ(ns.placement(*ino + 100, 1).copies, 0);
+  // An unreplicated block reads as a one-copy placement.
+  const BlockPlacement one = ns.placement(*ino, 1);
+  ASSERT_EQ(one.copies, 1);
+  EXPECT_EQ(one.addr[0], (BlockAddr{3, 7}));
+  EXPECT_EQ(one.divergent, 0);
+  EXPECT_TRUE(ns.replicated_blocks().empty());
+
+  // Add a copy: the primary stays in the dense map, the copy and the
+  // divergence mask are read back with it.
+  BlockPlacement two = one;
+  two.add(BlockAddr{1, 9});
+  two.divergent = 0b10;
+  ASSERT_TRUE(ns.set_placement(*ino, 1, two).ok());
+  EXPECT_EQ(ns.placement(*ino, 1), two);
+  EXPECT_EQ(*ns.inode(*ino)->blocks[1], (BlockAddr{3, 7}));
+  EXPECT_EQ(ns.replicated_blocks(),
+            (std::vector<std::pair<InodeNum, std::uint64_t>>{{*ino, 1}}));
+  auto map = ns.placements(*ino, 0, 3);
+  ASSERT_TRUE(map.ok());
+  ASSERT_EQ(map->size(), 3u);
+  EXPECT_EQ((*map)[0].copies, 0);
+  EXPECT_EQ((*map)[1], two);
+  EXPECT_EQ((*map)[2].copies, 0);
+
+  // Drop it again: back to the one-copy placement, divergence bit gone.
+  two.remove(1);
+  ASSERT_TRUE(ns.set_placement(*ino, 1, two).ok());
+  EXPECT_EQ(ns.placement(*ino, 1), one);
+  EXPECT_TRUE(ns.replicated_blocks().empty());
+
+  // Zero copies punches a hole.
+  ASSERT_TRUE(ns.set_placement(*ino, 1, BlockPlacement{}).ok());
+  EXPECT_EQ(ns.placement(*ino, 1).copies, 0);
 }
 
 TEST_F(NsFixture, SetBlockTwiceRejected) {

@@ -1,10 +1,12 @@
 // Cross-cluster block replication (DESIGN.md §6, replication model):
 // placement rules for multi-copy files, the replica-aware block map
 // against the single-copy oracle, divergence marking + reconciliation,
-// journal undo of a crashed writer's partially-propagated copies, and
-// the stale-replica-never-serves guarantee.
+// journal undo of a crashed writer's partially-propagated copies,
+// freeing every copy on unlink and truncate, and the
+// stale-replica-never-serves guarantee.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "common/rng.hpp"
@@ -38,19 +40,19 @@ TEST(Replication, PlacementSpreadsCopiesAcrossSites) {
   InodeNum ino = 0;
   const std::uint64_t blocks = file_blocks(mc, c, "/rep", &ino);
   ASSERT_EQ(blocks, 8u);
+  const Inode* n = mc.fs->ns().inode(ino);
+  ASSERT_NE(n, nullptr);
   for (std::uint64_t bi = 0; bi < blocks; ++bi) {
-    const BlockPlacement* p = mc.fs->replica_placement(ino, bi);
-    ASSERT_NE(p, nullptr) << "block " << bi << " has no placement";
-    EXPECT_EQ(p->copies, 2);
-    EXPECT_EQ(p->divergent, 0);
-    // Copy 0 mirrors the inode map (the single-copy oracle's address).
-    auto a0 = mc.fs->ns().block_at(ino, bi * mc.fs->block_size());
-    ASSERT_TRUE(a0.ok() && a0->has_value());
-    EXPECT_EQ(p->addr[0], **a0);
+    const BlockPlacement p = mc.fs->ns().placement(ino, bi);
+    ASSERT_EQ(p.copies, 2) << "block " << bi;
+    EXPECT_EQ(p.divergent, 0);
+    // Copy 0 is the inode map's primary, stored there and only there.
+    ASSERT_TRUE(n->blocks[bi].has_value());
+    EXPECT_EQ(p.addr[0], *n->blocks[bi]);
     // Copies live on distinct NSDs in distinct failure domains.
-    EXPECT_NE(p->addr[0].nsd, p->addr[1].nsd);
-    EXPECT_NE(mc.fs->nsd(p->addr[0].nsd).site,
-              mc.fs->nsd(p->addr[1].nsd).site);
+    EXPECT_NE(p.addr[0].nsd, p.addr[1].nsd);
+    EXPECT_NE(mc.fs->nsd(p.addr[0].nsd).site,
+              mc.fs->nsd(p.addr[1].nsd).site);
   }
   EXPECT_GE(mc.fs->replicas_allocated(), blocks);
   EXPECT_TRUE(mc.fs->fsck().clean());
@@ -66,12 +68,72 @@ TEST(Replication, UnreplicatedFilesHaveNoPlacementTableEntries) {
 
   InodeNum ino = 0;
   const std::uint64_t blocks = file_blocks(mc, c, "/solo", &ino);
-  for (std::uint64_t bi = 0; bi < blocks; ++bi) {
-    EXPECT_EQ(mc.fs->replica_placement(ino, bi), nullptr);
-  }
-  auto chunk = mc.fs->op_block_map(ino, 0, blocks);
+  ASSERT_EQ(blocks, 4u);
+  // Every block is a one-copy placement on its striping-rule NSD, and
+  // the block map hands clients exactly that, plus a hole past EOF.
+  auto chunk = mc.fs->op_block_map(ino, 0, blocks + 1);
   ASSERT_TRUE(chunk.ok());
-  EXPECT_TRUE(chunk->placements.empty());
+  ASSERT_EQ(chunk->placements.size(), blocks + 1);
+  for (std::uint64_t bi = 0; bi < blocks; ++bi) {
+    const BlockPlacement p = mc.fs->ns().placement(ino, bi);
+    EXPECT_EQ(p.copies, 1) << "block " << bi;
+    EXPECT_EQ(p.divergent, 0);
+    EXPECT_EQ(p.addr[0].nsd, mc.fs->nsd_for_block(ino, bi));
+    EXPECT_EQ(chunk->placements[bi], p);
+  }
+  EXPECT_EQ(chunk->placements[blocks].copies, 0);
+  EXPECT_EQ(mc.fs->fsck().replica_refs, 0u);
+}
+
+// --- every copy is freed ------------------------------------------------
+
+// Write and commit 4 MiB into a fresh three-copy file; returns its inode.
+InodeNum write_three_copies(MiniCluster& mc, Client* c,
+                            const std::string& path) {
+  auto fh = mc.open(c, path, kAlice, OpenFlags::create_replicated(3));
+  EXPECT_TRUE(fh.ok());
+  EXPECT_TRUE(mc.write(c, *fh, 0, 4 * MiB).ok());
+  EXPECT_TRUE(mc.fsync(c, *fh).ok());
+  EXPECT_TRUE(mc.close(c, *fh).ok());
+  InodeNum ino = 0;
+  EXPECT_EQ(file_blocks(mc, c, path, &ino), 4u);
+  for (std::uint64_t bi = 0; bi < 4; ++bi) {
+    EXPECT_EQ(mc.fs->ns().placement(ino, bi).copies, 3) << "block " << bi;
+  }
+  return ino;
+}
+
+TEST(Replication, UnlinkFreesEveryCopy) {
+  MiniCluster mc;
+  Client* c = mc.mount_on(2);
+  const Bytes free_before = mc.fs->free_bytes();
+  write_three_copies(mc, c, "/rep3");
+  EXPECT_LT(mc.fs->free_bytes(), free_before);
+
+  std::optional<Status> st;
+  c->unlink("/rep3", kAlice, [&](Status s) { st = std::move(s); });
+  mc.sim.run();
+  ASSERT_TRUE(st.has_value() && st->ok());
+  EXPECT_EQ(mc.fs->free_bytes(), free_before);
+  EXPECT_TRUE(mc.fs->ns().replicated_blocks().empty());
+  EXPECT_TRUE(mc.fs->fsck().clean());
+}
+
+TEST(Replication, TruncateFreesEveryCopy) {
+  MiniCluster mc;
+  Client* c = mc.mount_on(2);
+  const Bytes free_before = mc.fs->free_bytes();
+  const InodeNum ino = write_three_copies(mc, c, "/rep3");
+  EXPECT_LT(mc.fs->free_bytes(), free_before);
+
+  OpenFlags trunc = OpenFlags::rw();
+  trunc.truncate = true;
+  auto fh = mc.open(c, "/rep3", kAlice, trunc);
+  ASSERT_TRUE(fh.ok());
+  EXPECT_EQ(mc.fs->free_bytes(), free_before);
+  EXPECT_EQ(mc.fs->ns().placement(ino, 0).copies, 0);
+  EXPECT_TRUE(mc.fs->ns().replicated_blocks().empty());
+  EXPECT_TRUE(mc.fs->fsck().clean());
 }
 
 // --- replica-aware block map vs the single-copy oracle -----------------
@@ -111,26 +173,21 @@ TEST(Replication, BlockMapMatchesSingleCopyOracleProperty) {
     const std::uint64_t sblocks = file_blocks(mc, c, "/solo", &sino);
     ASSERT_EQ(rblocks, sblocks) << "seed " << seed;
     for (std::uint64_t bi = 0; bi < rblocks; ++bi) {
-      auto ra = mc.fs->ns().block_at(rino, bi * bs);
-      auto sa = mc.fs->ns().block_at(sino, bi * bs);
-      ASSERT_TRUE(ra.ok() && sa.ok());
+      const BlockPlacement p = mc.fs->ns().placement(rino, bi);
+      const BlockPlacement solo_p = mc.fs->ns().placement(sino, bi);
       // Identical hole pattern: a block exists in the replicated map
-      // iff the oracle allocated it too.
-      ASSERT_EQ(ra->has_value(), sa->has_value())
+      // iff the oracle allocated it too, and the oracle's blocks are
+      // one-copy placements.
+      ASSERT_EQ(p.copies > 0, solo_p.copies > 0)
           << "seed " << seed << " block " << bi;
-      const BlockPlacement* p = mc.fs->replica_placement(rino, bi);
-      if (!ra->has_value()) {
-        EXPECT_EQ(p, nullptr);
-        continue;
-      }
+      if (solo_p.copies == 0) continue;
+      EXPECT_EQ(solo_p.copies, 1);
       // Every allocated block of the replicated file carries exactly
-      // the configured copy count, copy 0 is the inode-map address,
-      // and the copies never collide on one NSD.
-      ASSERT_NE(p, nullptr) << "seed " << seed << " block " << bi;
-      EXPECT_EQ(p->copies, 2);
-      EXPECT_EQ(p->addr[0], **ra);
-      EXPECT_NE(p->addr[0].nsd, p->addr[1].nsd);
-      EXPECT_EQ(p->divergent, 0);
+      // the configured copy count, and the copies never collide on one
+      // NSD.
+      EXPECT_EQ(p.copies, 2) << "seed " << seed << " block " << bi;
+      EXPECT_NE(p.addr[0].nsd, p.addr[1].nsd);
+      EXPECT_EQ(p.divergent, 0);
     }
     // Reads are oracle-equivalent: both files return every byte.
     auto rr = mc.read(c, *rep, 0, rblocks * bs);
@@ -155,17 +212,17 @@ TEST(Replication, DivergenceMarksAndReconciles) {
   file_blocks(mc, c, "/rep", &ino);
   ASSERT_TRUE(mc.fs->op_replica_divergence(c->id(), ino, 1, 1).ok());
   EXPECT_EQ(mc.fs->replica_divergences(), 1u);
-  const BlockPlacement* p = mc.fs->replica_placement(ino, 1);
-  ASSERT_NE(p, nullptr);
-  EXPECT_TRUE(p->is_divergent(1));
-  EXPECT_FALSE(p->is_divergent(0));
+  const BlockPlacement p = mc.fs->ns().placement(ino, 1);
+  ASSERT_EQ(p.copies, 2);
+  EXPECT_TRUE(p.is_divergent(1));
+  EXPECT_FALSE(p.is_divergent(0));
   // A divergent copy is an fsck finding until reconciled.
   EXPECT_FALSE(mc.fs->fsck().clean());
   EXPECT_EQ(mc.fs->fsck().divergent_replicas, 1u);
 
   EXPECT_EQ(mc.fs->reconcile_replicas(), 1u);
   EXPECT_EQ(mc.fs->replicas_reconciled(), 1u);
-  EXPECT_EQ(mc.fs->replica_placement(ino, 1)->divergent, 0);
+  EXPECT_EQ(mc.fs->ns().placement(ino, 1).divergent, 0);
   EXPECT_TRUE(mc.fs->fsck().clean());
   // Idempotent: nothing left to reconcile.
   EXPECT_EQ(mc.fs->reconcile_replicas(), 0u);
@@ -186,7 +243,7 @@ TEST(Replication, LastCleanCopyCannotBeMarkedDivergent) {
   // with every copy divergent there would be nothing to reconcile from.
   auto st = mc.fs->op_replica_divergence(c->id(), ino, 0, 0);
   EXPECT_EQ(st.code(), Errc::unavailable);
-  EXPECT_EQ(mc.fs->replica_placement(ino, 0)->clean_copies(), 1);
+  EXPECT_EQ(mc.fs->ns().placement(ino, 0).clean_copies(), 1);
 }
 
 // --- crashed writer: journal undo of partially-propagated copies -------
@@ -205,7 +262,7 @@ TEST(Replication, WriterCrashBeforeCommitUndoesReplicaRecords) {
 
   InodeNum ino = 0;
   file_blocks(mc, w, "/rep", &ino);
-  ASSERT_NE(mc.fs->replica_placement(ino, 0), nullptr);
+  ASSERT_EQ(mc.fs->ns().placement(ino, 0).copies, 2);
   const Bytes free_before = mc.fs->free_bytes();
 
   mc.fs->expel_client(w->id(), "test: writer crashed mid-propagation");
@@ -213,9 +270,8 @@ TEST(Replication, WriterCrashBeforeCommitUndoesReplicaRecords) {
 
   EXPECT_GE(mc.fs->journal_records_replayed(), 8u);  // 4 allocs + 4 replicas
   for (std::uint64_t bi = 0; bi < 4; ++bi) {
-    EXPECT_EQ(mc.fs->replica_placement(ino, bi), nullptr) << "block " << bi;
-    auto a = mc.fs->ns().block_at(ino, bi * mc.fs->block_size());
-    EXPECT_TRUE(a.ok() && !a->has_value()) << "block " << bi;
+    // Every copy is gone: the slot is a hole again.
+    EXPECT_EQ(mc.fs->ns().placement(ino, bi).copies, 0) << "block " << bi;
   }
   // Both the primaries and the replica copies went back to the free
   // pool — nothing leaked.
@@ -239,9 +295,7 @@ TEST(Replication, CommittedReplicasSurviveWriterExpel) {
   mc.sim.run();
 
   for (std::uint64_t bi = 0; bi < 4; ++bi) {
-    const BlockPlacement* p = mc.fs->replica_placement(ino, bi);
-    ASSERT_NE(p, nullptr) << "block " << bi;
-    EXPECT_EQ(p->copies, 2);
+    EXPECT_EQ(mc.fs->ns().placement(ino, bi).copies, 2) << "block " << bi;
   }
   EXPECT_TRUE(mc.fs->fsck().clean());
 
@@ -269,12 +323,12 @@ TEST(Replication, DivergentCopyNeverServesReads) {
 
   InodeNum ino = 0;
   file_blocks(mc, w, "/rep", &ino);
-  const BlockPlacement* p = mc.fs->replica_placement(ino, 0);
-  ASSERT_NE(p, nullptr);
+  const BlockPlacement p = mc.fs->ns().placement(ino, 0);
+  ASSERT_EQ(p.copies, 2);
   // Copy 1 diverges (e.g. a propagation failure), then copy 0's media
   // dies: block 0 now has no servable copy.
   ASSERT_TRUE(mc.fs->op_replica_divergence(w->id(), ino, 0, 1).ok());
-  mc.fs->nsd(p->addr[0].nsd).device->set_failed(true);
+  mc.fs->nsd(p.addr[0].nsd).device->set_failed(true);
 
   Client* r = mc.mount_on(3);
   auto rfh = mc.open(r, "/rep", kAlice, OpenFlags::ro());
@@ -286,7 +340,7 @@ TEST(Replication, DivergentCopyNeverServesReads) {
   // Reconciliation cannot help (the clean copy's media is gone), but
   // healing the device restores service without ever having served the
   // stale copy.
-  mc.fs->nsd(p->addr[0].nsd).device->set_failed(false);
+  mc.fs->nsd(p.addr[0].nsd).device->set_failed(false);
   auto rr2 = mc.read(r, *rfh, 0, 1 * MiB);
   ASSERT_TRUE(rr2.ok());
   EXPECT_EQ(*rr2, 1 * MiB);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace mgfs::gpfs {
 namespace {
 
@@ -150,6 +152,13 @@ struct ConflictCase {
   LockMode asked;
   bool conflict;
 };
+
+// Printed from the modes: left to itself gtest prints the case as raw bytes,
+// struct padding included, and the test names changed from build to build.
+void PrintTo(const ConflictCase& c, std::ostream* os) {
+  auto mode = [](LockMode m) { return m == LockMode::ro ? "ro" : "rw"; };
+  *os << mode(c.held) << " held, " << mode(c.asked) << " asked";
+}
 
 class TokenConflictMatrix : public ::testing::TestWithParam<ConflictCase> {};
 
