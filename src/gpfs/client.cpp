@@ -155,6 +155,7 @@ void Client::unbind() {
   dirty_addr_.clear();
   anchor_fails_.clear();
   alloc_ahead_hi_.clear();
+  uncommitted_.clear();
 }
 
 Client::OpenFile* Client::file(Fh fh) {
@@ -1016,6 +1017,11 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
   const InodeNum ino = f->ino;
   const Bytes old_size = f->size;
   const Bytes new_size = std::max(f->size, offset + len);
+  // Marked before any token/allocate work, so a write that later fails
+  // still makes the next fsync commit (the conservative side).
+  Uncommitted& mark = uncommitted_[ino];
+  mark.seq = ++write_seq_;
+  mark.end = std::max(mark.end, offset + len);
 
   // Streaming-write detection: once the sequential pattern is confirmed
   // (two hits), batch the token grant and block allocation over the
@@ -1423,10 +1429,21 @@ void Client::fsync(Fh fh, std::function<void(Status)> done) {
   }
   const InodeNum ino = f->ino;
   const Bytes size = f->size;
-  flush_inode(ino, std::nullopt, [this, ino, size,
+  // Stamp of the newest write this fsync covers; 0 = nothing written
+  // since the last commit.
+  const auto mark = uncommitted_.find(ino);
+  const std::uint64_t seq =
+      mark == uncommitted_.end() ? 0 : mark->second.seq;
+  flush_inode(ino, std::nullopt, [this, ino, size, seq,
                                   done = std::move(done)]() mutable {
     if (!mounted()) {
       done(Status{});
+      return;
+    }
+    if (seq == 0) {
+      // The manager already holds everything this inode has to commit.
+      // Complete from the event loop: callers' loops are not re-entrant.
+      simulator().defer([done = std::move(done)] { done(Status{}); });
       return;
     }
     FileSystem* fs = fs_;
@@ -1437,8 +1454,18 @@ void Client::fsync(Fh fh, std::function<void(Status)> done) {
           const Status st = fs->op_extend_size(ino, size, me);
           reply(64, st.ok() ? Result<int>(0) : Result<int>(st.error()));
         },
-        [this, done = std::move(done)](Result<int> r) {
-          if (!r.ok() && r.code() == Errc::stale) on_lease_lapsed();
+        [this, ino, size, seq, done = std::move(done)](Result<int> r) {
+          if (r.ok()) {
+            // Committed, unless a write began after this fsync did or
+            // wrote past `size`.
+            auto w = uncommitted_.find(ino);
+            if (w != uncommitted_.end() && w->second.seq == seq &&
+                w->second.end <= size) {
+              uncommitted_.erase(w);
+            }
+          } else if (r.code() == Errc::stale) {
+            on_lease_lapsed();
+          }
           done(r.ok() ? Status{} : Status(r.error()));
         });
   });
@@ -1553,10 +1580,13 @@ void Client::unlink(const std::string& path, const Principal& who,
                     std::function<void(Status)> done) {
   FileSystem* fs = fs_;
   const ClientId me = id_;
+  // One id for every retransmission of this unlink (meta_call re-sends
+  // the same request), so a retry after a lost reply is recognised.
+  const std::uint64_t req = ++unlink_seq_;
   meta_call<int>(
       fs_->shard_of_path(path), cfg_.meta_payload,
-      [fs, path, who, me](Rpc::ReplyFn<int> reply) {
-        const Status st = fs->op_unlink(path, who, me);
+      [fs, path, who, me, req](Rpc::ReplyFn<int> reply) {
+        const Status st = fs->op_unlink(path, who, me, req);
         reply(64, st.ok() ? Result<int>(0) : Result<int>(st.error()));
       },
       [done = std::move(done)](Result<int> r) {

@@ -115,7 +115,11 @@ class Client {
   /// pool (possibly after stalling on the dirty cap).
   void write(Fh fh, Bytes offset, Bytes len,
              std::function<void(Result<Bytes>)> done);
+  /// Flush the file's dirty pages, then commit its size and allocations
+  /// at the manager — only when the inode was written since its last
+  /// commit; a clean fsync completes locally (still asynchronously).
   void fsync(Fh fh, std::function<void(Status)> done);
+  /// fsync, then drop the handle.
   void close(Fh fh, std::function<void(Status)> done);
   /// Flush every dirty page of every file (unmount preparation).
   void flush_all(sim::Callback done);
@@ -387,6 +391,21 @@ class Client {
                      PageKeyHash>
       fill_waiters_;
   Bytes fill_inflight_ = 0;  // speculative fill bytes in flight
+
+  // Commit tracking: inodes written since their last successful commit
+  // (op_extend_size). A successful commit clears the mark only if no
+  // write began after its fsync did (same `seq`) and its size covers
+  // every byte written (another handle on the inode may have written
+  // past this one's size). fsync/close of an unmarked inode has nothing
+  // to commit and sends no manager RPC. Marks outlive lease lapse and
+  // crash_reset, like open_; only unbind drops them.
+  struct Uncommitted {
+    std::uint64_t seq = 0;  // client-wide stamp of the newest write
+    Bytes end = 0;          // highest byte written since the last commit
+  };
+  std::unordered_map<InodeNum, Uncommitted> uncommitted_;
+  std::uint64_t write_seq_ = 0;
+  std::uint64_t unlink_seq_ = 0;  // request ids for op_unlink
 
   // allocation high-water mark from write-streak batching, per inode:
   // blocks below it were allocated ahead, so a later write skips the

@@ -248,7 +248,7 @@ Result<std::vector<std::string>> FileSystem::op_readdir(
 }
 
 Status FileSystem::op_unlink(const std::string& path, const Principal& who,
-                             ClientId client) {
+                             ClientId client, std::uint64_t req) {
   if (shards_[shard_of_path(path)].recovering) {
     return Status(Errc::unavailable, "manager takeover in progress");
   }
@@ -257,9 +257,12 @@ Status FileSystem::op_unlink(const std::string& path, const Principal& who,
   if (mount_access != AccessMode::read_write) {
     return Status(Errc::read_only, cfg_.name);
   }
+  std::uint64_t& last = last_unlink_[client];
+  if (last == req) return Status{};  // a retransmission: already applied
   auto ino = ns_.resolve(path);
   auto freed = ns_.unlink(path, who);
   if (!freed.ok()) return freed.error();
+  last = req;
   for (const BlockAddr& b : *freed) {
     MGFS_ASSERT(alloc_.free_block(b).ok(), "unlink freed unknown block");
   }

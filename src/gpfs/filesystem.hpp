@@ -276,8 +276,12 @@ class FileSystem {
                             Mode mode);
   Result<std::vector<std::string>> op_readdir(const std::string& path,
                                               const Principal& who);
+  /// `req` is the client's id for this unlink, the same on every
+  /// retransmission. An unlink that already ran but whose reply was lost
+  /// (say, to a manager crash) is answered from the record of that run
+  /// when it is sent again, instead of with not_found.
   Status op_unlink(const std::string& path, const Principal& who,
-                   ClientId client);
+                   ClientId client, std::uint64_t req);
   Status op_rename(const std::string& from, const std::string& to,
                    const Principal& who);
 
@@ -440,6 +444,10 @@ class FileSystem {
   std::uint64_t revocations_ = 0;
   std::uint64_t journal_replays_ = 0;
   std::uint64_t fenced_writes_ = 0;
+  /// Each client's last applied unlink request id. Durable metadata
+  /// like the journal, not rebuilt at takeover, so a successor manager
+  /// recognises a retransmission too.
+  std::unordered_map<ClientId, std::uint64_t> last_unlink_;
 
   // metanode delegation state
   /// Inodes whose authority was moved off their hash shard.

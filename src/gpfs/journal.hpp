@@ -8,13 +8,15 @@
 // We journal the one multi-step metadata mutation a client drives
 // incrementally: block allocation. `op_allocate` installs every copy of
 // a block ahead of the data landing on disk (allocate-ahead), and a
-// client that dies before fsync leaves those installs dangling — the
-// block map references storage that holds no committed data. Each copy
-// is logged (an alloc record for the primary, a replica record for each
-// further copy) before `Namespace::set_placement` installs the block;
-// fsync (`op_extend_size`) is the commit point that retires records up
-// to the committed size. On expel, the surviving manager walks the dead
-// client's uncommitted tail newest-first and undoes each install.
+// client that dies before committing leaves those installs dangling —
+// the block map references storage that holds no committed data. Each
+// copy is logged (an alloc record for the primary, a replica record for
+// each further copy) before `Namespace::set_placement` installs the
+// block. The commit point is `op_extend_size`, which a client sends on
+// an fsync or close of an inode it has written since its last commit;
+// it retires records up to the committed size. On expel, the surviving
+// manager walks the dead client's uncommitted tail newest-first and
+// undoes each install.
 //
 // Create / unlink / truncate execute atomically inside one manager op,
 // so they need no undo — `note_sync_op` only counts them, matching how
@@ -60,8 +62,9 @@ class MetaJournal {
   /// Count a single-op (atomic) metadata mutation; nothing to undo.
   void note_sync_op(ClientId c, JournalOp op, InodeNum ino);
 
-  /// fsync commit point: retire `c`'s alloc records for `ino` whose
-  /// block index is below `blocks` (the committed block count).
+  /// Commit point (op_extend_size): retire `c`'s alloc records for
+  /// `ino` whose block index is below `blocks` (the committed block
+  /// count).
   void commit_allocs(ClientId c, InodeNum ino, std::uint64_t blocks);
 
   /// A block changed hands (another writer re-allocated or now

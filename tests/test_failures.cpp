@@ -38,6 +38,39 @@ TEST(Failures, ManagerDownTriggersTakeoverMetadataContinues) {
   EXPECT_EQ(*r, 4 * MiB);
 }
 
+// The manager removes the name but dies before its reply lands. The
+// client's retry reaches the successor, which must recognise the
+// retransmission and report success, not not_found for a name the
+// client itself removed.
+TEST(Failures, UnlinkRetriedAcrossTakeoverReportsSuccess) {
+  MiniCluster mc;
+  Client* c = mc.mount_on(2);
+  auto fh = mc.open(c, "/f", kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(fh.ok());
+  ASSERT_TRUE(mc.write(c, *fh, 0, 1 * MiB).ok());
+  ASSERT_TRUE(mc.close(c, *fh).ok());
+
+  std::optional<Status> unlinked;
+  c->unlink("/f", kAlice, [&](Status st) { unlinked = std::move(st); });
+  while (mc.fs->ns().resolve("/f").ok()) ASSERT_TRUE(mc.sim.step());
+  // The reply is already on the wire: drop it at the client's end.
+  mc.net.set_node_up(mc.site.hosts[1], false);
+  mc.net.set_node_up(mc.site.hosts[2], false);
+  mc.sim.after(0.001, [&] { mc.net.set_node_up(mc.site.hosts[2], true); });
+  mc.sim.run();
+  ASSERT_TRUE(unlinked.has_value());
+  EXPECT_TRUE(unlinked->ok()) << unlinked->to_string();
+  EXPECT_EQ(mc.fs->manager_takeovers(), 1u);
+  EXPECT_EQ(mc.stat(c, "/f").code(), Errc::not_found);
+
+  // A new unlink of the missing name is not a retransmission.
+  std::optional<Status> again;
+  c->unlink("/f", kAlice, [&](Status st) { again = std::move(st); });
+  mc.sim.run();
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->code(), Errc::not_found);
+}
+
 TEST(Failures, DeposedManagerStaysDeposedAfterRestart) {
   MiniCluster mc;
   Client* c = mc.mount_on(2);
