@@ -84,6 +84,8 @@ struct World {
 int main(int argc, char** argv) {
   // --smoke: reduced node-count sweep and per-task volume for CI.
   // --json <path>: dump the sweep as a machine-readable JSON file.
+  // The full run exits 1 if reads fall below writes at any node count or
+  // a 64-node rate leaves [0.9, 1.1] of the paper.
   bool smoke = false;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
@@ -197,9 +199,10 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\nSummary (paper §5 / Fig. 11):\n";
-  bench::report("read at 64 nodes", reads.points().back().y, 5900.0, "MB/s");
-  bench::report("write at 64 nodes", writes.points().back().y, 3500.0,
-                "MB/s");
+  const double read64 = reads.points().back().y;
+  const double write64 = writes.points().back().y;
+  bench::report("read at 64 nodes", read64, 5900.0, "MB/s");
+  bench::report("write at 64 nodes", write64, 3500.0, "MB/s");
   bool reads_above = true;
   for (std::size_t i = 0; i < reads.size(); ++i) {
     if (reads.points()[i].y < writes.points()[i].y) reads_above = false;
@@ -208,5 +211,13 @@ int main(int argc, char** argv) {
             << (reads_above ? "yes" : "NO")
             << " (paper: reads above writes throughout; cause here is the "
                "RAID-5 read-modify-write penalty)\n";
-  return 0;
+  // Gate: the paper's shape (reads above writes) and both 64-node rates
+  // within 10% of the paper.
+  auto near_paper = [](double measured, double paper) {
+    return measured >= 0.9 * paper && measured <= 1.1 * paper;
+  };
+  const bool near = near_paper(read64, 5900.0) && near_paper(write64, 3500.0);
+  std::cout << "  64-node read and write within [0.9, 1.1] of the paper: "
+            << (near ? "yes" : "NO") << "\n";
+  return reads_above && near ? 0 : 1;
 }

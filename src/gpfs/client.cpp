@@ -882,10 +882,17 @@ void Client::read(Fh fh, Bytes offset, Bytes len,
   }
 
   // Batch the token and map acquisition over the whole window the ramp
-  // says we will stream through, not just this call's bytes.
+  // says we will stream through, not just this call's bytes. The grant
+  // always covers whole blocks: finish_fill caches a block only under a
+  // token covering all of it, so a byte-exact grant would fetch the
+  // block and throw it away. A seeking reader asks for the whole file;
+  // the manager clips `desired` away from other clients' rw holdings
+  // and probes conflicts on `required` only, so no writer is revoked
+  // for the wider grant.
   const TokenRange required{offset, offset + len};
-  const TokenRange desired =
-      ra == 0 ? required : TokenRange{b0 * bs, (map_hi + 1) * bs};
+  const TokenRange desired = f->ra.seeked()
+                                 ? TokenRange{0, kWholeFile}
+                                 : TokenRange{b0 * bs, (map_hi + 1) * bs};
 
   ensure_token(
       ino, required, desired, LockMode::ro,

@@ -4,9 +4,10 @@
 // window starts small on the first confirmed sequential access, doubles
 // on each further confirmation up to a cap, and collapses to nothing on
 // a seek. Client::read consults it per call to size the prefetch
-// pipeline; Client::write reuses it to size token and allocation
-// batches on streaming writes (gated on a confirmed streak so one-shot
-// writes keep exact block accounting).
+// pipeline and, on a seek, to ask for a whole-file read token (a reader
+// that jumps around will likely jump again); Client::write reuses it to
+// size token and allocation batches on streaming writes (gated on a
+// confirmed streak so one-shot writes keep exact block accounting).
 //
 // build_nsd_runs turns a list of (page, device address) fetches into
 // per-NSD runs — each run becomes one wire request served by one NSD
@@ -62,6 +63,7 @@ class ReadaheadRamp {
     } else if (cold) {
       run_start_ = first;
     }
+    seek_ = !sequential && !cold;
     next_ = last + 1;
     if (!sequential) {
       // Seek: collapse the window and re-arm the detector.
@@ -84,6 +86,9 @@ class ReadaheadRamp {
   }
 
   std::uint64_t window() const { return window_; }
+  /// Whether the last access was a seek: neither the cold first access,
+  /// nor sequential, nor a predicted strided continuation.
+  bool seeked() const { return seek_; }
   /// Consecutive sequential accesses since the last seek.
   std::uint64_t hits() const { return hits_; }
   /// Predicted first block of the next sequential run, once the strided
@@ -104,6 +109,7 @@ class ReadaheadRamp {
   std::uint64_t next_ = kUnknown;  // expected first block of the next access
   std::uint64_t window_ = 0;
   std::uint64_t hits_ = 0;
+  bool seek_ = false;
   // Strided-stream detector (GPFS recognizes strided access patterns;
   // MPI-IO file views produce exactly this shape).
   std::uint64_t run_start_ = 0;   // first block of the current run

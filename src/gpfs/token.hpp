@@ -8,6 +8,14 @@
 // implemented too: the first opener of a file is granted a whole-file
 // token, so the common single-writer case costs one round trip total.
 //
+// Readers shape their `desired` range so that grants fit the client's
+// pagepool (Client::read): a read always asks for whole blocks, since a
+// fill is cached only under a token covering the whole block, and a
+// reader that seeks asks for the whole file. Neither rule needs
+// anything here: `desired` is clipped away from other clients'
+// incompatible holdings and conflicts are probed on `required` only,
+// so a wide read ask never revokes a writer.
+//
 // Each inode's holdings are kept as an interval table: a flat vector
 // sorted by range.lo with non-decreasing prefix-max-hi side arrays, so
 // overlap probes are O(log n + k) instead of a scan of every holding

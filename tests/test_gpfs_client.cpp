@@ -203,6 +203,109 @@ TEST(GpfsClient, ReadaheadPrefetchesSequentialStream) {
   EXPECT_NE(mm.find("_mrpc_"), std::string::npos);
 }
 
+// A 48 MiB file written by a client that then unmounts, and a first
+// reader `c` that takes the whole-file ro token. Later readers share the
+// inode with `c`, so they are granted what they ask for, not the
+// first-holder whole-file widening.
+struct SharedReadFile {
+  MiniCluster mc;
+  InodeNum ino = 0;
+  Client* c = nullptr;
+
+  SharedReadFile() {
+    Client* a = mc.mount_on(2);
+    auto fa = mc.open(a, "/sky", kAlice, OpenFlags::create_rw());
+    EXPECT_TRUE(mc.write(a, *fa, 0, 48 * MiB).ok());
+    EXPECT_TRUE(mc.close(a, *fa).ok());
+    mc.cluster->unmount(a);
+    ino = *mc.fs->ns().resolve("/sky");
+    c = mc.mount_on(3);
+    auto fc = mc.open(c, "/sky", kBob, OpenFlags::ro());
+    EXPECT_TRUE(mc.read(c, *fc, 0, 64 * KiB).ok());
+  }
+
+  std::uint64_t nsd_requests() {
+    return mc.cluster->server_on(mc.site.hosts[0])->requests_served() +
+           mc.cluster->server_on(mc.site.hosts[1])->requests_served();
+  }
+
+  std::vector<Holding> holdings_of(const Client* who) {
+    std::vector<Holding> out;
+    for (const Holding& h : mc.fs->tokens().holdings(ino)) {
+      if (h.client == who->id()) out.push_back(h);
+    }
+    return out;
+  }
+};
+
+TEST(GpfsClient, UnalignedReadCachesWholeBlock) {
+  SharedReadFile f;
+  Client* b = f.mc.mount_on(4);
+  auto fb = f.mc.open(b, "/sky", kBob, OpenFlags::ro());
+  ASSERT_TRUE(fb.ok());
+  // A cold cutout inside block 3: no readahead, but the ro grant covers
+  // the whole block, so the fetched block stays in the pagepool.
+  ASSERT_TRUE(f.mc.read(b, *fb, 3 * MiB + 128 * KiB, 128 * KiB).ok());
+  EXPECT_TRUE(b->pool().contains({f.ino, 3}));
+  const std::uint64_t nsd = f.nsd_requests();
+  const std::uint64_t rpcs = f.mc.cluster->rpc().calls();
+  // Another cutout of the same block is served from the cache.
+  ASSERT_TRUE(f.mc.read(b, *fb, 3 * MiB + 512 * KiB, 128 * KiB).ok());
+  EXPECT_EQ(f.nsd_requests(), nsd);
+  EXPECT_EQ(f.mc.cluster->rpc().calls(), rpcs);
+}
+
+TEST(GpfsClient, SeekingReaderHoldsWholeFileReadToken) {
+  SharedReadFile f;
+  Client* b = f.mc.mount_on(4);
+  auto fb = f.mc.open(b, "/sky", kBob, OpenFlags::ro());
+  ASSERT_TRUE(fb.ok());
+  ASSERT_TRUE(f.mc.read(b, *fb, 5 * MiB, 256 * KiB).ok());   // cold
+  ASSERT_TRUE(f.mc.read(b, *fb, 20 * MiB, 256 * KiB).ok());  // seek
+  const std::vector<Holding> hs = f.holdings_of(b);
+  ASSERT_EQ(hs.size(), 1u);
+  EXPECT_EQ(hs[0].mode, LockMode::ro);
+  EXPECT_EQ(hs[0].range, (TokenRange{0, kWholeFile}));
+  // A read far away fetches its block but asks the manager nothing:
+  // every RPC it sends is an NSD request.
+  const std::uint64_t nsd = f.nsd_requests();
+  const std::uint64_t rpcs = f.mc.cluster->rpc().calls();
+  const std::uint64_t grants = f.mc.fs->tokens_granted();
+  ASSERT_TRUE(f.mc.read(b, *fb, 40 * MiB, 256 * KiB).ok());
+  EXPECT_GT(f.nsd_requests(), nsd);
+  EXPECT_EQ(f.mc.cluster->rpc().calls() - rpcs, f.nsd_requests() - nsd);
+  EXPECT_EQ(f.mc.fs->tokens_granted(), grants);
+}
+
+TEST(GpfsClient, SeekWideningStopsAtWriterRange) {
+  SharedReadFile f;
+  Client* w = f.mc.mount_on(5);
+  auto fw = f.mc.open(w, "/sky", kAlice, OpenFlags::rw());
+  ASSERT_TRUE(fw.ok());
+  ASSERT_TRUE(f.mc.write(w, *fw, 32 * MiB, 1 * MiB).ok());
+  const std::vector<Holding> wrote = f.holdings_of(w);
+  ASSERT_EQ(wrote.size(), 1u);
+  ASSERT_EQ(wrote[0].mode, LockMode::rw);
+  const TokenRange wr = wrote[0].range;
+  ASSERT_GT(wr.lo, 10 * MiB);
+
+  Client* b = f.mc.mount_on(4);
+  auto fb = f.mc.open(b, "/sky", kBob, OpenFlags::ro());
+  ASSERT_TRUE(fb.ok());
+  const std::uint64_t revocations = f.mc.fs->revocations();
+  ASSERT_TRUE(f.mc.read(b, *fb, 5 * MiB, 256 * KiB).ok());   // cold
+  ASSERT_TRUE(f.mc.read(b, *fb, 10 * MiB, 256 * KiB).ok());  // seek
+  // The whole-file ask is clipped at the writer's range, and the writer
+  // keeps all of it.
+  const std::vector<Holding> hs = f.holdings_of(b);
+  ASSERT_EQ(hs.size(), 1u);
+  EXPECT_EQ(hs[0].range, (TokenRange{0, wr.lo}));
+  EXPECT_EQ(f.mc.fs->revocations(), revocations);
+  const std::vector<Holding> after = f.holdings_of(w);
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].range, wr);
+}
+
 TEST(GpfsClient, WriteBehindCoalescesDirtyFifoRuns) {
   // 4 NSDs, 1 MiB blocks: a 32 MiB streaming write dirties 8 blocks per
   // NSD. The flush pump must pull same-NSD blocks out of the dirty FIFO

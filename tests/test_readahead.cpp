@@ -103,6 +103,39 @@ TEST(ReadaheadRamp, DefaultConstructedStaysClosed) {
   EXPECT_EQ(r.on_access(1, 1), 0u);
 }
 
+TEST(ReadaheadRamp, SeekFlagOnlyOnRealSeeks) {
+  ReadaheadRamp cold(4, 32);
+  cold.on_access(10, 11);  // cold first access, even mid-file
+  EXPECT_FALSE(cold.seeked());
+
+  ReadaheadRamp r(4, 32);
+  r.on_access(0, 0);
+  EXPECT_FALSE(r.seeked());
+  r.on_access(1, 1);  // sequential hit
+  EXPECT_FALSE(r.seeked());
+  r.on_access(100, 100);  // real seek
+  EXPECT_TRUE(r.seeked());
+  r.on_access(101, 101);  // sequential again, clears the flag
+  EXPECT_FALSE(r.seeked());
+  r.on_access(0, 0);  // backward seek
+  EXPECT_TRUE(r.seeked());
+}
+
+TEST(ReadaheadRamp, SeekFlagClearOnStridedContinuationAndBoundaryClamp) {
+  ReadaheadRamp r(4, 32);
+  for (std::uint64_t b = 0; b < 8; ++b) r.on_access(b, b);      // run 1 @ 0
+  for (std::uint64_t b = 64; b < 72; ++b) r.on_access(b, b);    // run 2 @ 64
+  for (std::uint64_t b = 128; b < 135; ++b) r.on_access(b, b);  // run 3 @ 128
+  // The last block of the run: the clamp leaves no window, but the
+  // access is sequential, not a seek.
+  EXPECT_EQ(r.on_access(135, 135), 0u);
+  EXPECT_FALSE(r.seeked());
+  // The jump to the predicted next run is a strided continuation.
+  EXPECT_EQ(r.predicted_next_run(), 192u);
+  EXPECT_GT(r.on_access(192, 192), 0u);
+  EXPECT_FALSE(r.seeked());
+}
+
 // ---------------------------------------------------------------------------
 // build_nsd_runs: coalescing planner
 // ---------------------------------------------------------------------------
