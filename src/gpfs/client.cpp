@@ -279,18 +279,45 @@ void Client::ensure_token(InodeNum ino, TokenRange required,
 // block map cache
 // --------------------------------------------------------------------------
 
-BlockPlacement* Client::map_entry(InodeNum ino, std::uint64_t bi) {
+std::optional<BlockPlacement> Client::map_entry(InodeNum ino,
+                                                std::uint64_t bi) const {
   auto fit = block_map_.find(ino);
-  if (fit == block_map_.end()) return nullptr;
-  auto bit = fit->second.find(bi);
-  return bit == fit->second.end() ? nullptr : &bit->second;
+  if (fit == block_map_.end()) return std::nullopt;
+  return fit->second.get(bi);
+}
+
+std::vector<BlockRange> Client::token_blocks(InodeNum ino) const {
+  std::vector<BlockRange> out;
+  auto it = held_.find(ino);
+  if (it == held_.end()) return out;
+  std::vector<TokenRange> rs;
+  rs.reserve(it->second.size());
+  for (const HeldToken& h : it->second) rs.push_back(h.range);
+  auto by_lo = [](const TokenRange& a, const TokenRange& b) {
+    return a.lo < b.lo;
+  };
+  std::sort(rs.begin(), rs.end(), by_lo);
+  const Bytes bs = block_size();
+  auto emit = [&out, bs](TokenRange r) {
+    const std::uint64_t lo = ceil_div(r.lo, bs);
+    const std::uint64_t hi = r.hi == kWholeFile ? ~0ULL : r.hi / bs;
+    if (lo < hi) out.push_back(BlockRange{lo, hi});
+  };
+  TokenRange cur = rs.front();
+  for (std::size_t i = 1; i < rs.size(); ++i) {
+    if (rs[i].lo <= cur.hi) {
+      cur.hi = std::max(cur.hi, rs[i].hi);
+    } else {
+      emit(cur);
+      cur = rs[i];
+    }
+  }
+  emit(cur);
+  return out;
 }
 
 void Client::install_chunk(InodeNum ino, const BlockMapChunk& chunk) {
-  auto& m = block_map_[ino];
-  for (std::size_t i = 0; i < chunk.placements.size(); ++i) {
-    m[chunk.first_block + i] = chunk.placements[i];
-  }
+  block_map_[ino].install(chunk, token_blocks(ino));
 }
 
 std::uint8_t Client::pick_copy(const BlockPlacement& p,
@@ -320,21 +347,39 @@ std::uint8_t Client::pick_copy(const BlockPlacement& p,
 }
 
 void Client::ensure_map(InodeNum ino, std::uint64_t first,
-                        std::uint64_t count,
+                        std::uint64_t count, std::uint64_t random_end,
                         std::function<void(Status)> done) {
-  // Collect chunk-aligned fetches covering missing entries.
-  std::vector<std::uint64_t> chunk_starts;
+  // Plan the fetches covering missing entries: chunk-aligned, except a
+  // random reader's first miss, which takes its whole unmapped run.
+  struct Fetch {
+    std::uint64_t first;
+    std::uint64_t count;
+  };
+  std::vector<Fetch> fetches;
   const std::uint64_t cs = cfg_.map_chunk;
   for (std::uint64_t bi = first; bi < first + count; ++bi) {
-    if (map_entry(ino, bi) == nullptr) {
-      const std::uint64_t start = bi - (bi % cs);
-      if (chunk_starts.empty() || chunk_starts.back() != start) {
-        chunk_starts.push_back(start);
+    if (map_entry(ino, bi).has_value()) continue;
+    if (random_end > 0 && fetches.empty()) {
+      const std::vector<BlockRange> held = token_blocks(ino);
+      auto t = std::find_if(held.begin(), held.end(), [bi](BlockRange r) {
+        return r.lo <= bi && bi < r.hi;
+      });
+      if (t != held.end()) {
+        const std::uint64_t end = std::min(t->hi, random_end);
+        std::uint64_t lo = bi;
+        std::uint64_t hi = bi + 1;
+        while (lo > t->lo && !map_entry(ino, lo - 1).has_value()) --lo;
+        while (hi < end && !map_entry(ino, hi).has_value()) ++hi;
+        fetches.push_back(Fetch{lo, hi - lo});
+        bi = hi - 1;  // skip past the run
+        continue;
       }
-      bi = start + cs - 1;  // skip to next chunk
     }
+    const std::uint64_t start = bi - (bi % cs);
+    fetches.push_back(Fetch{start, cs});
+    bi = start + cs - 1;  // skip to next chunk
   }
-  if (chunk_starts.empty()) {
+  if (fetches.empty()) {
     done(Status{});
     return;
   }
@@ -344,16 +389,16 @@ void Client::ensure_map(InodeNum ino, std::uint64_t first,
     std::function<void(Status)> done;
   };
   auto g = std::make_shared<Gather>(
-      Gather{chunk_starts.size(), Status{}, std::move(done)});
+      Gather{fetches.size(), Status{}, std::move(done)});
   FileSystem* fs = fs_;
   const std::uint32_t shard = fs_->shard_of(ino);
-  for (std::uint64_t start : chunk_starts) {
+  for (const Fetch& fe : fetches) {
     meta_call<BlockMapChunk>(
         shard, cfg_.meta_payload,
-        [fs, ino, start, cs](Rpc::ReplyFn<BlockMapChunk> reply) {
-          auto res = fs->op_block_map(ino, start, cs);
-          const Bytes payload = 16 * cs;  // ~16 bytes per map entry
-          reply(payload, std::move(res));
+        [fs, ino, fe](Rpc::ReplyFn<BlockMapChunk> reply) {
+          // Priced at what GPFS indirect blocks hold, ~16 bytes per
+          // block covered, however compactly the reply encodes them.
+          reply(16 * fe.count, fs->op_block_map(ino, fe.first, fe.count));
         },
         [this, ino, g](Result<BlockMapChunk> res) {
           if (res.ok()) {
@@ -677,8 +722,9 @@ bool Client::redirect_failed_fills(const NsdRun& r, const Status& st) {
   std::vector<BlockFetch> redirect;
   std::vector<BlockFetch> dead;
   for (const BlockFetch& f : r.items) {
-    const BlockPlacement* entry = map_entry(f.key.ino, f.key.block);
-    if (entry != nullptr && entry->copies > 0) {
+    const std::optional<BlockPlacement> entry =
+        map_entry(f.key.ino, f.key.block);
+    if (entry.has_value() && entry->copies > 0) {
       const BlockPlacement& pl = *entry;
       const std::uint8_t c = pick_copy(pl, f.tried);
       if (c < pl.copies) {
@@ -739,7 +785,7 @@ void Client::prefetch_strided(InodeNum ino, std::uint64_t b0,
         // Speculative: any failure (or an unmount that raced with the
         // token RPC) just means no prefetch.
         if (!st.ok() || !mounted()) return;
-        ensure_map(ino, b0, count, [this, ino, b0, count](Status st) {
+        ensure_map(ino, b0, count, 0, [this, ino, b0, count](Status st) {
           if (!st.ok() || !mounted()) return;
           const Bytes bs = block_size();
           std::vector<BlockFetch> fetch;
@@ -749,8 +795,8 @@ void Client::prefetch_strided(InodeNum ino, std::uint64_t b0,
             }
             const PageKey key{ino, bi};
             if (pool_.contains(key) || fill_waiters_.count(key) > 0) continue;
-            const BlockPlacement* entry = map_entry(ino, bi);
-            if (entry == nullptr || entry->copies == 0) continue;
+            const std::optional<BlockPlacement> entry = map_entry(ino, bi);
+            if (!entry.has_value() || entry->copies == 0) continue;
             const TokenRange r{bi * bs, (bi + 1) * bs};
             if (!token_covers(ino, r, LockMode::ro) &&
                 !token_covers(ino, r, LockMode::rw)) {
@@ -784,13 +830,13 @@ void Client::ensure_block_present(InodeNum ino, std::uint64_t bi,
     wit->second.push_back(std::move(done));
     return;
   }
-  const BlockPlacement* entry = map_entry(ino, bi);
-  MGFS_ASSERT(entry != nullptr, "block map not populated before fill");
+  const std::optional<BlockPlacement> entry = map_entry(ino, bi);
+  MGFS_ASSERT(entry.has_value(), "block map not populated before fill");
   if (entry->copies == 0) {
     done(Status{});  // hole: zeros, nothing to fetch
     return;
   }
-  const BlockPlacement pl = *entry;
+  const BlockPlacement& pl = *entry;
   std::uint8_t c = pick_copy(pl, 0);
   if (c >= pl.copies) c = 0;
   fill_waiters_[key].push_back(std::move(done));
@@ -888,26 +934,72 @@ void Client::read(Fh fh, Bytes offset, Bytes len,
   // block and throw it away. A seeking reader asks for the whole file;
   // the manager clips `desired` away from other clients' rw holdings
   // and probes conflicts on `required` only, so no writer is revoked
-  // for the wider grant.
-  const TokenRange required{offset, offset + len};
-  const TokenRange desired = f->ra.seeked()
-                                 ? TokenRange{0, kWholeFile}
-                                 : TokenRange{b0 * bs, (map_hi + 1) * bs};
+  // for the wider grant. A random reader (a seek after a non-sequential
+  // access) maps its whole token range on its first miss: one RPC, not a
+  // chunk fetch per scattered read. Keyed on random(), not seeked(), so
+  // a strided stream is not mapped whole before its stride is confirmed.
+  ReadPlan p;
+  p.ino = ino;
+  p.required = TokenRange{offset, offset + len};
+  p.desired = f->ra.seeked() ? TokenRange{0, kWholeFile}
+                             : TokenRange{b0 * bs, (map_hi + 1) * bs};
+  p.b0 = b0;
+  p.b1 = b1;
+  p.map_hi = map_hi;
+  p.random_end = f->ra.random() ? last_file_block + 1 : 0;
+  read_attempt(p, /*retry=*/false, std::move(done));
+}
 
+void Client::read_attempt(const ReadPlan& p, bool retry,
+                          std::function<void(Result<Bytes>)> done) {
+  const std::uint64_t forgets = map_forgets_;
   ensure_token(
-      ino, required, desired, LockMode::ro,
-      [this, ino, b0, b1, map_hi, len, bs,
-       done = std::move(done)](Status st) mutable {
+      p.ino, p.required, p.desired, LockMode::ro,
+      [this, p, retry, forgets, done = std::move(done)](Status st) mutable {
         if (!st.ok()) {
           done(st.error());
           return;
         }
         ensure_map(
-            ino, b0, map_hi - b0 + 1,
-            [this, ino, b0, b1, map_hi, len, bs,
+            p.ino, p.b0, p.map_hi - p.b0 + 1, p.random_end,
+            [this, p, retry, forgets,
              done = std::move(done)](Status st) mutable {
               if (!st.ok()) {
                 done(st.error());
+                return;
+              }
+              const InodeNum ino = p.ino;
+              const std::uint64_t b0 = p.b0;
+              const std::uint64_t b1 = p.b1;
+              const std::uint64_t map_hi = p.map_hi;
+              const Bytes len = p.required.hi - p.required.lo;
+              const Bytes bs = block_size();
+              // A demand block can be left unmapped legitimately only
+              // as a hole in a block no held token wholly covers
+              // (install_chunk keeps no such hole); this call's bytes of
+              // it are under our token, so they read as zeros. Any other
+              // gap means a revoke or takeover took the token or map
+              // while this attempt waited: take both again.
+              bool stale = false;
+              std::vector<BlockRange> whole;
+              for (std::uint64_t bi = b0; bi <= b1 && !stale; ++bi) {
+                const PageKey key{ino, bi};
+                if (pool_.contains(key) || fill_waiters_.count(key) > 0 ||
+                    map_entry(ino, bi).has_value()) {
+                  continue;
+                }
+                if (whole.empty()) whole = token_blocks(ino);
+                const bool covered = std::any_of(
+                    whole.begin(), whole.end(),
+                    [bi](BlockRange r) { return r.lo <= bi && bi < r.hi; });
+                const TokenRange mine{std::max(p.required.lo, bi * bs),
+                                      std::min(p.required.hi, (bi + 1) * bs)};
+                stale = covered || !token_covers(ino, mine, LockMode::ro);
+              }
+              if (stale) {
+                MGFS_ASSERT(!retry || map_forgets_ != forgets,
+                            "block map not populated before fill");
+                read_attempt(p, /*retry=*/true, std::move(done));
                 return;
               }
               // Plan the demand blocks: cache hits are done, blocks with
@@ -926,10 +1018,9 @@ void Client::read(Fh fh, Bytes offset, Bytes len,
                   wait.push_back(bi);
                   continue;
                 }
-                const BlockPlacement* entry = map_entry(ino, bi);
-                MGFS_ASSERT(entry != nullptr,
-                            "block map not populated before fill");
-                if (entry->copies == 0) continue;  // hole: zeros
+                const std::optional<BlockPlacement> entry =
+                    map_entry(ino, bi);
+                if (!entry.has_value() || entry->copies == 0) continue;
                 const BlockPlacement& pl = *entry;
                 std::uint8_t c = pick_copy(pl, 0);
                 if (c >= pl.copies) c = 0;
@@ -951,8 +1042,9 @@ void Client::read(Fh fh, Bytes offset, Bytes len,
                 if (pool_.contains(key) || fill_waiters_.count(key) > 0) {
                   continue;
                 }
-                const BlockPlacement* entry = map_entry(ino, bi);
-                if (entry == nullptr || entry->copies == 0) continue;
+                const std::optional<BlockPlacement> entry =
+                    map_entry(ino, bi);
+                if (!entry.has_value() || entry->copies == 0) continue;
                 const TokenRange r{bi * bs, (bi + 1) * bs};
                 if (!token_covers(ino, r, LockMode::ro) &&
                     !token_covers(ino, r, LockMode::rw)) {
@@ -1055,8 +1147,8 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
         // when any entry is unknown or a hole.
         bool need_alloc = false;
         for (std::uint64_t bi = b0; bi <= b1 && !need_alloc; ++bi) {
-          const BlockPlacement* e = map_entry(ino, bi);
-          if (e == nullptr || e->copies == 0) need_alloc = true;
+          const std::optional<BlockPlacement> e = map_entry(ino, bi);
+          if (!e.has_value() || e->copies == 0) need_alloc = true;
         }
         if (!need_alloc) {
           // Covered by an earlier allocate-ahead batch: an allocation
@@ -1098,8 +1190,8 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
                 return;
               }
               if (!was_dirty) {
-                const BlockPlacement* e = map_entry(ino, bi);
-                MGFS_ASSERT(e != nullptr && e->copies > 0,
+                const std::optional<BlockPlacement> e = map_entry(ino, bi);
+                MGFS_ASSERT(e.has_value() && e->copies > 0,
                             "dirty page without placement");
                 dirty_fifo_.push_back(key);
                 dirty_addr_[key] = *e;
@@ -1372,9 +1464,8 @@ void Client::mark_divergent(const PageKey& k, std::uint8_t copy,
       },
       [this, k, copy, done = std::move(done)](Result<int> r) {
         if (r.ok()) {
-          if (BlockPlacement* e = map_entry(k.ino, k.block);
-              e != nullptr && e->copies > 0) {
-            e->divergent |= static_cast<std::uint8_t>(1u << copy);
+          if (auto it = block_map_.find(k.ino); it != block_map_.end()) {
+            it->second.mark_divergent(k.block, copy);
           }
           if (auto it = dirty_addr_.find(k); it != dirty_addr_.end()) {
             it->second.divergent |= static_cast<std::uint8_t>(1u << copy);
@@ -1760,6 +1851,7 @@ void Client::discard_cached_state(bool reset_breakers) {
   anchor_fails_.clear();
   held_.clear();
   block_map_.clear();
+  ++map_forgets_;
   alloc_ahead_hi_.clear();
   fill_inflight_ = 0;
   if (reset_breakers) nsd_health_.clear();
@@ -1811,14 +1903,10 @@ bool Client::handle_revoke(InodeNum ino, TokenRange range,
     // Drop the cached block map for the revoked range too: the writer
     // this revoke hands the bytes to may mark replicas divergent, and a
     // later read here must re-fetch the placement to see that.
+    ++map_forgets_;
     if (auto fit = block_map_.find(ino); fit != block_map_.end()) {
-      for (auto it = fit->second.begin(); it != fit->second.end();) {
-        if (it->first >= lo_blk && it->first < hi_blk) {
-          it = fit->second.erase(it);
-        } else {
-          ++it;
-        }
-      }
+      fit->second.forget(lo_blk, hi_blk);
+      if (fit->second.empty()) block_map_.erase(fit);
     }
     token_trim(ino, range);
     done();
@@ -1901,9 +1989,11 @@ Result<ManagerAssertReply> Client::assert_tokens(net::NodeId mgr_node,
   }
   // Cached pages whose token was dropped lose their revoke channel —
   // nobody will tell us when another client rewrites them. Evict the
-  // clean ones; dirty pages all live inside kept spans by construction
-  // (every dirty page sits under some rw token and inside its inode's
-  // dirty span, so its clip retains it).
+  // clean ones, and the cached holes there too (another client could
+  // fill one with no revoke to say so; data entries stay, as a chunk
+  // install keeps them outside tokens); dirty pages all live inside
+  // kept spans by construction (every dirty page sits under some rw
+  // token and inside its inode's dirty span, so its clip retains it).
   for (const auto& [ino, held] : held_) {
     if (fs_->shard_of(ino) != shard) continue;
     const auto kit = kept.find(ino);
@@ -1929,7 +2019,12 @@ Result<ManagerAssertReply> Client::assert_tokens(net::NodeId mgr_node,
         // not be dropped with unflushed bytes aboard.
         const std::uint64_t lo_blk = ceil_div(r.lo, bs);
         const std::uint64_t hi_blk = r.hi == kWholeFile ? ~0ULL : r.hi / bs;
-        if (lo_blk < hi_blk) pool_.invalidate(ino, lo_blk, hi_blk);
+        if (lo_blk >= hi_blk) continue;
+        pool_.invalidate(ino, lo_blk, hi_blk);
+        ++map_forgets_;
+        if (auto fit = block_map_.find(ino); fit != block_map_.end()) {
+          fit->second.forget_holes(lo_blk, hi_blk);
+        }
       }
     }
   }

@@ -6,7 +6,8 @@
 //   * buffered writes with write-behind (dirty cap stalls writers)
 //   * a client-side token cache — byte ranges this node may cache —
 //     kept coherent by the manager's revoke protocol
-//   * a client-side block-address cache fetched in batches
+//   * a client-side block-map cache in column extents, fetched in
+//     chunks, or in one run per token range for a random reader
 //   * NSD server failover: primary, then backup, per I/O
 //   * fault tolerance: per-RPC deadlines, bounded retry with backoff,
 //     and a per-NSD-server circuit breaker (health tracking) so I/O
@@ -238,6 +239,23 @@ class Client {
     bool widened = false;  // manager granted more than we asked for
   };
 
+  /// One read call's blocks [b0, b1], the map and readahead window up
+  /// to `map_hi`, and its token ask (Client::read plans it).
+  struct ReadPlan {
+    InodeNum ino = 0;
+    TokenRange required;
+    TokenRange desired;
+    std::uint64_t b0 = 0;
+    std::uint64_t b1 = 0;
+    std::uint64_t map_hi = 0;
+    std::uint64_t random_end = 0;  // see ensure_map
+  };
+  /// Take the token and block map for `p`, then fill its blocks. An
+  /// attempt whose token or map a revoke or takeover dropped while it
+  /// waited starts over (`retry`).
+  void read_attempt(const ReadPlan& p, bool retry,
+                    std::function<void(Result<Bytes>)> done);
+
   // token cache helpers
   bool token_covers(InodeNum ino, TokenRange r, LockMode mode) const;
   void token_record(InodeNum ino, TokenRange r, LockMode mode, bool widened);
@@ -249,11 +267,23 @@ class Client {
 
   // block map cache helpers. Entries carry the full placement (0 copies
   // = hole, 1 for an unreplicated block), so the read path can pick the
-  // nearest live copy and fail over across copies. nullptr = not cached.
-  BlockPlacement* map_entry(InodeNum ino, std::uint64_t bi);
+  // nearest live copy and fail over across copies. nullopt = not cached.
+  std::optional<BlockPlacement> map_entry(InodeNum ino,
+                                          std::uint64_t bi) const;
+  /// Fetch whatever of blocks [first, first + count) is not cached, in
+  /// map_chunk-aligned chunks. `random_end` > 0 marks a random reader of
+  /// a file of that many blocks: its first miss instead fetches, in one
+  /// RPC, the maximal run of unmapped blocks around it inside the token
+  /// range held there.
   void ensure_map(InodeNum ino, std::uint64_t first, std::uint64_t count,
+                  std::uint64_t random_end,
                   std::function<void(Status)> done);
+  /// Cache a fetched chunk. Holes are kept only where a held token
+  /// covers the whole block (a revoke of that token, or a takeover that
+  /// drops it, is what forgets them).
   void install_chunk(InodeNum ino, const BlockMapChunk& chunk);
+  /// The blocks held tokens (any mode) wholly cover, sorted and disjoint.
+  std::vector<BlockRange> token_blocks(InodeNum ino) const;
   /// Best copy to read: lowest-RTT copy whose serving nodes are not all
   /// circuit-broken, excluding divergent copies and those in `tried`.
   /// Returns kMaxReplicas when every copy is tried or divergent.
@@ -381,9 +411,11 @@ class Client {
   Fh next_fh_ = 3;
   std::map<Fh, OpenFile> open_;
   std::unordered_map<InodeNum, std::vector<HeldToken>> held_;
-  std::unordered_map<InodeNum,
-                     std::unordered_map<std::uint64_t, BlockPlacement>>
-      block_map_;
+  std::unordered_map<InodeNum, BlockMapCache> block_map_;
+  // Bumped whenever a revoke, takeover or cache discard drops tokens
+  // and block-map entries: a read attempt that straddles a bump may
+  // find its blocks unmapped and must start over.
+  std::uint64_t map_forgets_ = 0;
 
   // in-flight read fills: waiters per page (an entry with no waiters
   // marks a fire-and-forget readahead fill in flight — the dedup point)

@@ -291,9 +291,12 @@ Result<BlockMapChunk> FileSystem::op_block_map(InodeNum ino,
   if (shards_[shard_of(ino)].recovering) {
     return err(Errc::unavailable, "manager takeover in progress");
   }
-  auto map = ns_.placements(ino, first_block, count);
-  if (!map.ok()) return map.error();
-  return BlockMapChunk{first_block, std::move(*map)};
+  if (ns_.inode(ino) == nullptr) return err(Errc::not_found, "stale inode");
+  BlockMapEncoder map(first_block, nsds_.size());
+  for (std::uint64_t bi = first_block; bi < first_block + count; ++bi) {
+    map.add(bi, ns_.placement(ino, bi));
+  }
+  return std::move(map).finish(count);
 }
 
 Result<BlockMapChunk> FileSystem::op_allocate(InodeNum ino,
@@ -316,15 +319,14 @@ Result<BlockMapChunk> FileSystem::op_allocate(InodeNum ino,
   if (n == nullptr) return err(Errc::not_found, "stale inode");
   const auto want_copies = static_cast<std::uint8_t>(
       std::min<std::uint32_t>(n->replication, kMaxReplicas));
-  auto map = ns_.placements(ino, first_block, count);
-  MGFS_ASSERT(map.ok(), "placements of a live inode");
-
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t bi = first_block + i;
-    if ((*map)[i].copies > 0) {
+  BlockMapEncoder map(first_block, nsds_.size());
+  for (std::uint64_t bi = first_block; bi < first_block + count; ++bi) {
+    BlockPlacement p = ns_.placement(ino, bi);
+    if (p.copies > 0) {
       // A concurrent writer beat us, and this caller now references the
       // block: whoever logged its install must not undo it on expel.
       jrnl.commit_block(ino, bi, client);
+      map.add(bi, p);
       continue;
     }
     const std::uint32_t preferred = nsd_for_block(ino, bi);
@@ -344,7 +346,6 @@ Result<BlockMapChunk> FileSystem::op_allocate(InodeNum ino,
     // site-distinct NSD; a full/down cluster degrades to fewer copies
     // rather than failing the write.
     jrnl.log_alloc(client, ino, bi, *addr);
-    BlockPlacement& p = (*map)[i];
     p = BlockPlacement::single(*addr);
     for (std::uint8_t c = 1; c < want_copies; ++c) {
       const std::uint32_t target = pick_replica_nsd(preferred, p);
@@ -356,10 +357,11 @@ Result<BlockMapChunk> FileSystem::op_allocate(InodeNum ino,
       ++replicas_allocated_;
     }
     MGFS_ASSERT(ns_.set_placement(ino, bi, p).ok(), "set_placement failed");
+    map.add(bi, p);
   }
   MGFS_ASSERT(ns_.extend_size(ino, size_hint, sim_.now()).ok(),
               "extend_size failed");
-  return BlockMapChunk{first_block, std::move(*map)};
+  return std::move(map).finish(count);
 }
 
 Status FileSystem::op_extend_size(InodeNum ino, Bytes size, ClientId client) {

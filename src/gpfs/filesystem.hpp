@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "gpfs/alloc.hpp"
+#include "gpfs/blockmap.hpp"
 #include "gpfs/journal.hpp"
 #include "gpfs/lease.hpp"
 #include "gpfs/namespace.hpp"
@@ -42,13 +43,6 @@ struct OpenResult {
   InodeNum ino = 0;
   Bytes size = 0;
   bool writable = false;
-};
-
-/// A run of a file's block map: placements[i] holds every copy of block
-/// first_block + i (0 copies = hole, 1 for an unreplicated block).
-struct BlockMapChunk {
-  std::uint64_t first_block = 0;
-  std::vector<BlockPlacement> placements;
 };
 
 /// Result of an fsck-style consistency scan (tests / chaos bench).
@@ -285,13 +279,15 @@ class FileSystem {
   Status op_rename(const std::string& from, const std::string& to,
                    const Principal& who);
 
-  /// Fetch (a chunk of) a file's block map for client-side caching.
+  /// Fetch blocks [first_block, first_block + count) of a file's block
+  /// map for client-side caching, encoded in column extents.
   Result<BlockMapChunk> op_block_map(InodeNum ino, std::uint64_t first_block,
                                      std::size_t count) const;
 
   /// Allocate any missing blocks in [first_block, first_block+count) of
   /// `ino`, striped from the file's stripe origin, and record the
-  /// file size as at least `size_hint`. Requires write access.
+  /// file size as at least `size_hint`. Requires write access. Replies
+  /// with the range's block map.
   Result<BlockMapChunk> op_allocate(InodeNum ino, std::uint64_t first_block,
                                     std::size_t count, Bytes size_hint,
                                     ClientId client);

@@ -5,7 +5,9 @@
 // on each further confirmation up to a cap, and collapses to nothing on
 // a seek. Client::read consults it per call to size the prefetch
 // pipeline and, on a seek, to ask for a whole-file read token (a reader
-// that jumps around will likely jump again); Client::write reuses it to
+// that jumps around will likely jump again); on a random access (a seek
+// after an access that was not sequential either) it also fetches the
+// block map of the whole token range at once; Client::write reuses it to
 // size token and allocation batches on streaming writes (gated on a
 // confirmed streak so one-shot writes keep exact block accounting).
 //
@@ -39,6 +41,7 @@ class ReadaheadRamp {
   /// on the Fig. 11 pattern before the clamp).
   std::uint64_t on_access(std::uint64_t first, std::uint64_t last) {
     const bool cold = next_ == kUnknown;
+    const std::uint64_t hits_before = hits_;
     bool sequential = (first == next_) || (first == 0 && hits_ == 0 && cold);
     if (!sequential && !cold) {
       // A seek. Before collapsing, feed the strided detector: the run
@@ -64,6 +67,7 @@ class ReadaheadRamp {
       run_start_ = first;
     }
     seek_ = !sequential && !cold;
+    random_ = seek_ && hits_before == 0;
     next_ = last + 1;
     if (!sequential) {
       // Seek: collapse the window and re-arm the detector.
@@ -89,6 +93,11 @@ class ReadaheadRamp {
   /// Whether the last access was a seek: neither the cold first access,
   /// nor sequential, nor a predicted strided continuation.
   bool seeked() const { return seek_; }
+  /// Whether the last access was a seek and the access before it was
+  /// not sequential either (hits() was 0 before the seek). A strided
+  /// stream whose runs span several accesses seeks after every run but
+  /// never looks random.
+  bool random() const { return random_; }
   /// Consecutive sequential accesses since the last seek.
   std::uint64_t hits() const { return hits_; }
   /// Predicted first block of the next sequential run, once the strided
@@ -110,6 +119,7 @@ class ReadaheadRamp {
   std::uint64_t window_ = 0;
   std::uint64_t hits_ = 0;
   bool seek_ = false;
+  bool random_ = false;
   // Strided-stream detector (GPFS recognizes strided access patterns;
   // MPI-IO file views produce exactly this shape).
   std::uint64_t run_start_ = 0;   // first block of the current run

@@ -207,6 +207,13 @@ TEST(GpfsClient, ReadaheadPrefetchesSequentialStream) {
 // reader `c` that takes the whole-file ro token. Later readers share the
 // inode with `c`, so they are granted what they ask for, not the
 // first-holder whole-file widening.
+// Requests served by the two NSD servers: every RPC that is not one is
+// a manager RPC.
+std::uint64_t nsd_requests(MiniCluster& mc) {
+  return mc.cluster->server_on(mc.site.hosts[0])->requests_served() +
+         mc.cluster->server_on(mc.site.hosts[1])->requests_served();
+}
+
 struct SharedReadFile {
   MiniCluster mc;
   InodeNum ino = 0;
@@ -224,10 +231,7 @@ struct SharedReadFile {
     EXPECT_TRUE(mc.read(c, *fc, 0, 64 * KiB).ok());
   }
 
-  std::uint64_t nsd_requests() {
-    return mc.cluster->server_on(mc.site.hosts[0])->requests_served() +
-           mc.cluster->server_on(mc.site.hosts[1])->requests_served();
-  }
+  std::uint64_t nsd_requests() { return gpfs::nsd_requests(mc); }
 
   std::vector<Holding> holdings_of(const Client* who) {
     std::vector<Holding> out;
@@ -304,6 +308,178 @@ TEST(GpfsClient, SeekWideningStopsAtWriterRange) {
   const std::vector<Holding> after = f.holdings_of(w);
   ASSERT_EQ(after.size(), 1u);
   EXPECT_EQ(after[0].range, wr);
+}
+
+Result<Bytes> refresh_size(MiniCluster& mc, Client* c, Fh fh) {
+  std::optional<Result<Bytes>> out;
+  c->refresh_size(fh, [&](Result<Bytes> r) { out = std::move(r); });
+  mc.sim.run();
+  return out.value_or(Result<Bytes>(Errc::timed_out, "no completion"));
+}
+
+TEST(GpfsClient, RandomReaderFetchesMapOnce) {
+  // 64 KiB blocks: the 20 MiB file spans five 64-entry map chunks.
+  constexpr Bytes kBs = 64 * KiB;
+  MiniCluster mc(6, 4, kBs);
+  Client* a = mc.mount_on(2);
+  auto fa = mc.open(a, "/sky", kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(mc.write(a, *fa, 0, 320 * kBs).ok());
+  ASSERT_TRUE(mc.close(a, *fa).ok());
+  mc.cluster->unmount(a);
+
+  Client* b = mc.mount_on(3);
+  auto fb = mc.open(b, "/sky", kBob, OpenFlags::ro());
+  ASSERT_TRUE(fb.ok());
+  // Cold read, the sole client: a whole-file ro grant and map chunk 0.
+  ASSERT_TRUE(mc.read(b, *fb, 10 * kBs, 16 * KiB).ok());
+  auto manager_rpcs = [&] {
+    return mc.cluster->rpc().calls() - nsd_requests(mc);
+  };
+  const std::uint64_t before = manager_rpcs();
+  const std::uint64_t grants = mc.fs->tokens_granted();
+  // Every read below is a seek after a seek: a random reader. Its first
+  // miss maps the rest of the file in one RPC; the reads that follow
+  // land in four other chunks and ask the manager nothing.
+  for (std::uint64_t blk : {100u, 200u, 300u, 30u, 150u, 260u}) {
+    ASSERT_TRUE(mc.read(b, *fb, blk * kBs, 16 * KiB).ok()) << blk;
+  }
+  EXPECT_EQ(mc.fs->tokens_granted(), grants);
+  EXPECT_EQ(manager_rpcs() - before, 1u);
+  EXPECT_EQ(b->bytes_read_remote(), 7 * kBs);
+}
+
+TEST(GpfsClient, RandomReaderMapsOnlyItsTokenRanges) {
+  // The writer, sole client at first, holds rw over the whole file,
+  // which has a hole at blocks [150, 160). The random reader's tokens
+  // are clipped to the bytes it reads, so its block-map fetches must not
+  // record that hole: the writer fills it without revoking the reader.
+  constexpr Bytes kBs = 64 * KiB;
+  MiniCluster mc(6, 4, kBs);
+  Client* w = mc.mount_on(2);
+  auto fw = mc.open(w, "/sparse", kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(mc.write(w, *fw, 0, 150 * kBs).ok());
+  ASSERT_TRUE(mc.write(w, *fw, 160 * kBs, 140 * kBs).ok());
+  ASSERT_TRUE(mc.fsync(w, *fw).ok());
+
+  Client* r = mc.mount_on(3);
+  auto fr = mc.open(r, "/sparse", kBob, OpenFlags::ro());
+  ASSERT_TRUE(fr.ok());
+  ASSERT_TRUE(mc.read(r, *fr, 2 * kBs, kBs).ok());    // cold
+  ASSERT_TRUE(mc.read(r, *fr, 250 * kBs, kBs).ok());  // random
+  ASSERT_TRUE(mc.read(r, *fr, 120 * kBs, kBs).ok());  // random
+  // Nor did those random misses map the data blocks between them: a
+  // read of block 200 sends its token ask, the revoke of the writer's
+  // block, and then the map fetch.
+  const std::uint64_t rpcs = mc.cluster->rpc().calls() - nsd_requests(mc);
+  ASSERT_TRUE(mc.read(r, *fr, 200 * kBs, kBs).ok());
+  EXPECT_EQ(mc.cluster->rpc().calls() - nsd_requests(mc) - rpcs, 3u);
+
+  const std::uint64_t revocations = mc.fs->revocations();
+  ASSERT_TRUE(mc.write(w, *fw, 155 * kBs, kBs).ok());
+  ASSERT_TRUE(mc.fsync(w, *fw).ok());
+  EXPECT_EQ(mc.fs->revocations(), revocations);  // the reader kept its tokens
+
+  const Bytes fetched = r->bytes_read_remote();
+  ASSERT_TRUE(mc.read(r, *fr, 155 * kBs, kBs).ok());
+  EXPECT_EQ(r->bytes_read_remote() - fetched, kBs);
+}
+
+TEST(GpfsClient, RevokeDuringRandomMapFetchRetakesToken) {
+  // A random reader's run fetch carries a hole at block 155; a writer's
+  // revoke of that block reaches the reader while the fetch is out, so
+  // the hole is not cached. The read must not return the block as
+  // zeros without a token over it: it takes the token again.
+  constexpr Bytes kBs = 64 * KiB;
+  MiniCluster mc(6, 4, kBs);
+  Client* a = mc.mount_on(2);
+  auto fa = mc.open(a, "/sparse", kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(mc.write(a, *fa, 0, 150 * kBs).ok());
+  ASSERT_TRUE(mc.write(a, *fa, 160 * kBs, 140 * kBs).ok());
+  ASSERT_TRUE(mc.close(a, *fa).ok());
+  mc.cluster->unmount(a);
+  const InodeNum ino = *mc.fs->ns().resolve("/sparse");
+
+  Client* r = mc.mount_on(3);
+  auto fr = mc.open(r, "/sparse", kBob, OpenFlags::ro());
+  ASSERT_TRUE(fr.ok());
+  // Cold, the sole client: a whole-file ro grant and map chunk 0.
+  ASSERT_TRUE(mc.read(r, *fr, 10 * kBs, kBs).ok());
+  Client* w = mc.mount_on(4);
+  auto fw = mc.open(w, "/sparse", kAlice, OpenFlags::rw());
+  ASSERT_TRUE(fw.ok());
+
+  // The writer's acquire makes the manager revoke the reader's token
+  // over block 155; with that revoke on the wire, the reader seeks to
+  // block 155, a random miss that fetches the map of blocks [64, 300).
+  const std::uint64_t revocations = mc.fs->revocations();
+  std::optional<Result<Bytes>> wrote;
+  w->write(*fw, 155 * kBs, kBs, [&](Result<Bytes> res) { wrote = res; });
+  while (mc.fs->revocations() == revocations && mc.sim.step()) {
+  }
+  ASSERT_GT(mc.fs->revocations(), revocations);
+  std::optional<Result<Bytes>> got;
+  bool covered_at_done = false;
+  r->read(*fr, 155 * kBs, kBs, [&](Result<Bytes> res) {
+    got = res;
+    for (const Holding& h : mc.fs->tokens().holdings(ino)) {
+      if (h.client == r->id() &&
+          h.range.contains(TokenRange{155 * kBs, 156 * kBs})) {
+        covered_at_done = true;
+      }
+    }
+  });
+  mc.sim.run();
+  ASSERT_TRUE(wrote.has_value() && wrote->ok());
+  ASSERT_TRUE(got.has_value() && got->ok());
+  EXPECT_EQ(**got, kBs);
+  EXPECT_TRUE(covered_at_done);
+}
+
+TEST(GpfsClient, TailReaderSeesAppendedBlocks) {
+  // Fig. 5 polling: a reader follows a file another node appends to.
+  MiniCluster mc;
+  Client* w = mc.mount_on(2);
+  auto fw = mc.open(w, "/tail", kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(mc.write(w, *fw, 0, 4 * MiB).ok());
+  ASSERT_TRUE(mc.fsync(w, *fw).ok());
+
+  Client* r = mc.mount_on(3);
+  auto fr = mc.open(r, "/tail", kBob, OpenFlags::ro());
+  ASSERT_TRUE(fr.ok());
+  ASSERT_TRUE(mc.read(r, *fr, 0, 4 * MiB).ok());
+
+  ASSERT_TRUE(mc.write(w, *fw, 4 * MiB, 4 * MiB).ok());
+  ASSERT_TRUE(mc.fsync(w, *fw).ok());
+  auto size = refresh_size(mc, r, *fr);
+  ASSERT_TRUE(size.ok());
+  ASSERT_EQ(*size, 8 * MiB);
+  const Bytes fetched = r->bytes_read_remote();
+  auto got = mc.read(r, *fr, 4 * MiB, 4 * MiB);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, 4 * MiB);
+  // The appended blocks were holes when the reader first mapped the
+  // file, outside any token it held; they must be fetched, not read as
+  // cached holes.
+  EXPECT_EQ(r->bytes_read_remote() - fetched, 4 * MiB);
+}
+
+TEST(GpfsClient, HoleFilledOutsideReaderTokenIsFetched) {
+  MiniCluster mc;
+  Client* w = mc.mount_on(2);
+  auto fw = mc.open(w, "/holes", kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(mc.write(w, *fw, 3 * MiB, 1 * MiB).ok());  // blocks 0-2: holes
+  ASSERT_TRUE(mc.fsync(w, *fw).ok());
+
+  Client* r = mc.mount_on(3);
+  auto fr = mc.open(r, "/holes", kBob, OpenFlags::ro());
+  ASSERT_TRUE(fr.ok());
+  ASSERT_TRUE(mc.read(r, *fr, 3 * MiB, 1 * MiB).ok());  // cold, block 3
+
+  ASSERT_TRUE(mc.write(w, *fw, 2 * MiB, 1 * MiB).ok());
+  ASSERT_TRUE(mc.fsync(w, *fw).ok());
+  const Bytes fetched = r->bytes_read_remote();
+  ASSERT_TRUE(mc.read(r, *fr, 2 * MiB, 1 * MiB).ok());
+  EXPECT_EQ(r->bytes_read_remote() - fetched, 1 * MiB);
 }
 
 TEST(GpfsClient, WriteBehindCoalescesDirtyFifoRuns) {

@@ -136,6 +136,31 @@ TEST(ReadaheadRamp, SeekFlagClearOnStridedContinuationAndBoundaryClamp) {
   EXPECT_FALSE(r.seeked());
 }
 
+TEST(ReadaheadRamp, RandomOnlyOnASeekThatEndsNoSequentialRun) {
+  ReadaheadRamp r(4, 32);
+  r.on_access(10, 10);  // cold first access mid-file: not a seek
+  EXPECT_FALSE(r.random());
+  r.on_access(50, 50);  // a seek right after it
+  EXPECT_TRUE(r.random());
+  r.on_access(7, 7);  // and another
+  EXPECT_TRUE(r.random());
+  r.on_access(8, 8);  // sequential
+  EXPECT_FALSE(r.random());
+  r.on_access(90, 90);  // a seek that ends a sequential run
+  EXPECT_TRUE(r.seeked());
+  EXPECT_FALSE(r.random());
+
+  // A strided stream whose runs span several accesses seeks after every
+  // run, before and after the detector confirms, but never looks random.
+  ReadaheadRamp s(4, 32);
+  for (std::uint64_t run = 0; run < 4; ++run) {
+    for (std::uint64_t b = run * 64; b < run * 64 + 4; ++b) {
+      s.on_access(b, b);
+      EXPECT_FALSE(s.random()) << b;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // build_nsd_runs: coalescing planner
 // ---------------------------------------------------------------------------

@@ -73,15 +73,15 @@ TEST(Replication, UnreplicatedFilesHaveNoPlacementTableEntries) {
   // the block map hands clients exactly that, plus a hole past EOF.
   auto chunk = mc.fs->op_block_map(ino, 0, blocks + 1);
   ASSERT_TRUE(chunk.ok());
-  ASSERT_EQ(chunk->placements.size(), blocks + 1);
+  ASSERT_EQ(chunk->count, blocks + 1);
   for (std::uint64_t bi = 0; bi < blocks; ++bi) {
     const BlockPlacement p = mc.fs->ns().placement(ino, bi);
     EXPECT_EQ(p.copies, 1) << "block " << bi;
     EXPECT_EQ(p.divergent, 0);
     EXPECT_EQ(p.addr[0].nsd, mc.fs->nsd_for_block(ino, bi));
-    EXPECT_EQ(chunk->placements[bi], p);
+    EXPECT_EQ(chunk->placement(bi), p);
   }
-  EXPECT_EQ(chunk->placements[blocks].copies, 0);
+  EXPECT_EQ(chunk->placement(blocks).copies, 0);
   EXPECT_EQ(mc.fs->fsck().replica_refs, 0u);
 }
 

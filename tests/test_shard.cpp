@@ -175,6 +175,80 @@ TEST(ShardFailover, CrossShardRenameStallsOnCrashedDestinationShard) {
   EXPECT_TRUE(mc.fs->fsck().clean());
 }
 
+/// A takeover drops a reader's clean tokens, so nothing will revoke
+/// what it cached under them: the block map there must go too. Here a
+/// random reader has the hole at blocks [150, 160) cached when shard 2
+/// fails over; a writer then fills block 155 with no revoke reaching the
+/// reader, whose next read of it must fetch the data, not serve a hole.
+TEST(ShardFailover, TakeoverForgetsReaderBlockMap) {
+  constexpr Bytes kBs = 64 * KiB;
+  // Leases outlast the drill: the idle reader and writer stay members.
+  ClusterConfig cfg = shard_cfg();
+  cfg.lease_duration = 60.0;
+  MiniCluster mc(6, 4, kBs, cfg);
+  seat_managers(mc);
+  Client* a = mc.mount_on(2);
+  ASSERT_NE(a, nullptr);
+  std::string path;
+  std::optional<Result<Fh>> fa;
+  for (int i = 0; path.empty() && i < 64; ++i) {
+    const std::string p = "/sparse" + std::to_string(i);
+    auto fh = mc.open(a, p, kAlice, OpenFlags::create_rw());
+    ASSERT_TRUE(fh.ok());
+    if (mc.fs->shard_of(*mc.fs->ns().resolve(p)) == 2) {
+      path = p;
+      fa = fh;
+    } else {
+      ASSERT_TRUE(mc.close(a, *fh).ok());
+    }
+  }
+  ASSERT_FALSE(path.empty());
+  ASSERT_TRUE(mc.write(a, **fa, 0, 150 * kBs).ok());
+  ASSERT_TRUE(mc.write(a, **fa, 160 * kBs, 140 * kBs).ok());
+  ASSERT_TRUE(mc.close(a, **fa).ok());
+  mc.cluster->unmount(a);
+
+  Client* r = mc.mount_on(3);
+  ASSERT_NE(r, nullptr);
+  auto fr = mc.open(r, path, kAlice, OpenFlags::ro());
+  ASSERT_TRUE(fr.ok());
+  ASSERT_TRUE(mc.read(r, *fr, 10 * kBs, kBs).ok());   // cold
+  ASSERT_TRUE(mc.read(r, *fr, 250 * kBs, kBs).ok());  // random
+  ASSERT_TRUE(mc.read(r, *fr, 120 * kBs, kBs).ok());  // random
+  Client* w = mc.mount_on(2);
+  ASSERT_NE(w, nullptr);
+  auto fw = mc.open(w, path, kAlice, OpenFlags::rw());
+  ASSERT_TRUE(fw.ok());
+
+  fault::FaultInjector inject(mc.net, Rng(29));
+  inject.watch_pool(mc.cluster->connection_pool());
+  inject.watch_cluster(*mc.cluster);
+  inject.schedule_node_crash(mc.sim.now() + 0.01, mc.site.hosts[4], 10.0);
+  std::optional<Result<StatInfo>> probe;
+  mc.sim.after(0.03, [&] {
+    r->stat(path_in_shard(mc.fs, 2),
+            [&](Result<StatInfo> res) { probe = std::move(res); });
+  });
+  mc.sim.run();
+  ASSERT_EQ(mc.fs->shard_takeovers(2), 1u);
+  ASSERT_FALSE(mc.fs->recovering());
+  ASSERT_EQ(r->lease_lapses(), 0u);
+  const InodeNum ino = *mc.fs->ns().resolve(path);
+  for (const Holding& h : mc.fs->tokens().holdings(ino)) {
+    EXPECT_NE(h.client, r->id()) << "the takeover kept a clean token";
+  }
+
+  const std::uint64_t revocations = mc.fs->revocations();
+  auto wr = mc.write(w, *fw, 155 * kBs, kBs);
+  ASSERT_TRUE(wr.ok()) << wr.error().to_string();
+  ASSERT_TRUE(mc.fsync(w, *fw).ok());
+  EXPECT_EQ(mc.fs->revocations(), revocations);  // the reader held nothing
+
+  const Bytes fetched = r->bytes_read_remote();
+  ASSERT_TRUE(mc.read(r, *fr, 155 * kBs, kBs).ok());
+  EXPECT_EQ(r->bytes_read_remote() - fetched, kBs);
+}
+
 // ---------------------------------------------------------------------
 // Concurrent takeover of two shards
 // ---------------------------------------------------------------------
