@@ -795,7 +795,7 @@ bool run_manager_crash(const std::string&) {
   sim.run_until(sim.now() + 0.02);  // stage dirty pages + journal records
 
   const double t0 = sim.now();
-  const net::NodeId old_mgr = fs.manager_node();
+  const net::NodeId old_mgr = fs.manager_node(0);
   h.inject.schedule_node_crash(t0, dead->node(), 5.0);
   h.inject.schedule_blackhole(t0, mute->node(), 2.5);
   h.inject.schedule_crash_manager(t0 + 0.05, fs, 0.8);
@@ -847,8 +847,8 @@ bool run_manager_crash(const std::string&) {
 
   std::printf("  takeover: node %u -> node %u, epoch %llu, %.2f s after "
               "crash (budget %.2f s)\n",
-              old_mgr.v, fs.manager_node().v,
-              static_cast<unsigned long long>(fs.manager_epoch()),
+              old_mgr.v, fs.manager_node(0).v,
+              static_cast<unsigned long long>(fs.manager_epoch(0)),
               takeover_s, budget_s);
   std::printf("  manager: %s\n", fs.stats().c_str());
   std::printf("  first grant: +%.3f s after takeover; rebuild rpcs %llu, "
@@ -861,7 +861,7 @@ bool run_manager_crash(const std::string&) {
 
   Checks check;
   check(fs.manager_takeovers() == 1, "exactly one takeover");
-  check(!(fs.manager_node() == old_mgr), "successor elected");
+  check(!(fs.manager_node(0) == old_mgr), "successor elected");
   check(fs.last_takeover_at() >= t0 && takeover_s <= budget_s,
         "takeover within 3 lease periods");
   check(ww.has_value() && ww->ok() && w_done_at - t0 <= budget_s,

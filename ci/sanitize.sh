@@ -15,11 +15,7 @@ cmake -B "$build_dir" -S "$repo_root" \
   -DMGFS_SANITIZE=ON
 cmake --build "$build_dir" -j "$(nproc)"
 
-# detect_leaks=0: abandoned-transfer paths in the seed's gridftp/hsm code
-# hold shared_ptr cycles that LeakSanitizer flags; the gate is about
-# use-after-free / overflow / UB on the event-loop and connection paths.
-# Flip to 1 once those cycles are broken.
-export ASAN_OPTIONS="detect_leaks=0:strict_string_checks=1:abort_on_error=1"
+export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1:abort_on_error=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"

@@ -69,7 +69,7 @@ void FaultInjector::schedule_crash_manager(sim::Time at, gpfs::FileSystem& fs,
   sim.after(delay_until(sim, at), [this, fsp, duration] {
     // Resolve the manager node at fire time: an earlier takeover may
     // already have moved the role.
-    const net::NodeId mgr = fsp->manager_node();
+    const net::NodeId mgr = fsp->manager_node(0);
     ++manager_crashes_;
     MGFS_WARN("fault", "crashing manager node " << mgr.v << " of "
                                                 << fsp->name() << " for "

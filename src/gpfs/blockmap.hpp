@@ -22,12 +22,6 @@
 
 namespace mgfs::gpfs {
 
-/// A half-open range of file blocks, [lo, hi).
-struct BlockRange {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-};
-
 /// A single-copy, clean run down one NSD column: file blocks
 /// first + k * stride for k in [0, count), on `nsd` at device blocks
 /// dev + k.

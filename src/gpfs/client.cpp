@@ -1,11 +1,34 @@
 #include "gpfs/client.hpp"
 
 #include <algorithm>
+#include <set>
 
+#include "common/fanin.hpp"
 #include "common/log.hpp"
 
 namespace mgfs::gpfs {
 namespace {
+
+constexpr Bytes kPagepool = 256 * MiB;
+/// Speculative (readahead) fill bytes in flight.
+constexpr Bytes kMaxInflightFill = 48 * MiB;
+/// Most blocks one coalesced NSD request carries.
+constexpr std::size_t kCoalesceBlocks = 8;
+/// Token and allocation batch, in blocks, on a confirmed write streak.
+constexpr std::uint64_t kWriteBatchBlocks = 64;
+/// Concurrent write-behind I/Os.
+constexpr std::size_t kFlushParallel = 32;
+/// Block-map entries per chunk fetch.
+constexpr std::uint64_t kMapChunk = 64;
+/// Request payload of a namespace or map RPC to the manager.
+constexpr Bytes kMetaPayload = 256;
+/// Write-behind requeue delay after a failed flush.
+constexpr sim::Time kFlushRetryDelay = 0.05;
+/// Retry spacing, for metadata RPCs and gated writes, while a manager
+/// takeover rebuild is in flight: the seeded-backoff schedule could
+/// sleep through a short rebuild, so redrives probe at this cadence
+/// until the gate clears, then normal backoff resumes.
+constexpr sim::Time kRecoveryProbeInterval = 0.05;
 
 /// Wire cost of a bare request/ack frame on the NSD data protocol.
 constexpr Bytes kDataHeader = 64;
@@ -26,7 +49,7 @@ Client::Client(Rpc& rpc, net::NodeId node, ClientId id, ClientConfig cfg,
       id_(id),
       cfg_(cfg),
       rng_(rng),
-      pool_(cfg.pagepool, 1 * MiB),
+      pool_(kPagepool, 1 * MiB),
       cpu_(rpc.pool().network().simulator(),
            "client" + std::to_string(id) + ".cpu") {}
 
@@ -57,15 +80,9 @@ void Client::meta_call(std::uint32_t shard, Bytes req_payload,
       },
       [this, shard, req_payload, server, attempt, target, started_at,
        saw_recovery, done = std::move(done)](Result<R> res) mutable {
-        if (res.ok()) {
-          if (saw_recovery) {
-            recovery_op_hist_.add(simulator().now() - started_at);
-          }
-          done(std::move(res));
-          return;
-        }
         if (res.code() == Errc::timed_out) ++rpc_timeouts_;
-        if (!retryable(res.code()) || cfg_.retry.exhausted(attempt)) {
+        if (res.ok() || !retryable(res.code()) ||
+            cfg_.retry.exhausted(attempt)) {
           if (saw_recovery) {
             recovery_op_hist_.add(simulator().now() - started_at);
           }
@@ -96,9 +113,8 @@ void Client::meta_call(std::uint32_t shard, Bytes req_payload,
         // itself may have just started the takeover this retry must probe.
         const bool probing = mounted() && fs_->recovering();
         if (probing) ++recovery_probes_;
-        const sim::Time delay = probing
-                                    ? cfg_.recovery_probe_interval
-                                    : cfg_.retry.backoff(attempt, rng_);
+        const sim::Time delay = probing ? kRecoveryProbeInterval
+                                        : cfg_.retry.backoff(attempt, rng_);
         simulator().after(
             delay,
             [this, shard, req_payload, server = std::move(server), attempt,
@@ -124,6 +140,22 @@ void Client::meta_call(std::uint32_t shard, Bytes req_payload,
       Rpc::CallOptions{cfg_.rpc_deadline});
 }
 
+template <typename Op>
+void Client::meta_status(std::uint32_t shard, Bytes req_payload,
+                         Bytes reply_payload, Op op,
+                         std::function<void(Status)> done) {
+  meta_call<int>(
+      shard, req_payload,
+      [op = std::move(op), reply_payload](Rpc::ReplyFn<int> reply) {
+        const Status st = op();
+        reply(reply_payload,
+              st.ok() ? Result<int>(0) : Result<int>(st.error()));
+      },
+      [done = std::move(done)](Result<int> r) {
+        done(r.ok() ? Status{} : Status(r.error()));
+      });
+}
+
 void Client::bind(FileSystem* fs, AccessMode access, double cipher_s_per_byte,
                   ServerLookup servers) {
   MGFS_ASSERT(fs != nullptr, "bind to null file system");
@@ -134,7 +166,7 @@ void Client::bind(FileSystem* fs, AccessMode access, double cipher_s_per_byte,
   servers_ = std::move(servers);
   seed_manager_views();
   // The pagepool caches whole file-system blocks.
-  pool_ = PagePool(cfg_.pagepool, fs->block_size());
+  pool_ = PagePool(kPagepool, fs->block_size());
 }
 
 void Client::seed_manager_views() {
@@ -172,82 +204,15 @@ Bytes Client::known_size(Fh fh) const {
 // token cache
 // --------------------------------------------------------------------------
 
-bool Client::token_covers(InodeNum ino, TokenRange r, LockMode mode) const {
-  auto it = held_.find(ino);
-  if (it == held_.end()) return false;
-  for (const HeldToken& h : it->second) {
-    if (mode == LockMode::rw && h.mode != LockMode::rw) continue;
-    if (h.range.contains(r)) return true;
-  }
-  return false;
-}
-
-void Client::token_record(InodeNum ino, TokenRange r, LockMode mode,
-                          bool widened) {
-  auto& v = held_[ino];
-  // Merge with adjacent/overlapping same-mode holdings; absorb weaker
-  // (ro) holdings only where the new rw range already covers them —
-  // never extend an rw claim over bytes the manager granted as ro
-  // (mirrors TokenManager::request exactly).
-  std::vector<HeldToken> kept;
-  kept.reserve(v.size());
-  for (HeldToken& h : v) {
-    const bool touching = h.range.overlaps(r) || h.range.lo == r.hi ||
-                          r.lo == h.range.hi;
-    const bool absorb = (h.mode == mode && touching) ||
-                        (mode == LockMode::rw && h.mode == LockMode::ro &&
-                         r.contains(h.range));
-    if (absorb) {
-      r.lo = std::min(r.lo, h.range.lo);
-      r.hi = std::max(r.hi, h.range.hi);
-      widened = widened || h.widened;
-    } else {
-      kept.push_back(h);
-    }
-  }
-  kept.push_back(HeldToken{mode, r, widened});
-  v = std::move(kept);
-}
-
-void Client::token_trim(InodeNum ino, TokenRange r) {
-  auto it = held_.find(ino);
-  if (it == held_.end()) return;
-  std::vector<HeldToken> next;
-  next.reserve(it->second.size());
-  for (const HeldToken& h : it->second) {
-    if (!h.range.overlaps(r)) {
-      next.push_back(h);
-      continue;
-    }
-    if (h.range.lo < r.lo) {
-      next.push_back({h.mode, {h.range.lo, r.lo}, h.widened});
-    }
-    if (r.hi < h.range.hi) {
-      next.push_back({h.mode, {r.hi, h.range.hi}, h.widened});
-    }
-  }
-  if (next.empty()) {
-    held_.erase(it);
-  } else {
-    it->second = std::move(next);
-  }
-}
-
 void Client::ensure_token(InodeNum ino, TokenRange required,
                           TokenRange desired, LockMode mode,
                           std::function<void(Status)> done) {
-  auto it = held_.find(ino);
-  if (it != held_.end()) {
-    for (const HeldToken& h : it->second) {
-      if (mode == LockMode::rw && h.mode != LockMode::rw) continue;
-      if (h.range.contains(required)) {
-        // A hit on a batched (widened) grant is a metadata RPC the
-        // per-block protocol would have made.
-        if (h.widened) ++meta_rpcs_saved_;
-        done(Status{});
-        return;
-      }
-    }
+  if (const HeldTokens::Held* h = held_.covers(ino, required, mode)) {
+    // A hit on a batched (widened) grant is a metadata RPC the
+    // per-block protocol would have made.
+    if (h->widened) ++meta_rpcs_saved_;
+    done(Status{});
+    return;
   }
   FileSystem* fs = fs_;
   const ClientId me = id_;
@@ -270,7 +235,7 @@ void Client::ensure_token(InodeNum ino, TokenRange required,
         }
         const bool widened =
             res->lo < required.lo || res->hi > required.hi;
-        token_record(ino, *res, mode, widened);
+        held_.record(ino, *res, mode, widened);
         done(Status{});
       });
 }
@@ -286,38 +251,8 @@ std::optional<BlockPlacement> Client::map_entry(InodeNum ino,
   return fit->second.get(bi);
 }
 
-std::vector<BlockRange> Client::token_blocks(InodeNum ino) const {
-  std::vector<BlockRange> out;
-  auto it = held_.find(ino);
-  if (it == held_.end()) return out;
-  std::vector<TokenRange> rs;
-  rs.reserve(it->second.size());
-  for (const HeldToken& h : it->second) rs.push_back(h.range);
-  auto by_lo = [](const TokenRange& a, const TokenRange& b) {
-    return a.lo < b.lo;
-  };
-  std::sort(rs.begin(), rs.end(), by_lo);
-  const Bytes bs = block_size();
-  auto emit = [&out, bs](TokenRange r) {
-    const std::uint64_t lo = ceil_div(r.lo, bs);
-    const std::uint64_t hi = r.hi == kWholeFile ? ~0ULL : r.hi / bs;
-    if (lo < hi) out.push_back(BlockRange{lo, hi});
-  };
-  TokenRange cur = rs.front();
-  for (std::size_t i = 1; i < rs.size(); ++i) {
-    if (rs[i].lo <= cur.hi) {
-      cur.hi = std::max(cur.hi, rs[i].hi);
-    } else {
-      emit(cur);
-      cur = rs[i];
-    }
-  }
-  emit(cur);
-  return out;
-}
-
 void Client::install_chunk(InodeNum ino, const BlockMapChunk& chunk) {
-  block_map_[ino].install(chunk, token_blocks(ino));
+  block_map_[ino].install(chunk, held_.blocks(ino, block_size()));
 }
 
 std::uint8_t Client::pick_copy(const BlockPlacement& p,
@@ -325,14 +260,15 @@ std::uint8_t Client::pick_copy(const BlockPlacement& p,
   std::uint8_t best = static_cast<std::uint8_t>(kMaxReplicas);
   int best_penalty = 2;
   double best_rtt = 0.0;
+  const sim::Time now = simulator().now();
   for (std::uint8_t c = 0; c < p.copies; ++c) {
     if ((tried & (1u << c)) != 0 || p.is_divergent(c)) continue;
     const Nsd& nsd = fs_->nsd(p.addr[c].nsd);
     // A copy whose serving nodes are all circuit-broken is a last
     // resort; among equally-live copies the lowest propagation RTT to
     // the primary server wins — the nearest-replica read.
-    const bool live = admit_server(nsd.primary) ||
-                      (nsd.has_backup && admit_server(nsd.backup));
+    const bool live = breaker_.admit(nsd.primary, now) ||
+                      (nsd.has_backup && breaker_.admit(nsd.backup, now));
     const int penalty = live ? 0 : 1;
     const auto rtt = rpc_.pool().network().rtt(node_, nsd.primary);
     const double d = rtt.has_value() ? *rtt : 1e9;
@@ -356,11 +292,10 @@ void Client::ensure_map(InodeNum ino, std::uint64_t first,
     std::uint64_t count;
   };
   std::vector<Fetch> fetches;
-  const std::uint64_t cs = cfg_.map_chunk;
   for (std::uint64_t bi = first; bi < first + count; ++bi) {
     if (map_entry(ino, bi).has_value()) continue;
     if (random_end > 0 && fetches.empty()) {
-      const std::vector<BlockRange> held = token_blocks(ino);
+      const std::vector<BlockRange> held = held_.blocks(ino, block_size());
       auto t = std::find_if(held.begin(), held.end(), [bi](BlockRange r) {
         return r.lo <= bi && bi < r.hi;
       });
@@ -375,38 +310,32 @@ void Client::ensure_map(InodeNum ino, std::uint64_t first,
         continue;
       }
     }
-    const std::uint64_t start = bi - (bi % cs);
-    fetches.push_back(Fetch{start, cs});
-    bi = start + cs - 1;  // skip to next chunk
+    const std::uint64_t start = bi - (bi % kMapChunk);
+    fetches.push_back(Fetch{start, kMapChunk});
+    bi = start + kMapChunk - 1;  // skip to next chunk
   }
   if (fetches.empty()) {
     done(Status{});
     return;
   }
-  struct Gather {
-    std::size_t outstanding;
-    Status first_error;
-    std::function<void(Status)> done;
-  };
-  auto g = std::make_shared<Gather>(
-      Gather{fetches.size(), Status{}, std::move(done)});
+  FanIn fan(fetches.size(), std::move(done));
   FileSystem* fs = fs_;
   const std::uint32_t shard = fs_->shard_of(ino);
   for (const Fetch& fe : fetches) {
     meta_call<BlockMapChunk>(
-        shard, cfg_.meta_payload,
+        shard, kMetaPayload,
         [fs, ino, fe](Rpc::ReplyFn<BlockMapChunk> reply) {
           // Priced at what GPFS indirect blocks hold, ~16 bytes per
           // block covered, however compactly the reply encodes them.
           reply(16 * fe.count, fs->op_block_map(ino, fe.first, fe.count));
         },
-        [this, ino, g](Result<BlockMapChunk> res) {
-          if (res.ok()) {
-            install_chunk(ino, *res);
-          } else if (g->first_error.ok()) {
-            g->first_error = res.error();
+        [this, ino, fan](Result<BlockMapChunk> res) {
+          if (!res.ok()) {
+            fan(res.error());
+            return;
           }
-          if (--g->outstanding == 0) g->done(g->first_error);
+          install_chunk(ino, *res);
+          fan();
         });
   }
 }
@@ -414,54 +343,6 @@ void Client::ensure_map(InodeNum ino, std::uint64_t first,
 // --------------------------------------------------------------------------
 // NSD data path
 // --------------------------------------------------------------------------
-
-bool Client::admit_server(net::NodeId n) const {
-  auto it = nsd_health_.find(n.v);
-  if (it == nsd_health_.end() || !it->second.open) return true;
-  return simulator().now() >= it->second.next_probe;
-}
-
-void Client::consume_probe(net::NodeId n) {
-  auto it = nsd_health_.find(n.v);
-  if (it == nsd_health_.end() || !it->second.open) return;
-  // Half-open trial: this request is the probe. Push the next one out
-  // so concurrent I/O doesn't stampede a server we believe is dead.
-  // Consumed here — at issue time — rather than when the target list
-  // was built: a backup-position slot that is never exercised must not
-  // burn the probe window.
-  it->second.next_probe = simulator().now() + cfg_.breaker_probe;
-  ++breaker_probes_;
-}
-
-void Client::note_server_ok(net::NodeId n) {
-  auto it = nsd_health_.find(n.v);
-  if (it == nsd_health_.end()) return;
-  it->second.fails = 0;
-  it->second.open = false;
-}
-
-void Client::note_server_fail(net::NodeId n) {
-  ServerHealth& h = nsd_health_[n.v];
-  ++h.fails;
-  if (h.open) {
-    // Failed probe: stay open, space out the next trial.
-    h.next_probe = simulator().now() + cfg_.breaker_probe;
-    return;
-  }
-  if (h.fails >= cfg_.breaker_threshold) {
-    h.open = true;
-    h.next_probe = simulator().now() + cfg_.breaker_probe;
-    ++breaker_opens_;
-    MGFS_WARN("client", "circuit breaker open for NSD server node "
-                            << n.v << " after " << h.fails
-                            << " consecutive failures");
-  }
-}
-
-bool Client::breaker_open(net::NodeId node) const {
-  auto it = nsd_health_.find(node.v);
-  return it != nsd_health_.end() && it->second.open;
-}
 
 /// One round = try every admitted serving node in preference order
 /// (primary, then backup). Rounds are re-run under the retry policy's
@@ -474,13 +355,14 @@ void Client::nsd_io_run(NsdRun run, bool write, int attempt, RunDone done) {
     return;
   }
   const Nsd& nsd = fs_->nsd(run.nsd);
+  const sim::Time now = simulator().now();
   std::vector<net::NodeId> targets;
-  if (admit_server(nsd.primary)) {
+  if (breaker_.admit(nsd.primary, now)) {
     targets.push_back(nsd.primary);
   } else {
-    ++breaker_skips_;
+    breaker_.note_skip();
   }
-  if (nsd.has_backup && admit_server(nsd.backup)) {
+  if (nsd.has_backup && breaker_.admit(nsd.backup, now)) {
     targets.push_back(nsd.backup);
   }
   if (targets.empty()) {
@@ -493,16 +375,20 @@ void Client::nsd_io_run(NsdRun run, bool write, int attempt, RunDone done) {
       return;
     }
     ++rpc_retries_;
-    simulator().after(cfg_.retry.backoff(attempt, rng_),
-                      [this, run = std::move(run), write, attempt,
-                       done = std::move(done)]() mutable {
-                        nsd_io_run(std::move(run), write, attempt + 1,
-                                   std::move(done));
-                      });
+    nsd_io_later(cfg_.retry.backoff(attempt, rng_), std::move(run), write,
+                 attempt + 1, std::move(done));
     return;
   }
   nsd_run_attempt(std::move(run), write, std::move(targets), 0, attempt,
                   std::move(done));
+}
+
+void Client::nsd_io_later(sim::Time delay, NsdRun run, bool write,
+                          int attempt, RunDone done) {
+  simulator().after(delay, [this, run = std::move(run), write, attempt,
+                            done = std::move(done)]() mutable {
+    nsd_io_run(std::move(run), write, attempt, std::move(done));
+  });
 }
 
 void Client::nsd_run_attempt(NsdRun run, bool write,
@@ -548,7 +434,7 @@ void Client::nsd_run_attempt(NsdRun run, bool write,
                           total,
                           done = std::move(done)](Result<int> r) mutable {
     if (r.ok()) {
-      note_server_ok(target);
+      breaker_.ok(target);
       // cipherList=encrypt: the client pays its half of the per-byte
       // cost too (decrypt on read / encrypt accounted on send path).
       // The client CPU is serial, so concurrent runs queue on it.
@@ -579,15 +465,11 @@ void Client::nsd_run_attempt(NsdRun run, bool write,
       // the short recovery cadence; the attempt is not consumed (the
       // rebuild always finishes, so this cannot loop forever).
       ++recovery_probes_;
-      simulator().after(cfg_.recovery_probe_interval,
-                        [this, run = std::move(run), write, attempt,
-                         done = std::move(done)]() mutable {
-                          nsd_io_run(std::move(run), write, attempt,
-                                     std::move(done));
-                        });
+      nsd_io_later(kRecoveryProbeInterval, std::move(run), write, attempt,
+                   std::move(done));
       return;
     }
-    note_server_fail(target);
+    breaker_.fail(target, simulator().now());
     if (ti + 1 < targets.size()) {
       ++failovers_;
       MGFS_WARN("client", "nsd " << run.nsd << " server node " << target.v
@@ -606,15 +488,11 @@ void Client::nsd_run_attempt(NsdRun run, bool write,
       split_run(std::move(run), write, attempt, std::move(done));
       return;
     }
-    simulator().after(cfg_.retry.backoff(attempt, rng_),
-                      [this, run = std::move(run), write, attempt,
-                       done = std::move(done)]() mutable {
-                        nsd_io_run(std::move(run), write, attempt + 1,
-                                   std::move(done));
-                      });
+    nsd_io_later(cfg_.retry.backoff(attempt, rng_), std::move(run), write,
+                 attempt + 1, std::move(done));
   };
 
-  consume_probe(target);
+  breaker_.consume_probe(target, simulator().now());
   const ClientId me = id_;
   const std::uint64_t epoch = lease_epoch_;
   rpc_.call<int>(
@@ -696,7 +574,7 @@ void Client::split_run(NsdRun run, bool write, int attempt, RunDone done) {
 void Client::issue_fills(std::vector<BlockFetch> fetch) {
   if (fetch.empty()) return;
   const Bytes bs = block_size();
-  auto runs = build_nsd_runs(std::move(fetch), cfg_.coalesce_blocks);
+  auto runs = build_nsd_runs(std::move(fetch), kCoalesceBlocks);
   for (NsdRun& run : runs) {
     for (const BlockFetch& f : run.items) {
       if (f.speculative) fill_inflight_ += bs;
@@ -765,14 +643,40 @@ void Client::finish_fill(const PageKey& key, const Status& st,
     // Install only if we still may cache this range (a revoke may have
     // raced with the fill).
     const TokenRange r{key.block * bs, (key.block + 1) * bs};
-    if (token_covers(key.ino, r, LockMode::ro) ||
-        token_covers(key.ino, r, LockMode::rw)) {
+    if (held_.covers(key.ino, r, LockMode::ro) != nullptr) {
       pool_.insert_clean(key);
     }
   }
   auto node = fill_waiters_.extract(key);
   if (node.empty()) return;
   for (auto& cb : node.mapped()) cb(st);
+}
+
+bool Client::plan_fill(const PageKey& key, bool speculative,
+                       std::vector<BlockFetch>& fetch) {
+  const std::optional<BlockPlacement> entry = map_entry(key.ino, key.block);
+  if (!entry.has_value() || entry->copies == 0) return false;
+  const BlockPlacement& pl = *entry;
+  std::uint8_t c = pick_copy(pl, 0);
+  if (c >= pl.copies) c = 0;
+  fill_waiters_[key];
+  fetch.push_back(BlockFetch{key, pl.addr[c], speculative, c,
+                             static_cast<std::uint8_t>(1u << c)});
+  return true;
+}
+
+void Client::plan_readahead(InodeNum ino, std::uint64_t first,
+                            std::uint64_t last,
+                            std::vector<BlockFetch>& fetch) {
+  const Bytes bs = block_size();
+  for (std::uint64_t bi = first; bi <= last; ++bi) {
+    if (fill_inflight_ + fetch.size() * bs >= kMaxInflightFill) break;
+    const PageKey key{ino, bi};
+    if (pool_.contains(key) || fill_waiters_.count(key) > 0) continue;
+    const TokenRange r{bi * bs, (bi + 1) * bs};
+    if (held_.covers(ino, r, LockMode::ro) == nullptr) continue;
+    if (plan_fill(key, /*speculative=*/true, fetch)) ++ra_issued_;
+  }
 }
 
 void Client::prefetch_strided(InodeNum ino, std::uint64_t b0,
@@ -787,29 +691,8 @@ void Client::prefetch_strided(InodeNum ino, std::uint64_t b0,
         if (!st.ok() || !mounted()) return;
         ensure_map(ino, b0, count, 0, [this, ino, b0, count](Status st) {
           if (!st.ok() || !mounted()) return;
-          const Bytes bs = block_size();
           std::vector<BlockFetch> fetch;
-          for (std::uint64_t bi = b0; bi < b0 + count; ++bi) {
-            if (fill_inflight_ + fetch.size() * bs >= cfg_.max_inflight_fill) {
-              break;
-            }
-            const PageKey key{ino, bi};
-            if (pool_.contains(key) || fill_waiters_.count(key) > 0) continue;
-            const std::optional<BlockPlacement> entry = map_entry(ino, bi);
-            if (!entry.has_value() || entry->copies == 0) continue;
-            const TokenRange r{bi * bs, (bi + 1) * bs};
-            if (!token_covers(ino, r, LockMode::ro) &&
-                !token_covers(ino, r, LockMode::rw)) {
-              continue;
-            }
-            const BlockPlacement& pl = *entry;
-            std::uint8_t c = pick_copy(pl, 0);
-            if (c >= pl.copies) c = 0;
-            fill_waiters_[key];
-            fetch.push_back(BlockFetch{key, pl.addr[c], /*speculative=*/true,
-                                       c, static_cast<std::uint8_t>(1u << c)});
-            ++ra_issued_;
-          }
+          plan_readahead(ino, b0, b0 + count - 1, fetch);
           issue_fills(std::move(fetch));
         });
       });
@@ -818,30 +701,24 @@ void Client::prefetch_strided(InodeNum ino, std::uint64_t b0,
 void Client::ensure_block_present(InodeNum ino, std::uint64_t bi,
                                   std::function<void(Status)> done) {
   const PageKey key{ino, bi};
-  if (pool_.contains(key)) {
-    pool_.note_lookup(true);
-    pool_.touch(key);
+  if (pool_.lookup(key)) {
     done(Status{});
     return;
   }
-  pool_.note_lookup(false);
   auto wit = fill_waiters_.find(key);
   if (wit != fill_waiters_.end()) {
     wit->second.push_back(std::move(done));
     return;
   }
-  const std::optional<BlockPlacement> entry = map_entry(ino, bi);
-  MGFS_ASSERT(entry.has_value(), "block map not populated before fill");
-  if (entry->copies == 0) {
+  MGFS_ASSERT(map_entry(ino, bi).has_value(),
+              "block map not populated before fill");
+  std::vector<BlockFetch> fetch;
+  if (!plan_fill(key, /*speculative=*/false, fetch)) {
     done(Status{});  // hole: zeros, nothing to fetch
     return;
   }
-  const BlockPlacement& pl = *entry;
-  std::uint8_t c = pick_copy(pl, 0);
-  if (c >= pl.copies) c = 0;
   fill_waiters_[key].push_back(std::move(done));
-  issue_fills({BlockFetch{key, pl.addr[c], /*speculative=*/false, c,
-                          static_cast<std::uint8_t>(1u << c)}});
+  issue_fills(std::move(fetch));
 }
 
 // --------------------------------------------------------------------------
@@ -861,7 +738,7 @@ void Client::open(const std::string& path, const Principal& who,
   FileSystem* fs = fs_;
   const ClientId me = id_;
   meta_call<OpenResult>(
-      fs_->shard_of_path(path), cfg_.meta_payload,
+      fs_->shard_of_path(path), kMetaPayload,
       [fs, path, who, flags, me](Rpc::ReplyFn<OpenResult> reply) {
         reply(64, fs->op_open(path, who, flags, me));
       },
@@ -877,9 +754,9 @@ void Client::open(const std::string& path, const Principal& who,
         f.who = who;
         f.flags = flags;
         f.size = res->size;
-        f.ra = ReadaheadRamp(static_cast<std::uint64_t>(cfg_.readahead_min),
+        f.ra = ReadaheadRamp(kReadaheadMin,
                              static_cast<std::uint64_t>(cfg_.readahead_blocks));
-        f.wb = ReadaheadRamp(8, cfg_.write_batch_blocks);
+        f.wb = ReadaheadRamp(8, kWriteBatchBlocks);
         open_[fh] = std::move(f);
         done(fh);
       });
@@ -988,13 +865,14 @@ void Client::read_attempt(const ReadPlan& p, bool retry,
                     map_entry(ino, bi).has_value()) {
                   continue;
                 }
-                if (whole.empty()) whole = token_blocks(ino);
+                if (whole.empty()) whole = held_.blocks(ino, bs);
                 const bool covered = std::any_of(
                     whole.begin(), whole.end(),
                     [bi](BlockRange r) { return r.lo <= bi && bi < r.hi; });
                 const TokenRange mine{std::max(p.required.lo, bi * bs),
                                       std::min(p.required.hi, (bi + 1) * bs)};
-                stale = covered || !token_covers(ino, mine, LockMode::ro);
+                stale = covered ||
+                        held_.covers(ino, mine, LockMode::ro) == nullptr;
               }
               if (stale) {
                 MGFS_ASSERT(!retry || map_forgets_ != forgets,
@@ -1008,57 +886,16 @@ void Client::read_attempt(const ReadPlan& p, bool retry,
               std::vector<BlockFetch> fetch;
               for (std::uint64_t bi = b0; bi <= b1; ++bi) {
                 const PageKey key{ino, bi};
-                if (pool_.contains(key)) {
-                  pool_.note_lookup(true);
-                  pool_.touch(key);
-                  continue;
-                }
-                pool_.note_lookup(false);
-                if (fill_waiters_.count(key) > 0) {
+                if (pool_.lookup(key)) continue;
+                if (fill_waiters_.count(key) > 0 ||
+                    plan_fill(key, /*speculative=*/false, fetch)) {
                   wait.push_back(bi);
-                  continue;
                 }
-                const std::optional<BlockPlacement> entry =
-                    map_entry(ino, bi);
-                if (!entry.has_value() || entry->copies == 0) continue;
-                const BlockPlacement& pl = *entry;
-                std::uint8_t c = pick_copy(pl, 0);
-                if (c >= pl.copies) c = 0;
-                wait.push_back(bi);
-                fetch.push_back(
-                    BlockFetch{key, pl.addr[c], /*speculative=*/false, c,
-                               static_cast<std::uint8_t>(1u << c)});
-                fill_waiters_[key];  // reserve: dedup point for later reads
               }
               // Readahead rides in the same runs as the demand blocks, so
               // a demand fill and its same-NSD successors become one wire
               // request. Only readahead is subject to the fill budget.
-              for (std::uint64_t bi = b1 + 1; bi <= map_hi; ++bi) {
-                if (fill_inflight_ + fetch.size() * bs >=
-                    cfg_.max_inflight_fill) {
-                  break;
-                }
-                const PageKey key{ino, bi};
-                if (pool_.contains(key) || fill_waiters_.count(key) > 0) {
-                  continue;
-                }
-                const std::optional<BlockPlacement> entry =
-                    map_entry(ino, bi);
-                if (!entry.has_value() || entry->copies == 0) continue;
-                const TokenRange r{bi * bs, (bi + 1) * bs};
-                if (!token_covers(ino, r, LockMode::ro) &&
-                    !token_covers(ino, r, LockMode::rw)) {
-                  continue;
-                }
-                const BlockPlacement& pl = *entry;
-                std::uint8_t c = pick_copy(pl, 0);
-                if (c >= pl.copies) c = 0;
-                fill_waiters_[key];
-                fetch.push_back(
-                    BlockFetch{key, pl.addr[c], /*speculative=*/true, c,
-                               static_cast<std::uint8_t>(1u << c)});
-                ++ra_issued_;
-              }
+              plan_readahead(ino, b1 + 1, map_hi, fetch);
               if (wait.empty()) {
                 issue_fills(std::move(fetch));
                 // Fully-cached reads must still complete asynchronously:
@@ -1067,27 +904,18 @@ void Client::read_attempt(const ReadPlan& p, bool retry,
                     [len, done = std::move(done)] { done(len); });
                 return;
               }
-              struct Gather {
-                std::size_t outstanding;
-                Status first_error;
-                std::function<void(Result<Bytes>)> done;
-                Bytes len;
-              };
-              auto g = std::make_shared<Gather>(
-                  Gather{wait.size(), Status{}, std::move(done), len});
+              FanIn fan(wait.size(),
+                        [len, done = std::move(done)](const Status& st) {
+                          if (st.ok()) {
+                            done(len);
+                          } else {
+                            done(st.error());
+                          }
+                        });
               // Register waiters before issuing: a breaker fast-fail can
               // complete synchronously.
               for (std::uint64_t bi : wait) {
-                fill_waiters_[PageKey{ino, bi}].push_back([g](Status st) {
-                  if (!st.ok() && g->first_error.ok()) g->first_error = st;
-                  if (--g->outstanding == 0) {
-                    if (g->first_error.ok()) {
-                      g->done(g->len);
-                    } else {
-                      g->done(g->first_error.error());
-                    }
-                  }
-                });
+                fill_waiters_[PageKey{ino, bi}].push_back(fan);
               }
               issue_fills(std::move(fetch));
             });
@@ -1128,7 +956,7 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
   const std::uint64_t wnd = f->wb.on_access(b0, b1);
   const std::uint64_t batch =
       (f->wb.hits() >= 2 && wnd > 0)
-          ? std::min<std::uint64_t>(wnd, cfg_.write_batch_blocks)
+          ? std::min<std::uint64_t>(wnd, kWriteBatchBlocks)
           : 0;
 
   const TokenRange required{offset, offset + len};
@@ -1202,7 +1030,7 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
             // waits on its allocation reply. Size only ever grows.
             f->size = std::max(f->size, new_size);
             pump_flush();
-            if (pool_.dirty_bytes() <= cfg_.max_dirty) {
+            if (pool_.dirty_bytes() <= kMaxDirty) {
               // A write whose token, map and allocation are all batched
               // ahead reaches here synchronously; callers' issue loops
               // are not re-entrant, so complete through the event queue.
@@ -1218,16 +1046,8 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
             commit(Status{});
             return;
           }
-          auto g = std::make_shared<std::pair<std::size_t, Status>>(
-              rmw.size(), Status{});
-          auto commit_shared =
-              std::make_shared<decltype(commit)>(std::move(commit));
-          for (std::uint64_t bi : rmw) {
-            ensure_block_present(ino, bi, [g, commit_shared](Status st) {
-              if (!st.ok() && g->second.ok()) g->second = st;
-              if (--g->first == 0) (*commit_shared)(g->second);
-            });
-          }
+          FanIn fan(rmw.size(), std::move(commit));
+          for (std::uint64_t bi : rmw) ensure_block_present(ino, bi, fan);
         };
         if (!need_alloc) {
           proceed(Status{});
@@ -1240,7 +1060,7 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
         const std::size_t count =
             static_cast<std::size_t>(b1 - b0 + 1 + batch);
         meta_call<BlockMapChunk>(
-            fs_->shard_of(ino), cfg_.meta_payload,
+            fs_->shard_of(ino), kMetaPayload,
             [fs, ino, b0, count, new_size,
              me](Rpc::ReplyFn<BlockMapChunk> reply) {
               reply(16 * count,
@@ -1264,7 +1084,7 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
 }
 
 void Client::pump_flush() {
-  while (flights_ < cfg_.flush_parallel && !dirty_fifo_.empty()) {
+  while (flights_ < kFlushParallel && !dirty_fifo_.empty()) {
     const PageKey key = dirty_fifo_.front();
     dirty_fifo_.pop_front();
     if (!pool_.is_dirty(key)) continue;  // cleaned or invalidated already
@@ -1279,29 +1099,27 @@ void Client::pump_flush() {
     // Replicated blocks coalesce on their *anchor* copy; propagation to
     // the other copies fans out per block after the anchor run lands.
     std::vector<BlockFetch> items{BlockFetch{key, addr, false, ac, 0}};
-    if (cfg_.coalesce_blocks > 1) {
-      std::size_t scanned = 0;
-      for (auto it = dirty_fifo_.begin();
-           it != dirty_fifo_.end() && scanned < kFlushScan &&
-           items.size() < cfg_.coalesce_blocks;) {
-        ++scanned;
-        const PageKey k = *it;
-        if (!pool_.is_dirty(k)) {
-          it = dirty_fifo_.erase(it);
-          continue;
-        }
-        auto a2 = dirty_addr_.find(k);
-        MGFS_ASSERT(a2 != dirty_addr_.end(), "dirty page without address");
-        const std::uint8_t ac2 = flush_anchor(a2->second);
-        if (a2->second.addr[ac2].nsd == addr.nsd) {
-          items.push_back(BlockFetch{k, a2->second.addr[ac2], false, ac2, 0});
-          it = dirty_fifo_.erase(it);
-        } else {
-          ++it;
-        }
+    std::size_t scanned = 0;
+    for (auto it = dirty_fifo_.begin();
+         it != dirty_fifo_.end() && scanned < kFlushScan &&
+         items.size() < kCoalesceBlocks;) {
+      ++scanned;
+      const PageKey k = *it;
+      if (!pool_.is_dirty(k)) {
+        it = dirty_fifo_.erase(it);
+        continue;
+      }
+      auto a2 = dirty_addr_.find(k);
+      MGFS_ASSERT(a2 != dirty_addr_.end(), "dirty page without address");
+      const std::uint8_t ac2 = flush_anchor(a2->second);
+      if (a2->second.addr[ac2].nsd == addr.nsd) {
+        items.push_back(BlockFetch{k, a2->second.addr[ac2], false, ac2, 0});
+        it = dirty_fifo_.erase(it);
+      } else {
+        ++it;
       }
     }
-    auto runs = build_nsd_runs(std::move(items), cfg_.coalesce_blocks);
+    auto runs = build_nsd_runs(std::move(items), kCoalesceBlocks);
     MGFS_ASSERT(runs.size() == 1, "flush coalescing spans one NSD");
     NsdRun run = std::move(runs.front());
     if (run.items.size() > 1) {
@@ -1351,7 +1169,7 @@ void Client::pump_flush() {
             ++replica_failovers_;
             mark_divergent(k, f.copy, [] {});
           }
-          simulator().after(cfg_.flush_retry_delay, [this, k] {
+          simulator().after(kFlushRetryDelay, [this, k] {
             if (!mounted() || !pool_.is_dirty(k)) {
               dirty_addr_.erase(k);
               return;
@@ -1403,11 +1221,9 @@ void Client::finish_block_flush(const PageKey& k, std::uint8_t anchor) {
   }
   // Propagate to every other clean copy; the page goes clean only when
   // all copies have landed (or been marked divergent on failure).
-  auto remaining = std::make_shared<std::size_t>(targets.size());
+  FanIn fan(targets.size(), [this, k] { complete_block_flush(k); });
   for (const std::uint8_t c : targets) {
-    write_replica_copy(k, pl.addr[c], c, [this, k, remaining] {
-      if (--*remaining == 0) complete_block_flush(k);
-    });
+    write_replica_copy(k, pl.addr[c], c, fan);
   }
 }
 
@@ -1452,18 +1268,13 @@ void Client::mark_divergent(const PageKey& k, std::uint8_t copy,
   }
   FileSystem* fs = fs_;
   const ClientId me = id_;
-  meta_call<int>(
-      fs_->shard_of(k.ino), 64,
-      [fs, me, k, copy](Rpc::ReplyFn<int> reply) {
-        const Status st = fs->op_replica_divergence(me, k.ino, k.block, copy);
-        if (st.ok()) {
-          reply(16, Result<int>{0});
-        } else {
-          reply(16, Result<int>{st.error()});
-        }
+  meta_status(
+      fs_->shard_of(k.ino), 64, 16,
+      [fs, me, k, copy] {
+        return fs->op_replica_divergence(me, k.ino, k.block, copy);
       },
-      [this, k, copy, done = std::move(done)](Result<int> r) {
-        if (r.ok()) {
+      [this, k, copy, done = std::move(done)](Status st) {
+        if (st.ok()) {
           if (auto it = block_map_.find(k.ino); it != block_map_.end()) {
             it->second.mark_divergent(k.block, copy);
           }
@@ -1500,15 +1311,13 @@ void Client::check_flush_waiters() {
 }
 
 void Client::unstall_writers() {
-  if (pool_.dirty_bytes() > cfg_.max_dirty) return;
+  if (pool_.dirty_bytes() > kMaxDirty) return;
   auto stalled = std::move(stalled_writers_);
   stalled_writers_.clear();
   for (auto& cb : stalled) cb();
 }
 
-void Client::flush_inode(InodeNum ino, std::optional<TokenRange> range,
-                         sim::Callback done) {
-  (void)range;  // flushing the whole inode is always sufficient
+void Client::flush_inode(InodeNum ino, sim::Callback done) {
   const bool busy =
       inflight_per_ino_.count(ino) > 0 || !pool_.dirty_pages(ino).empty();
   if (!busy) {
@@ -1532,8 +1341,7 @@ void Client::fsync(Fh fh, std::function<void(Status)> done) {
   const auto mark = uncommitted_.find(ino);
   const std::uint64_t seq =
       mark == uncommitted_.end() ? 0 : mark->second.seq;
-  flush_inode(ino, std::nullopt, [this, ino, size, seq,
-                                  done = std::move(done)]() mutable {
+  flush_inode(ino, [this, ino, size, seq, done = std::move(done)]() mutable {
     if (!mounted()) {
       done(Status{});
       return;
@@ -1546,14 +1354,11 @@ void Client::fsync(Fh fh, std::function<void(Status)> done) {
     }
     FileSystem* fs = fs_;
     const ClientId me = id_;
-    meta_call<int>(
-        fs->shard_of(ino), 64,
-        [fs, ino, size, me](Rpc::ReplyFn<int> reply) {
-          const Status st = fs->op_extend_size(ino, size, me);
-          reply(64, st.ok() ? Result<int>(0) : Result<int>(st.error()));
-        },
-        [this, ino, size, seq, done = std::move(done)](Result<int> r) {
-          if (r.ok()) {
+    meta_status(
+        fs->shard_of(ino), 64, 64,
+        [fs, ino, size, me] { return fs->op_extend_size(ino, size, me); },
+        [this, ino, size, seq, done = std::move(done)](Status st) {
+          if (st.ok()) {
             // Committed, unless a write began after this fsync did or
             // wrote past `size`.
             auto w = uncommitted_.find(ino);
@@ -1561,41 +1366,26 @@ void Client::fsync(Fh fh, std::function<void(Status)> done) {
                 w->second.end <= size) {
               uncommitted_.erase(w);
             }
-          } else if (r.code() == Errc::stale) {
+          } else if (st.code() == Errc::stale) {
             on_lease_lapsed();
           }
-          done(r.ok() ? Status{} : Status(r.error()));
+          done(st);
         });
   });
 }
 
 void Client::flush_all(sim::Callback done) {
-  auto dirty = pool_.all_dirty();
-  std::vector<InodeNum> inodes;
-  for (const PageKey& k : dirty) {
-    if (inodes.empty() || inodes.back() != k.ino) inodes.push_back(k.ino);
-  }
-  std::sort(inodes.begin(), inodes.end());
-  inodes.erase(std::unique(inodes.begin(), inodes.end()), inodes.end());
-  // Also cover inodes whose pages are already in flight but no longer
-  // dirty in the pool.
-  for (const auto& [ino, n] : inflight_per_ino_) {
-    (void)n;
-    if (!std::binary_search(inodes.begin(), inodes.end(), ino)) {
-      inodes.push_back(ino);
-    }
-  }
+  // Inodes with dirty pages, and those whose pages are already in
+  // flight but no longer dirty in the pool.
+  std::set<InodeNum> inodes;
+  for (const PageKey& k : pool_.all_dirty()) inodes.insert(k.ino);
+  for (const auto& [ino, n] : inflight_per_ino_) inodes.insert(ino);
   if (inodes.empty()) {
     rpc_.pool().network().simulator().defer(std::move(done));
     return;
   }
-  auto remaining = std::make_shared<std::size_t>(inodes.size());
-  auto shared_done = std::make_shared<sim::Callback>(std::move(done));
-  for (InodeNum ino : inodes) {
-    flush_inode(ino, std::nullopt, [remaining, shared_done] {
-      if (--*remaining == 0) (*shared_done)();
-    });
-  }
+  FanIn fan(inodes.size(), std::move(done));
+  for (InodeNum ino : inodes) flush_inode(ino, fan);
 }
 
 void Client::close(Fh fh, std::function<void(Status)> done) {
@@ -1639,7 +1429,7 @@ void Client::stat(const std::string& path,
                   std::function<void(Result<StatInfo>)> done) {
   FileSystem* fs = fs_;
   meta_call<StatInfo>(
-      fs_->shard_of_path(path), cfg_.meta_payload,
+      fs_->shard_of_path(path), kMetaPayload,
       [fs, path](Rpc::ReplyFn<StatInfo> reply) {
         reply(128, fs->op_stat(path));
       },
@@ -1649,15 +1439,13 @@ void Client::stat(const std::string& path,
 void Client::mkdir(const std::string& path, const Principal& who, Mode mode,
                    std::function<void(Status)> done) {
   FileSystem* fs = fs_;
-  meta_call<int>(
-      fs_->shard_of_path(path), cfg_.meta_payload,
-      [fs, path, who, mode](Rpc::ReplyFn<int> reply) {
+  meta_status(
+      fs_->shard_of_path(path), kMetaPayload, 64,
+      [fs, path, who, mode] {
         auto r = fs->op_mkdir(path, who, mode);
-        reply(64, r.ok() ? Result<int>(0) : Result<int>(r.error()));
+        return r.ok() ? Status{} : Status(r.error());
       },
-      [done = std::move(done)](Result<int> r) {
-        done(r.ok() ? Status{} : Status(r.error()));
-      });
+      std::move(done));
 }
 
 void Client::readdir(const std::string& path, const Principal& who,
@@ -1665,7 +1453,7 @@ void Client::readdir(const std::string& path, const Principal& who,
                          done) {
   FileSystem* fs = fs_;
   meta_call<std::vector<std::string>>(
-      fs_->shard_of_path(path), cfg_.meta_payload,
+      fs_->shard_of_path(path), kMetaPayload,
       [fs, path, who](Rpc::ReplyFn<std::vector<std::string>> reply) {
         auto r = fs->op_readdir(path, who);
         const Bytes payload = r.ok() ? 32 * r->size() + 64 : 64;
@@ -1681,15 +1469,10 @@ void Client::unlink(const std::string& path, const Principal& who,
   // One id for every retransmission of this unlink (meta_call re-sends
   // the same request), so a retry after a lost reply is recognised.
   const std::uint64_t req = ++unlink_seq_;
-  meta_call<int>(
-      fs_->shard_of_path(path), cfg_.meta_payload,
-      [fs, path, who, me, req](Rpc::ReplyFn<int> reply) {
-        const Status st = fs->op_unlink(path, who, me, req);
-        reply(64, st.ok() ? Result<int>(0) : Result<int>(st.error()));
-      },
-      [done = std::move(done)](Result<int> r) {
-        done(r.ok() ? Status{} : Status(r.error()));
-      });
+  meta_status(
+      fs_->shard_of_path(path), kMetaPayload, 64,
+      [fs, path, who, me, req] { return fs->op_unlink(path, who, me, req); },
+      std::move(done));
 }
 
 void Client::rename(const std::string& from, const std::string& to,
@@ -1697,15 +1480,10 @@ void Client::rename(const std::string& from, const std::string& to,
   FileSystem* fs = fs_;
   // Routed by the source path's shard; op_rename itself gates on both
   // paths' domains, so a takeover on either side pauses the op.
-  meta_call<int>(
-      fs_->shard_of_path(from), cfg_.meta_payload,
-      [fs, from, to, who](Rpc::ReplyFn<int> reply) {
-        const Status st = fs->op_rename(from, to, who);
-        reply(64, st.ok() ? Result<int>(0) : Result<int>(st.error()));
-      },
-      [done = std::move(done)](Result<int> r) {
-        done(r.ok() ? Status{} : Status(r.error()));
-      });
+  meta_status(
+      fs_->shard_of_path(from), kMetaPayload, 64,
+      [fs, from, to, who] { return fs->op_rename(from, to, who); },
+      std::move(done));
 }
 
 // --------------------------------------------------------------------------
@@ -1726,9 +1504,9 @@ std::string Client::mmpmon() const {
      << "  _rfo_ " << replica_failovers_ << "\n"     // replica failovers
      << "  _rtr_ " << rpc_retries_ << "\n"           // RPC retries
      << "  _to_ " << rpc_timeouts_ << "\n"           // RPC deadline expiries
-     << "  _bop_ " << breaker_opens_ << "\n"         // breaker opens
-     << "  _bsc_ " << breaker_skips_ << "\n"         // breaker-skipped I/Os
-     << "  _prb_ " << breaker_probes_ << "\n"        // half-open probes
+     << "  _bop_ " << breaker_.opens() << "\n"      // breaker opens
+     << "  _bsc_ " << breaker_.skips() << "\n"      // breaker-skipped I/Os
+     << "  _prb_ " << breaker_.probes() << "\n"     // half-open probes
      << "  _ra_ " << ra_issued_ << "\n"              // readahead fills issued
      << "  _coal_ " << coal_blocks_ << "\n"          // blocks coalesced
      << "  _spl_ " << coal_splits_ << "\n"           // coalesced-run splits
@@ -1756,10 +1534,7 @@ void Client::set_lease(std::uint64_t epoch, double duration) {
 }
 
 void Client::maybe_renew_lease() {
-  if (!mounted() || lease_duration_ <= 0 || lapse_handling_ ||
-      lease_renew_inflight_) {
-    return;
-  }
+  if (!mounted() || lapse_handling_ || lease_renew_inflight_) return;
   const double now = simulator().now();
   if (now - lease_renewed_at_ < 0.5 * lease_duration_) return;
   lease_renew_inflight_ = true;
@@ -1854,7 +1629,7 @@ void Client::discard_cached_state(bool reset_breakers) {
   ++map_forgets_;
   alloc_ahead_hi_.clear();
   fill_inflight_ = 0;
-  if (reset_breakers) nsd_health_.clear();
+  if (reset_breakers) breaker_.clear();
   // Writers stalled on the dirty cap and fsync/revoke waiters can
   // proceed: the dirty pages they were waiting out no longer exist.
   unstall_writers();
@@ -1894,7 +1669,7 @@ bool Client::handle_revoke(InodeNum ino, TokenRange range,
   // adopt its view before flushing, or the dirty pages this revoke
   // forces out would carry the old manager epoch and be fenced.
   adopt_manager_view(shard, fs_->manager_node(shard), mgr_epoch);
-  flush_inode(ino, range, [this, ino, range, done = std::move(done)] {
+  flush_inode(ino, [this, ino, range, done = std::move(done)] {
     const Bytes bs = block_size();
     const std::uint64_t lo_blk = range.lo / bs;
     const std::uint64_t hi_blk =
@@ -1908,7 +1683,7 @@ bool Client::handle_revoke(InodeNum ino, TokenRange range,
       fit->second.forget(lo_blk, hi_blk);
       if (fit->second.empty()) block_map_.erase(fit);
     }
-    token_trim(ino, range);
+    held_.trim(ino, range);
     done();
   });
   return true;
@@ -1955,7 +1730,6 @@ Result<ManagerAssertReply> Client::assert_tokens(net::NodeId mgr_node,
   reply.dirty_bytes = pool_.dirty_bytes();
   for (const auto& [key, addr] : dirty_addr_) {
     if (fs_->shard_of(key.ino) != shard) continue;
-    reply.dirty_inodes.push_back(key.ino);
     const TokenRange pg{key.block * bs, (key.block + 1) * bs};
     auto [it, fresh] = dirty_span.try_emplace(key.ino, pg);
     if (!fresh) {
@@ -1963,30 +1737,19 @@ Result<ManagerAssertReply> Client::assert_tokens(net::NodeId mgr_node,
       it->second.hi = std::max(it->second.hi, pg.hi);
     }
   }
+  for (const auto& [ino, span] : dirty_span) reply.dirty_inodes.push_back(ino);
   std::sort(reply.dirty_inodes.begin(), reply.dirty_inodes.end());
-  reply.dirty_inodes.erase(
-      std::unique(reply.dirty_inodes.begin(), reply.dirty_inodes.end()),
-      reply.dirty_inodes.end());
   // Assert only what this client still owes: rw tokens clamped to the
   // covering span of their unflushed pages. The speculative width a
   // token gained from desired-window batching died with the old
   // manager — reinstalling it would make the successor's rebuilt table
   // block every other client's first post-takeover acquire behind a
   // revoke round against a grant nobody is using. Clean holdings are
-  // simply re-acquired on demand, same as after a plain wipe.
-  std::unordered_map<InodeNum, std::vector<HeldToken>> kept;
-  for (const auto& [ino, held] : held_) {
-    if (fs_->shard_of(ino) != shard) continue;
-    const auto ds = dirty_span.find(ino);
-    if (ds == dirty_span.end()) continue;
-    for (const HeldToken& h : held) {
-      if (h.mode != LockMode::rw || !h.range.overlaps(ds->second)) continue;
-      const TokenRange clip{std::max(h.range.lo, ds->second.lo),
-                            std::min(h.range.hi, ds->second.hi)};
-      kept[ino].push_back({h.mode, clip, /*widened=*/false});
-      reply.tokens.push_back(TokenAssertion{ino, h.mode, clip});
-    }
-  }
+  // simply re-acquired on demand, same as after a plain wipe. Other
+  // shards' holdings survive untouched.
+  HeldTokens::Clamp clamp = held_.clamp(
+      [this, shard](InodeNum ino) { return fs_->shard_of(ino) == shard; },
+      dirty_span);
   // Cached pages whose token was dropped lose their revoke channel —
   // nobody will tell us when another client rewrites them. Evict the
   // clean ones, and the cached holes there too (another client could
@@ -1994,50 +1757,20 @@ Result<ManagerAssertReply> Client::assert_tokens(net::NodeId mgr_node,
   // install keeps them outside tokens); dirty pages all live inside
   // kept spans by construction (every dirty page sits under some rw
   // token and inside its inode's dirty span, so its clip retains it).
-  for (const auto& [ino, held] : held_) {
-    if (fs_->shard_of(ino) != shard) continue;
-    const auto kit = kept.find(ino);
-    for (const HeldToken& h : held) {
-      std::vector<TokenRange> remain{h.range};
-      if (kit != kept.end()) {
-        for (const HeldToken& k : kit->second) {
-          std::vector<TokenRange> next;
-          for (const TokenRange& r : remain) {
-            if (!r.overlaps(k.range)) {
-              next.push_back(r);
-              continue;
-            }
-            if (r.lo < k.range.lo) next.push_back({r.lo, k.range.lo});
-            if (k.range.hi < r.hi) next.push_back({k.range.hi, r.hi});
-          }
-          remain = std::move(next);
-        }
-      }
-      for (const TokenRange& r : remain) {
-        // Interior blocks only: a block straddling a kept-range edge is
-        // still partly under token, and a partially-dirtied page must
-        // not be dropped with unflushed bytes aboard.
-        const std::uint64_t lo_blk = ceil_div(r.lo, bs);
-        const std::uint64_t hi_blk = r.hi == kWholeFile ? ~0ULL : r.hi / bs;
-        if (lo_blk >= hi_blk) continue;
-        pool_.invalidate(ino, lo_blk, hi_blk);
-        ++map_forgets_;
-        if (auto fit = block_map_.find(ino); fit != block_map_.end()) {
-          fit->second.forget_holes(lo_blk, hi_blk);
-        }
-      }
+  for (const auto& [ino, r] : clamp.dropped) {
+    // Interior blocks only: a block straddling a kept-range edge is
+    // still partly under token, and a partially-dirtied page must not
+    // be dropped with unflushed bytes aboard.
+    const std::uint64_t lo_blk = ceil_div(r.lo, bs);
+    const std::uint64_t hi_blk = r.hi == kWholeFile ? ~0ULL : r.hi / bs;
+    if (lo_blk >= hi_blk) continue;
+    pool_.invalidate(ino, lo_blk, hi_blk);
+    ++map_forgets_;
+    if (auto fit = block_map_.find(ino); fit != block_map_.end()) {
+      fit->second.forget_holes(lo_blk, hi_blk);
     }
   }
-  // Replace only this shard's holdings with the clipped set; other
-  // shards' entries survive untouched.
-  for (auto it = held_.begin(); it != held_.end();) {
-    if (fs_->shard_of(it->first) == shard) {
-      it = held_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto& [ino, v] : kept) held_[ino] = std::move(v);
+  reply.tokens = std::move(clamp.kept);
   // held_ iterates in hash order; the successor's rebuilt tables must
   // not depend on it.
   std::sort(reply.tokens.begin(), reply.tokens.end(),
@@ -2054,7 +1787,7 @@ bool Client::deliver_manager_grant(InodeNum ino, TokenRange range,
     ++stale_mgr_rejects_;
     return false;
   }
-  token_record(ino, range, mode, /*widened=*/true);
+  held_.record(ino, range, mode, /*widened=*/true);
   return true;
 }
 

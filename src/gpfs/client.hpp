@@ -4,15 +4,16 @@
 //   * a pagepool block cache with LRU eviction
 //   * sequential-read detection and block readahead
 //   * buffered writes with write-behind (dirty cap stalls writers)
-//   * a client-side token cache — byte ranges this node may cache —
-//     kept coherent by the manager's revoke protocol
-//   * a client-side block-map cache in column extents, fetched in
-//     chunks, or in one run per token range for a random reader
+//   * a token cache (HeldTokens, token.hpp) — byte ranges this node
+//     may cache — kept coherent by the manager's revoke protocol
+//   * a block-map cache in column extents (BlockMapCache, blockmap.hpp),
+//     fetched in chunks, or in one run per token range for a random
+//     reader
 //   * NSD server failover: primary, then backup, per I/O
 //   * fault tolerance: per-RPC deadlines, bounded retry with backoff,
-//     and a per-NSD-server circuit breaker (health tracking) so I/O
-//     prefers the healthy replica instead of re-probing a dead or
-//     blackholed primary on every block
+//     and a per-NSD-server circuit breaker (NsdBreaker, breaker.hpp)
+//     so I/O prefers the healthy replica instead of re-probing a dead
+//     or blackholed primary on every block
 //
 // All operations are asynchronous (completion callbacks), since every
 // miss is real simulated network + disk traffic. One Client == one
@@ -30,6 +31,7 @@
 
 #include "common/histogram.hpp"
 #include "common/retry.hpp"
+#include "gpfs/breaker.hpp"
 #include "gpfs/filesystem.hpp"
 #include "gpfs/pagepool.hpp"
 #include "gpfs/readahead.hpp"
@@ -39,28 +41,10 @@
 namespace mgfs::gpfs {
 
 struct ClientConfig {
-  Bytes pagepool = 256 * MiB;
   int readahead_blocks = 32;         // adaptive readahead cap (blocks)
-  int readahead_min = 4;             // ramp start after first sequential hit
-  Bytes max_inflight_fill = 48 * MiB;  // speculative fill bytes in flight
-  std::size_t coalesce_blocks = 8;   // max blocks per coalesced NSD request
-  std::size_t write_batch_blocks = 64;  // token/alloc batch on write streaks
-  Bytes max_dirty = 64 * MiB;        // write-behind ceiling
-  std::size_t flush_parallel = 32;   // concurrent write-behind I/Os
-  std::size_t map_chunk = 64;        // block-map entries per metadata RPC
-  Bytes meta_payload = 256;          // metadata request/response payload
-
   // --- fault model (DESIGN.md "Failure model & recovery semantics") ---
   sim::Time rpc_deadline = 30.0;     // per-RPC round-trip bound (0 = none)
   RetryPolicy retry{};               // metadata + NSD I/O re-issue policy
-  int breaker_threshold = 3;         // consecutive failures to open
-  sim::Time breaker_probe = 1.0;     // half-open probe spacing while open
-  sim::Time flush_retry_delay = 0.05;  // write-behind requeue after failure
-  /// Fixed metadata-retry spacing while the manager gate reports
-  /// `recovering`: the full seeded-backoff schedule can sleep through a
-  /// short takeover, so redrives probe at this cadence until the gate
-  /// clears, then normal backoff resumes.
-  sim::Time recovery_probe_interval = 0.05;
 };
 
 using Fh = int;  // file handle
@@ -85,10 +69,14 @@ class Client {
   /// given node (installed by the cluster glue).
   using ServerLookup = std::function<NsdServer*(net::NodeId)>;
 
+  /// Readahead ramp start, in blocks, after the first sequential hit.
+  static constexpr std::uint64_t kReadaheadMin = 4;
+  /// Write-behind ceiling: past it, writers stall until flushes drain.
+  static constexpr Bytes kMaxDirty = 64 * MiB;
+
   /// `rng` feeds retry jitter; pass a per-client split of the cluster
   /// stream so runs stay seed-deterministic.
-  Client(Rpc& rpc, net::NodeId node, ClientId id, ClientConfig cfg = {},
-         Rng rng = Rng(0x6d6766735f636c69ULL));
+  Client(Rpc& rpc, net::NodeId node, ClientId id, ClientConfig cfg, Rng rng);
 
   /// Bind to a file system. `access` is the mount session's ceiling
   /// (read_write locally; per mmauth grant for a remote mount) and
@@ -103,7 +91,6 @@ class Client {
   ClientId id() const { return id_; }
   sim::Simulator& simulator() const { return rpc_.pool().network().simulator(); }
   PagePool& pool() { return pool_; }
-  const ClientConfig& config() const { return cfg_; }
   AccessMode access() const { return access_; }
 
   // --- file operations --------------------------------------------------
@@ -160,7 +147,7 @@ class Client {
   /// if not mounted.
   Result<ManagerAssertReply> assert_tokens(net::NodeId mgr_node,
                                            std::uint64_t mgr_epoch,
-                                           std::uint32_t shard = 0);
+                                           std::uint32_t shard);
   /// An unsolicited token grant from a node claiming to be the manager
   /// under `mgr_epoch`. Refused (returns false) when the epoch is older
   /// than the adopted one — the deposed-manager probe; otherwise the
@@ -202,9 +189,9 @@ class Client {
   std::uint64_t replica_failovers() const { return replica_failovers_; }
   std::uint64_t rpc_retries() const { return rpc_retries_; }
   std::uint64_t rpc_timeouts() const { return rpc_timeouts_; }
-  std::uint64_t breaker_opens() const { return breaker_opens_; }
-  std::uint64_t breaker_skips() const { return breaker_skips_; }
-  std::uint64_t breaker_probes() const { return breaker_probes_; }
+  std::uint64_t breaker_opens() const { return breaker_.opens(); }
+  std::uint64_t breaker_skips() const { return breaker_.skips(); }
+  std::uint64_t breaker_probes() const { return breaker_.probes(); }
   std::uint64_t readahead_issued() const { return ra_issued_; }
   std::uint64_t blocks_coalesced() const { return coal_blocks_; }
   std::uint64_t coalesced_requests() const { return coal_requests_; }
@@ -218,7 +205,7 @@ class Client {
   /// Latency of metadata ops that overlapped a takeover rebuild.
   const Histogram& recovery_op_latency() const { return recovery_op_hist_; }
   /// Is the breaker for NSD-server `node` currently open?
-  bool breaker_open(net::NodeId node) const;
+  bool breaker_open(net::NodeId node) const { return breaker_.is_open(node); }
   /// mmpmon-style per-client I/O counter report (the GPFS monitoring
   /// interface operators scripted against).
   std::string mmpmon() const;
@@ -231,12 +218,6 @@ class Client {
     Bytes size = 0;  // client's view; refresh_size() re-fetches
     ReadaheadRamp ra;  // sequential-read prefetch ramp
     ReadaheadRamp wb;  // sequential-write batch ramp (token/alloc window)
-  };
-
-  struct HeldToken {
-    LockMode mode;
-    TokenRange range;
-    bool widened = false;  // manager granted more than we asked for
   };
 
   /// One read call's blocks [b0, b1], the map and readahead window up
@@ -256,10 +237,6 @@ class Client {
   void read_attempt(const ReadPlan& p, bool retry,
                     std::function<void(Result<Bytes>)> done);
 
-  // token cache helpers
-  bool token_covers(InodeNum ino, TokenRange r, LockMode mode) const;
-  void token_record(InodeNum ino, TokenRange r, LockMode mode, bool widened);
-  void token_trim(InodeNum ino, TokenRange r);
   /// Acquire `required` (a cache hit short-circuits); `desired` ⊇
   /// `required` is the batch window handed to the manager for clipping.
   void ensure_token(InodeNum ino, TokenRange required, TokenRange desired,
@@ -271,7 +248,7 @@ class Client {
   std::optional<BlockPlacement> map_entry(InodeNum ino,
                                           std::uint64_t bi) const;
   /// Fetch whatever of blocks [first, first + count) is not cached, in
-  /// map_chunk-aligned chunks. `random_end` > 0 marks a random reader of
+  /// kMapChunk-aligned chunks. `random_end` > 0 marks a random reader of
   /// a file of that many blocks: its first miss instead fetches, in one
   /// RPC, the maximal run of unmapped blocks around it inside the token
   /// range held there.
@@ -282,8 +259,6 @@ class Client {
   /// covers the whole block (a revoke of that token, or a takeover that
   /// drops it, is what forgets them).
   void install_chunk(InodeNum ino, const BlockMapChunk& chunk);
-  /// The blocks held tokens (any mode) wholly cover, sorted and disjoint.
-  std::vector<BlockRange> token_blocks(InodeNum ino) const;
   /// Best copy to read: lowest-RTT copy whose serving nodes are not all
   /// circuit-broken, excluding divergent copies and those in `tried`.
   /// Returns kMaxReplicas when every copy is tried or divergent.
@@ -300,6 +275,12 @@ class Client {
                  Rpc::ServerFn<R> server,
                  std::function<void(Result<R>)> done, int attempt = 0,
                  double started_at = -1.0, bool saw_recovery = false);
+  /// meta_call for a manager op that answers with a plain Status: `op`
+  /// runs at the manager, and its reply costs `reply_payload` bytes.
+  template <typename Op>
+  void meta_status(std::uint32_t shard, Bytes req_payload,
+                   Bytes reply_payload, Op op,
+                   std::function<void(Status)> done);
 
   // data path. Fills and flushes travel as NsdRuns — coalesced wire
   // requests. RunDone is a *shared* completion: it fires once per
@@ -307,6 +288,16 @@ class Client {
   using RunDone = std::function<void(const NsdRun&, const Status&)>;
   void ensure_block_present(InodeNum ino, std::uint64_t bi,
                             std::function<void(Status)> done);
+  /// Queue a fill of `key` from its best copy onto `fetch` and reserve
+  /// its waiter slot (the dedup point for later reads). False, with
+  /// nothing queued, when the block is unmapped or a hole.
+  bool plan_fill(const PageKey& key, bool speculative,
+                 std::vector<BlockFetch>& fetch);
+  /// Queue readahead fills of blocks [first, last] that are mapped, under
+  /// a held token and not cached or in flight, until the speculative
+  /// fill budget (counting what `fetch` already holds) runs out.
+  void plan_readahead(InodeNum ino, std::uint64_t first, std::uint64_t last,
+                      std::vector<BlockFetch>& fetch);
   void issue_fills(std::vector<BlockFetch> fetch);
   void finish_fill(const PageKey& key, const Status& st, bool speculative);
   /// A read run failed terminally: re-issue every item that still has an
@@ -319,29 +310,17 @@ class Client {
   /// token/map coverage and rides the normal fill path.
   void prefetch_strided(InodeNum ino, std::uint64_t b0, std::uint64_t count);
   void nsd_io_run(NsdRun run, bool write, int attempt, RunDone done);
+  /// nsd_io_run as attempt `attempt`, `delay` seconds from now.
+  void nsd_io_later(sim::Time delay, NsdRun run, bool write, int attempt,
+                    RunDone done);
   void nsd_run_attempt(NsdRun run, bool write,
                        std::vector<net::NodeId> targets, std::size_t ti,
                        int attempt, RunDone done);
   void split_run(NsdRun run, bool write, int attempt, RunDone done);
 
-  // NSD server health (circuit breaker)
-  struct ServerHealth {
-    int fails = 0;             // consecutive transient failures
-    bool open = false;         // breaker state
-    sim::Time next_probe = 0;  // earliest half-open trial while open
-  };
-  /// May this server be tried now? (closed, or open with a probe due.)
-  bool admit_server(net::NodeId n) const;
-  /// Called when a request is actually issued to `n`: if the breaker is
-  /// open this is the half-open trial, so consume the probe window.
-  void consume_probe(net::NodeId n);
-  void note_server_ok(net::NodeId n);
-  void note_server_fail(net::NodeId n);
-
   // write-behind
   void pump_flush();
-  void flush_inode(InodeNum ino, std::optional<TokenRange> range,
-                   sim::Callback done);
+  void flush_inode(InodeNum ino, sim::Callback done);
   void unstall_writers();
   void check_flush_waiters();
   // Write-through replication: the flush anchors on the primary (or the
@@ -410,7 +389,7 @@ class Client {
 
   Fh next_fh_ = 3;
   std::map<Fh, OpenFile> open_;
-  std::unordered_map<InodeNum, std::vector<HeldToken>> held_;
+  HeldTokens held_;
   std::unordered_map<InodeNum, BlockMapCache> block_map_;
   // Bumped whenever a revoke, takeover or cache discard drops tokens
   // and block-map entries: a read attempt that straddles a bump may
@@ -457,12 +436,11 @@ class Client {
   std::vector<std::pair<InodeNum, sim::Callback>> flush_waiters_;
   std::unordered_map<InodeNum, std::size_t> inflight_per_ino_;
 
-  // NSD server health, keyed by serving node id
-  std::unordered_map<std::uint32_t, ServerHealth> nsd_health_;
+  NsdBreaker breaker_;  // NSD server health, keyed by serving node
 
   // disk lease state
   std::uint64_t lease_epoch_ = 0;
-  double lease_duration_ = 0;     // 0 = lease machinery off (raw tests)
+  double lease_duration_ = 0;
   double lease_renewed_at_ = 0;
   bool lease_renew_inflight_ = false;
   bool lapse_handling_ = false;   // rejoin in progress
@@ -488,9 +466,6 @@ class Client {
   std::uint64_t replica_failovers_ = 0;  // runs redirected to another copy
   std::uint64_t rpc_retries_ = 0;
   std::uint64_t rpc_timeouts_ = 0;
-  std::uint64_t breaker_opens_ = 0;
-  std::uint64_t breaker_skips_ = 0;
-  std::uint64_t breaker_probes_ = 0;
   std::uint64_t ra_issued_ = 0;        // readahead fills issued
   std::uint64_t coal_blocks_ = 0;      // blocks carried by coalesced requests
   std::uint64_t coal_requests_ = 0;    // coalesced (multi-block) requests

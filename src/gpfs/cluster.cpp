@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/fanin.hpp"
 #include "common/log.hpp"
 
 namespace mgfs::gpfs {
@@ -234,7 +235,7 @@ void Cluster::wire_filesystem(FileSystem& fs) {
     // The probe carries no state: reaching the suspect's daemon at all
     // is the proof of life (its lease renewal then clears suspicion).
     auto serve = [](Rpc::ReplyFn<int> reply) { reply(64, 0); };
-    rpc_.call<int>(fs.manager_node(), target, 64, serve, probe_cb, opts);
+    rpc_.call<int>(fs.manager_node(0), target, 64, serve, probe_cb, opts);
     if (witness != nullptr) {
       rpc_.call<int>(witness->node(), target, 64, serve, probe_cb, opts);
     }
@@ -276,7 +277,7 @@ Client::RejoinFn Cluster::make_rejoin(Cluster* exporter, FileSystem* fs,
     Rpc::CallOptions opts;
     opts.deadline = cfg_.client.rpc_deadline;
     rpc_.call<std::uint64_t>(
-        c->node(), fs->manager_node(), 128,
+        c->node(), fs->manager_node(0), 128,
         [exporter, fs, c, access, via](Rpc::ReplyFn<std::uint64_t> reply) {
           if (fs->shard_recovering(0)) {
             // Readmission against a half-built lease table would hand
@@ -709,8 +710,8 @@ bool Cluster::takeover_manager(FileSystem& fs, std::uint32_t shard) {
     fs.finish_takeover(shard);
     return true;
   }
-  auto remaining = std::make_shared<std::size_t>(members.size());
   FileSystem* fsp = &fs;
+  FanIn rebuilt(members.size(), [fsp, shard] { fsp->finish_takeover(shard); });
   for (Client* c : members) {
     // The rebuild RPC outlives any one client: an unmount (or remote
     // teardown) while it is in flight destroys the Client object, so
@@ -743,7 +744,7 @@ bool Cluster::takeover_manager(FileSystem& fs, std::uint32_t shard) {
           reply(payload, std::move(r));
         },
         [this, fsp, id, cnode, shard,
-         remaining](Result<ManagerAssertReply> r) {
+         rebuilt](Result<ManagerAssertReply> r) {
           if (r.ok()) {
             fsp->install_assertion(id, r->lease_epoch, r->tokens, shard);
           } else if (registry_.count(id) > 0) {
@@ -751,7 +752,7 @@ bool Cluster::takeover_manager(FileSystem& fs, std::uint32_t shard) {
           }
           // A client that unmounted mid-rebuild needs no lease entry at
           // all; finish_takeover replays its journal tail if it left one.
-          if (--*remaining == 0) fsp->finish_takeover(shard);
+          rebuilt();
         },
         opts);
   }

@@ -169,7 +169,7 @@ class Cluster {
   /// mute-but-alive ones get an already-lapsed suspect lease. Returns
   /// false if no live successor exists (clients keep retrying until one
   /// appears).
-  bool takeover_manager(FileSystem& fs, std::uint32_t shard = 0);
+  bool takeover_manager(FileSystem& fs, std::uint32_t shard);
 
   // --- introspection ---------------------------------------------------------
   std::uint64_t handshakes_completed() const { return handshakes_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/fanin.hpp"
 #include "common/log.hpp"
 
 namespace mgfs::gpfs {
@@ -444,13 +445,12 @@ void FileSystem::token_retry(ClientId client, InodeNum ino, TokenRange range,
     return;
   }
   // Revoke every conflicting holding, then retry.
-  auto remaining = std::make_shared<std::size_t>(d.conflicts.size());
-  auto retry = [this, client, ino, range, desired, mode, attempts,
-                done = std::move(done)]() mutable {
-    token_retry(client, ino, range, desired, mode, attempts - 1,
-                std::move(done));
-  };
-  auto shared_retry = std::make_shared<decltype(retry)>(std::move(retry));
+  FanIn retry(d.conflicts.size(),
+              [this, client, ino, range, desired, mode, attempts,
+               done = std::move(done)]() mutable {
+                token_retry(client, ino, range, desired, mode, attempts - 1,
+                            std::move(done));
+              });
   for (const Holding& h : d.conflicts) {
     ++revocations_;
     MGFS_DEBUG("tokens", cfg_.name << ": revoking ino " << ino
@@ -466,10 +466,7 @@ void FileSystem::token_retry(ClientId client, InodeNum ino, TokenRange range,
     const TokenRange claim = mode == LockMode::rw ? desired : range;
     const TokenRange overlap{std::max(h.range.lo, claim.lo),
                              std::min(h.range.hi, claim.hi)};
-    revoke_until_released(h.client, ino, overlap,
-                          [remaining, shared_retry] {
-                            if (--*remaining == 0) (*shared_retry)();
-                          });
+    revoke_until_released(h.client, ino, overlap, retry);
   }
 }
 

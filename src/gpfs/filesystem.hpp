@@ -90,9 +90,8 @@ class FileSystem {
 
   const FsConfig& config() const { return cfg_; }
   const std::string& name() const { return cfg_.name; }
-  /// Manager node of `shard` (default: shard 0, the lease home — the
-  /// single manager in an unsharded file system).
-  net::NodeId manager_node(std::uint32_t shard = 0) const;
+  /// Manager node of `shard` (shard 0 is the lease home).
+  net::NodeId manager_node(std::uint32_t shard) const;
   Bytes block_size() const { return cfg_.block_size; }
   std::size_t nsd_count() const { return nsds_.size(); }
   const Nsd& nsd(std::uint32_t id) const;
@@ -101,8 +100,6 @@ class FileSystem {
 
   Namespace& ns() { return ns_; }
   const Namespace& ns() const { return ns_; }
-  /// Shard 0's token table — everything, in the single-shard default.
-  TokenManager& tokens() { return shards_[0].tokens; }
   AllocationMap& alloc() { return alloc_; }
 
   // --- metadata sharding (token domains) --------------------------------
@@ -156,9 +153,6 @@ class FileSystem {
 
   LeaseManager& lease() { return lease_; }
   const LeaseManager& lease() const { return lease_; }
-  /// Shard 0's journal slice — everything, in the single-shard default.
-  MetaJournal& journal() { return shards_[0].journal; }
-  const MetaJournal& journal() const { return shards_[0].journal; }
 
   // --- membership (disk leases, DESIGN.md §6) ---------------------------
   /// (Re-)register a client under a fresh lease epoch. Called at mount
@@ -195,7 +189,7 @@ class FileSystem {
   /// every takeover of that shard. Carried on manager-bound RPCs and
   /// NSD write gates so a deposed manager's grants and a partitioned
   /// client's writes under them are rejected as stale.
-  std::uint64_t manager_epoch(std::uint32_t shard = 0) const;
+  std::uint64_t manager_epoch(std::uint32_t shard) const;
   /// Is any shard's takeover rebuild in progress? Metadata ops answer
   /// retryable `unavailable` and NSD write gates answer `retry` for the
   /// affected shard's domain, so clients pause-and-redrive instead of
@@ -208,7 +202,7 @@ class FileSystem {
   /// wipes the lease table. The caller then queries every registered
   /// client and feeds install_assertion / note_rebuild_nonresponder
   /// before finish_takeover.
-  void begin_takeover(net::NodeId successor, std::uint32_t shard = 0);
+  void begin_takeover(net::NodeId successor, std::uint32_t shard);
   /// A client answered the rebuild query: re-register its lease under
   /// its *existing* epoch (still the current grant — its in-flight
   /// writes must keep landing; shard 0 only — other shards leave the
@@ -216,18 +210,18 @@ class FileSystem {
   /// already be filtered to `shard`'s inodes.
   void install_assertion(ClientId client, std::uint64_t lease_epoch,
                          const std::vector<TokenAssertion>& tokens,
-                         std::uint32_t shard = 0);
+                         std::uint32_t shard);
   /// A client did not answer the rebuild query. If its node is down it
   /// is expelled at once (journal replay + token reclaim); if the node
   /// is up (gray failure) it gets an already-lapsed must-rejoin lease —
   /// whichever shard it slept through, its tokens there are wiped, so
   /// only a full rejoin (discarding caches) readmits it.
   void note_rebuild_nonresponder(ClientId client, bool node_down,
-                                 std::uint32_t shard = 0);
+                                 std::uint32_t shard);
   /// Rebuild complete: leave the recovering state, replay journal tails
   /// of clients that neither reasserted nor kept a lease entry, and run
   /// the lease sweep that was held off during the rebuild.
-  void finish_takeover(std::uint32_t shard = 0);
+  void finish_takeover(std::uint32_t shard);
   /// Takeovers across all shards.
   std::uint64_t manager_takeovers() const;
   std::uint64_t shard_takeovers(std::uint32_t shard) const;
@@ -240,7 +234,7 @@ class FileSystem {
   /// Count one per-client reassertion RPC issued by a takeover rebuild
   /// (cluster.cpp calls this; the invariant under batched reassertion is
   /// rebuild_rpcs == O(clients), not O(grants)).
-  void note_rebuild_rpc(std::uint32_t shard = 0) {
+  void note_rebuild_rpc(std::uint32_t shard) {
     ++shards_[shard].rebuild_rpcs;
   }
   std::uint64_t rebuild_rpcs() const;

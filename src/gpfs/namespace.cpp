@@ -349,18 +349,6 @@ BlockPlacement Namespace::placement(InodeNum ino, std::uint64_t bi) const {
   return placement_of(it->second, bi);
 }
 
-Result<std::vector<BlockPlacement>> Namespace::placements(
-    InodeNum ino, std::uint64_t first, std::size_t count) const {
-  auto it = inodes_.find(ino);
-  if (it == inodes_.end()) return err(Errc::not_found, "stale inode");
-  std::vector<BlockPlacement> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(placement_of(it->second, first + i));
-  }
-  return out;
-}
-
 Status Namespace::set_block(InodeNum ino, std::uint64_t bi, BlockAddr addr) {
   auto it = inodes_.find(ino);
   if (it == inodes_.end()) return Status(Errc::not_found, "stale inode");

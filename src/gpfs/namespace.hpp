@@ -96,10 +96,6 @@ class Namespace {
   /// Every copy of block `bi`: one for an unreplicated block, none for a
   /// hole, a slot past the end of the map or a stale inode.
   BlockPlacement placement(InodeNum ino, std::uint64_t bi) const;
-  /// The placements of blocks [first, first + count).
-  Result<std::vector<BlockPlacement>> placements(InodeNum ino,
-                                                 std::uint64_t first,
-                                                 std::size_t count) const;
   /// Install a freshly allocated single-copy block at block index `bi`.
   Status set_block(InodeNum ino, std::uint64_t bi, BlockAddr addr);
   /// Overwrite every copy of block `bi`: `p.addr[0]` becomes the primary,

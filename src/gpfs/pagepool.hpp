@@ -87,8 +87,13 @@ class PagePool {
   std::uint64_t evictions() const { return evictions_; }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
-  /// Stats hook used by Client::read.
-  void note_lookup(bool hit) { (hit ? hits_ : misses_)++; }
+  /// A read's cache probe: counts a hit or a miss and touches a hit.
+  bool lookup(PageKey k) {
+    const bool hit = contains(k);
+    (hit ? hits_ : misses_)++;
+    if (hit) touch(k);
+    return hit;
+  }
 
  private:
   struct Entry {

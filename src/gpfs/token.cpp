@@ -435,4 +435,145 @@ const std::vector<Holding>& TokenManager::holdings(InodeNum ino) const {
   return it == by_inode_.end() ? kEmpty : it->second.hs;
 }
 
+// --------------------------------------------------------------------------
+// HeldTokens
+// --------------------------------------------------------------------------
+
+namespace {
+
+/// Append to `out` what is left of `r` once `cut` is removed.
+void subtract(TokenRange r, TokenRange cut, std::vector<TokenRange>& out) {
+  if (!r.overlaps(cut)) {
+    out.push_back(r);
+    return;
+  }
+  if (r.lo < cut.lo) out.push_back({r.lo, cut.lo});
+  if (cut.hi < r.hi) out.push_back({cut.hi, r.hi});
+}
+
+}  // namespace
+
+const HeldTokens::Held* HeldTokens::covers(InodeNum ino, TokenRange r,
+                                           LockMode mode) const {
+  auto it = held_.find(ino);
+  if (it == held_.end()) return nullptr;
+  for (const Held& h : it->second) {
+    if (mode == LockMode::rw && h.mode != LockMode::rw) continue;
+    if (h.range.contains(r)) return &h;
+  }
+  return nullptr;
+}
+
+void HeldTokens::record(InodeNum ino, TokenRange r, LockMode mode,
+                        bool widened) {
+  auto& v = held_[ino];
+  std::vector<Held> kept;
+  kept.reserve(v.size());
+  for (const Held& h : v) {
+    const bool touching = h.range.overlaps(r) || h.range.lo == r.hi ||
+                          r.lo == h.range.hi;
+    const bool absorb = (h.mode == mode && touching) ||
+                        (mode == LockMode::rw && h.mode == LockMode::ro &&
+                         r.contains(h.range));
+    if (absorb) {
+      r.lo = std::min(r.lo, h.range.lo);
+      r.hi = std::max(r.hi, h.range.hi);
+      widened = widened || h.widened;
+    } else {
+      kept.push_back(h);
+    }
+  }
+  kept.push_back(Held{mode, r, widened});
+  v = std::move(kept);
+}
+
+void HeldTokens::trim(InodeNum ino, TokenRange r) {
+  auto it = held_.find(ino);
+  if (it == held_.end()) return;
+  std::vector<Held> next;
+  next.reserve(it->second.size());
+  for (const Held& h : it->second) {
+    const TokenRange x = h.range;
+    if (!x.overlaps(r)) {
+      next.push_back(h);
+      continue;
+    }
+    if (x.lo < r.lo) next.push_back({h.mode, {x.lo, r.lo}, h.widened});
+    if (r.hi < x.hi) next.push_back({h.mode, {r.hi, x.hi}, h.widened});
+  }
+  if (next.empty()) {
+    held_.erase(it);
+  } else {
+    it->second = std::move(next);
+  }
+}
+
+std::vector<BlockRange> HeldTokens::blocks(InodeNum ino,
+                                           Bytes block_size) const {
+  std::vector<BlockRange> out;
+  auto it = held_.find(ino);
+  if (it == held_.end()) return out;
+  std::vector<TokenRange> rs;
+  rs.reserve(it->second.size());
+  for (const Held& h : it->second) rs.push_back(h.range);
+  std::sort(rs.begin(), rs.end(), [](const TokenRange& a, const TokenRange& b) {
+    return a.lo < b.lo;
+  });
+  // Merge touching ranges; emit the whole blocks inside each union.
+  TokenRange cur = rs.front();
+  for (std::size_t i = 1; i <= rs.size(); ++i) {
+    if (i < rs.size() && rs[i].lo <= cur.hi) {
+      cur.hi = std::max(cur.hi, rs[i].hi);
+      continue;
+    }
+    const std::uint64_t lo = ceil_div(cur.lo, block_size);
+    const std::uint64_t hi =
+        cur.hi == kWholeFile ? ~0ULL : cur.hi / block_size;
+    if (lo < hi) out.push_back(BlockRange{lo, hi});
+    if (i < rs.size()) cur = rs[i];
+  }
+  return out;
+}
+
+HeldTokens::Clamp HeldTokens::clamp(
+    const std::function<bool(InodeNum)>& in_domain,
+    const std::unordered_map<InodeNum, TokenRange>& dirty_span) {
+  Clamp out;
+  for (auto it = held_.begin(); it != held_.end();) {
+    const InodeNum ino = it->first;
+    if (!in_domain(ino)) {
+      ++it;
+      continue;
+    }
+    std::vector<Held> kept;
+    if (const auto ds = dirty_span.find(ino); ds != dirty_span.end()) {
+      for (const Held& h : it->second) {
+        if (h.mode != LockMode::rw || !h.range.overlaps(ds->second)) continue;
+        const TokenRange clip{std::max(h.range.lo, ds->second.lo),
+                              std::min(h.range.hi, ds->second.hi)};
+        kept.push_back({LockMode::rw, clip, /*widened=*/false});
+        out.kept.push_back(TokenAssertion{ino, LockMode::rw, clip});
+      }
+    }
+    std::vector<TokenRange> remain;
+    std::vector<TokenRange> next;
+    for (const Held& h : it->second) {
+      remain.assign(1, h.range);
+      for (const Held& k : kept) {
+        next.clear();
+        for (const TokenRange& r : remain) subtract(r, k.range, next);
+        remain.swap(next);
+      }
+      for (const TokenRange& r : remain) out.dropped.emplace_back(ino, r);
+    }
+    if (kept.empty()) {
+      it = held_.erase(it);
+    } else {
+      it->second = std::move(kept);
+      ++it;
+    }
+  }
+  return out;
+}
+
 }  // namespace mgfs::gpfs

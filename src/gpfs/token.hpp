@@ -23,13 +23,16 @@
 // reassertions both clip against these tables on the hot path; with
 // hundreds of holders per inode the old linear scans dominated).
 //
-// This class is the pure decision logic; filesystem.cpp wraps it in the
-// revoke/flush/grant message exchange.
+// TokenManager is the pure decision logic; filesystem.cpp wraps it in
+// the revoke/flush/grant message exchange. HeldTokens is the other end:
+// one client's cache of the grants it holds.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -172,6 +175,49 @@ class TokenManager {
   std::unordered_map<InodeNum, Table> by_inode_;
   std::size_t total_ = 0;
   static const std::vector<Holding> kEmpty;
+};
+
+/// One client's token cache: per inode, the byte ranges this node may
+/// cache, recorded as the manager grants them and trimmed as it revokes
+/// them. Holdings of an inode are a short vector in merge order, and the
+/// first holding that covers a probe is the one `covers` reports.
+class HeldTokens {
+ public:
+  struct Held {
+    LockMode mode = LockMode::ro;
+    TokenRange range;
+    bool widened = false;  // the manager granted more than was asked
+  };
+
+  /// The first holding of `ino` that contains `r` in a mode at least
+  /// `mode` (an ro probe accepts rw holdings), or nullptr.
+  const Held* covers(InodeNum ino, TokenRange r, LockMode mode) const;
+  /// Cache a grant. It merges with touching same-mode holdings and
+  /// absorbs ro holdings an rw grant contains, but never stretches an rw
+  /// claim over bytes granted as ro (mirrors TokenManager::request).
+  void record(InodeNum ino, TokenRange r, LockMode mode, bool widened);
+  /// Drop `r` from every holding of `ino` (a revoke).
+  void trim(InodeNum ino, TokenRange r);
+  /// The blocks of `block_size` bytes that holdings of `ino` (any mode)
+  /// wholly cover, sorted and disjoint.
+  std::vector<BlockRange> blocks(InodeNum ino, Bytes block_size) const;
+  void clear() { held_.clear(); }
+
+  /// What a manager takeover clamp kept and dropped.
+  struct Clamp {
+    std::vector<TokenAssertion> kept;  // in no particular order
+    /// What each former holding lost, one entry per surviving piece.
+    std::vector<std::pair<InodeNum, TokenRange>> dropped;
+  };
+  /// Manager takeover of the token domain `in_domain` selects: cut each
+  /// of its inodes' holdings down to the rw part inside the inode's
+  /// entry in `dirty_span` (no entry: nothing is kept). Inodes outside
+  /// the domain are untouched.
+  Clamp clamp(const std::function<bool(InodeNum)>& in_domain,
+              const std::unordered_map<InodeNum, TokenRange>& dirty_span);
+
+ private:
+  std::unordered_map<InodeNum, std::vector<Held>> held_;
 };
 
 }  // namespace mgfs::gpfs

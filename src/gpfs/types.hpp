@@ -22,6 +22,12 @@ struct Principal {
   bool is_admin = false;   // site administrator (root-equivalent)
 };
 
+/// A half-open range of file blocks, [lo, hi).
+struct BlockRange {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+};
+
 /// Where a file-system block lives: which NSD, which block slot on it.
 struct BlockAddr {
   std::uint32_t nsd = 0;

@@ -229,23 +229,26 @@ void GridFtpClient::run_transfer(Plan plan, bool upload,
             dst_dev = &sink_store->device();
           }
 
-          // Double-buffered pump: disk read -> tcp -> disk write.
+          // Double-buffered pump: disk read -> tcp -> disk write. The
+          // pump holds itself weakly and each chunk in flight holds it
+          // strongly, so it lives exactly as long as the stream has work
+          // outstanding.
           auto pump = std::make_shared<std::function<void()>>();
-          auto chunk_done = [sh, st, pump](Bytes n) {
-            --st->inflight;
-            sh->completed += n;
-            if (!sh->failed && sh->completed == sh->total) {
-              TransferStats stats;
-              stats.bytes = sh->total;
-              stats.seconds = sh->sim->now() - sh->start;
-              stats.streams = sh->streams;
-              sh->done(stats);
-              return;
-            }
-            (*pump)();
-          };
-          *pump = [this, st, sh, conn, src_dev, dst_dev, chunk_done,
-                   fail_once, pump] {
+          *pump = [this, st, sh, conn, src_dev, dst_dev, fail_once,
+                   weak = std::weak_ptr(pump)] {
+            auto chunk_done = [sh, st, self = weak.lock()](Bytes n) {
+              --st->inflight;
+              sh->completed += n;
+              if (!sh->failed && sh->completed == sh->total) {
+                TransferStats stats;
+                stats.bytes = sh->total;
+                stats.seconds = sh->sim->now() - sh->start;
+                stats.streams = sh->streams;
+                sh->done(stats);
+                return;
+              }
+              (*self)();
+            };
             while (st->inflight < 2 && st->remaining > 0 && !sh->failed) {
               const Bytes c = std::min(cfg_.chunk, st->remaining);
               st->remaining -= c;

@@ -199,8 +199,10 @@ void HsmManager::run_policy(std::function<void(const Status&)> done) {
   // Archive-then-purge LRU files until at or below the low water mark.
   auto finish = std::make_shared<std::function<void(const Status&)>>(
       std::move(done));
+  // The step holds itself weakly and each archive in flight holds it
+  // strongly, so it lives exactly as long as the policy run.
   auto step = std::make_shared<std::function<void()>>();
-  *step = [this, finish, step] {
+  *step = [this, finish, weak = std::weak_ptr(step)] {
     if (fill_fraction() <= cfg_.low_watermark) {
       (*finish)(Status{});
       return;
@@ -211,7 +213,7 @@ void HsmManager::run_policy(std::function<void(const Status&)> done) {
       return;
     }
     const std::string name = *victim;
-    archive(name, [this, name, finish, step](const Status& st) {
+    archive(name, [this, name, finish, self = weak.lock()](const Status& st) {
       if (!st.ok()) {
         (*finish)(st);
         return;
@@ -222,7 +224,7 @@ void HsmManager::run_policy(std::function<void(const Status&)> done) {
       ++migrations_;
       MGFS_INFO("hsm", "migrated " << name << " to tape, fill now "
                                    << fill_fraction());
-      (*step)();
+      (*self)();
     });
   };
   (*step)();

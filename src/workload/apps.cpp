@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 namespace mgfs::workload {
 namespace {
@@ -30,7 +31,7 @@ void EnzoWriter::run(std::function<void(const Status&)> done) {
   done_ = std::move(done);
   client_->mkdir(dir_, who_, gpfs::Mode{077}, [this](Status st) {
     if (!st.ok() && st.code() != Errc::exists) {
-      done_(st);
+      std::exchange(done_, nullptr)(st);
       return;
     }
     next_dump();
@@ -39,7 +40,7 @@ void EnzoWriter::run(std::function<void(const Status&)> done) {
 
 void EnzoWriter::next_dump() {
   if (dump_ >= cfg_.dumps) {
-    done_(Status{});
+    std::exchange(done_, nullptr)(Status{});
     return;
   }
   StreamConfig sc;
@@ -52,7 +53,7 @@ void EnzoWriter::next_dump() {
   current_->set_meter(meter_);
   current_->start([this](const Status& st) {
     if (!st.ok()) {
-      done_(st);
+      std::exchange(done_, nullptr)(st);
       return;
     }
     bytes_ += cfg_.dump_bytes;
@@ -76,7 +77,7 @@ SortApp::SortApp(gpfs::Client* client, std::string input, std::string output,
 void SortApp::finish(const Status& st) {
   if (failed_) return;
   failed_ = true;
-  done_(st);
+  std::exchange(done_, nullptr)(st);
 }
 
 void SortApp::run(std::function<void(const Status&)> done) {
@@ -181,13 +182,14 @@ void NvoQueryStream::run(std::function<void(Result<NvoStats>)> done) {
   client_->open(path_, who_, gpfs::OpenFlags::ro(),
                 [this](Result<gpfs::Fh> r) {
     if (!r.ok()) {
-      done_(r.error());
+      std::exchange(done_, nullptr)(r.error());
       return;
     }
     fh_ = *r;
     file_size_ = client_->known_size(fh_);
     if (file_size_ == 0) {
-      done_(err(Errc::invalid_argument, "empty dataset"));
+      std::exchange(done_, nullptr)(
+          err(Errc::invalid_argument, "empty dataset"));
       return;
     }
     t0_ = client_->simulator().now();
@@ -199,7 +201,7 @@ void NvoQueryStream::next_query() {
   if (issued_queries_ >= cfg_.queries) {
     stats_.seconds = client_->simulator().now() - t0_;
     stats_.queries = issued_queries_;
-    done_(stats_);
+    std::exchange(done_, nullptr)(stats_);
     return;
   }
   ++issued_queries_;
@@ -209,7 +211,7 @@ void NvoQueryStream::next_query() {
   const Bytes offset = rng_.below(file_size_ - len + 1);
   issue(offset, len, [this](const Status& st) {
     if (!st.ok()) {
-      done_(err(st.code(), st.error().detail));
+      std::exchange(done_, nullptr)(err(st.code(), st.error().detail));
       return;
     }
     next_query();
@@ -230,15 +232,18 @@ void NvoQueryStream::issue(Bytes offset, Bytes remaining,
   st->end = offset + remaining;
   auto shared_done =
       std::make_shared<std::function<void(const Status&)>>(std::move(done));
+  // The pump holds itself weakly and each read in flight holds it
+  // strongly, so it lives exactly as long as the query has reads out.
   auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, st, shared_done, pump] {
+  *pump = [this, st, shared_done, weak = std::weak_ptr(pump)] {
     if (st->failed) return;
+    const auto self = weak.lock();
     while (st->inflight < cfg_.queue_depth && st->next < st->end) {
       const Bytes n = std::min(cfg_.request, st->end - st->next);
       const Bytes off = st->next;
       st->next += n;
       ++st->inflight;
-      client_->read(fh_, off, n, [this, st, shared_done, pump,
+      client_->read(fh_, off, n, [this, st, shared_done, self,
                                   n](Result<Bytes> r) {
         --st->inflight;
         if (!r.ok()) {
@@ -252,7 +257,7 @@ void NvoQueryStream::issue(Bytes offset, Bytes remaining,
         if (st->next >= st->end && st->inflight == 0) {
           (*shared_done)(Status{});
         } else {
-          (*pump)();
+          (*self)();
         }
       });
     }

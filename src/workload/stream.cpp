@@ -1,6 +1,7 @@
 #include "workload/stream.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace mgfs::workload {
 
@@ -31,10 +32,13 @@ void SequentialWriter::start(std::function<void(const Status&)> done) {
                 });
 }
 
+// `done` is let go of as it runs: an owner that keeps this stream alive
+// only through `done` frees it there, so nothing touches `this` after a
+// finish().
 void SequentialWriter::finish(const Status& st) {
   if (failed_) return;
   failed_ = true;
-  if (done_) done_(st);
+  if (done_) std::exchange(done_, nullptr)(st);
 }
 
 void SequentialWriter::pump() {
@@ -108,7 +112,7 @@ void SequentialReader::start(std::function<void(const Status&)> done) {
 void SequentialReader::finish(const Status& st) {
   if (failed_) return;
   failed_ = true;
-  if (done_) done_(st);
+  if (done_) std::exchange(done_, nullptr)(st);
 }
 
 void SequentialReader::pump() {
@@ -132,8 +136,7 @@ void SequentialReader::pump() {
       if (meter_ != nullptr && *r > 0) {
         meter_->note(client_->simulator().now(), *r);
       }
-      pump();
-      if (inflight_ == 0) on_eof();
+      pump();  // last: a pump that reaches EOF may finish()
     });
   }
   if (inflight_ == 0 && offset_ >= limit) on_eof();

@@ -72,7 +72,7 @@ TEST(Commit, WriteAfterFsyncCommitsOnceAndSurvivesExpel) {
   ASSERT_TRUE(mc.write(c, *fh, 0, 2 * MiB).ok());
   ASSERT_TRUE(mc.fsync(c, *fh).ok());
   ASSERT_TRUE(mc.write(c, *fh, 2 * MiB, 2 * MiB).ok());
-  EXPECT_GT(mc.fs->journal().uncommitted_count(c->id()), 0u);
+  EXPECT_GT(mc.fs->shard_journal(0).uncommitted_count(c->id()), 0u);
 
   const std::uint64_t before = manager_rpcs(mc);
   ASSERT_TRUE(mc.close(c, *fh).ok());

@@ -34,9 +34,9 @@ TEST(Concurrency, DisjointWritersShareOneFile) {
   EXPECT_EQ(mc.fs->ns().stat("/shared")->size, 16 * MiB);
   // Token manager ended with each client holding its own region.
   const InodeNum ino = *mc.fs->ns().resolve("/shared");
-  EXPECT_TRUE(mc.fs->tokens().holds(a->id(), ino, {0, 8 * MiB},
+  EXPECT_TRUE(mc.fs->shard_tokens(0).holds(a->id(), ino, {0, 8 * MiB},
                                     LockMode::rw));
-  EXPECT_TRUE(mc.fs->tokens().holds(b->id(), ino, {8 * MiB, 16 * MiB},
+  EXPECT_TRUE(mc.fs->shard_tokens(0).holds(b->id(), ino, {8 * MiB, 16 * MiB},
                                     LockMode::rw));
   // Every block allocated exactly once despite racing op_allocate calls.
   const Inode* n = mc.fs->ns().inode(ino);
@@ -74,7 +74,7 @@ TEST(Concurrency, ManyReadersOneWriterConverge) {
   // Readers coexist under ro tokens; only the writer was revoked.
   const InodeNum ino = *mc.fs->ns().resolve("/log");
   std::size_t ro_holders = 0;
-  for (const Holding& h : mc.fs->tokens().holdings(ino)) {
+  for (const Holding& h : mc.fs->shard_tokens(0).holdings(ino)) {
     if (h.mode == LockMode::ro) ++ro_holders;
   }
   EXPECT_GE(ro_holders, readers.size());

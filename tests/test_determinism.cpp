@@ -119,7 +119,7 @@ TEST(NetworkEdge, UnmountFlushPersistsDirtyData) {
   ASSERT_TRUE(done);
   EXPECT_EQ(c->bytes_written_remote(), 8 * MiB);
   EXPECT_FALSE(c->mounted());
-  EXPECT_EQ(mc.fs->tokens().total_holdings(), 0u);
+  EXPECT_EQ(mc.fs->shard_tokens(0).total_holdings(), 0u);
 }
 
 TEST(NetworkEdge, FlushAllOnCleanClientIsImmediate) {

@@ -28,7 +28,7 @@ TEST(Failures, ManagerDownTriggersTakeoverMetadataContinues) {
   auto st = mc.stat(c, "/f");
   ASSERT_TRUE(st.ok()) << st.error().to_string();
   EXPECT_EQ(mc.fs->manager_takeovers(), 1u);
-  EXPECT_EQ(mc.fs->manager_node(), mc.site.hosts[0]);
+  EXPECT_EQ(mc.fs->manager_node(0), mc.site.hosts[0]);
   EXPECT_GE(mc.fs->assertions_rebuilt(), 1u);  // c reasserted its tokens
   EXPECT_GE(c->mgr_takeovers(), 1u);
   // Cached reads work throughout: token + pages + block map are
@@ -77,15 +77,15 @@ TEST(Failures, DeposedManagerStaysDeposedAfterRestart) {
   mc.net.set_node_up(mc.site.hosts[1], false);
   // Service continues through the takeover...
   ASSERT_TRUE(mc.stat(c, "/").ok());
-  EXPECT_EQ(mc.fs->manager_node(), mc.site.hosts[0]);
-  const std::uint64_t epoch = mc.fs->manager_epoch();
+  EXPECT_EQ(mc.fs->manager_node(0), mc.site.hosts[0]);
+  const std::uint64_t epoch = mc.fs->manager_epoch(0);
   EXPECT_EQ(epoch, 2u);
   // ...and the old manager coming back does NOT reclaim the role: the
   // successor keeps it and the epoch does not move again.
   mc.net.set_node_up(mc.site.hosts[1], true);
   EXPECT_TRUE(mc.stat(c, "/").ok());
-  EXPECT_EQ(mc.fs->manager_node(), mc.site.hosts[0]);
-  EXPECT_EQ(mc.fs->manager_epoch(), epoch);
+  EXPECT_EQ(mc.fs->manager_node(0), mc.site.hosts[0]);
+  EXPECT_EQ(mc.fs->manager_epoch(0), epoch);
   EXPECT_EQ(mc.fs->manager_takeovers(), 1u);
 }
 

@@ -140,11 +140,11 @@ TEST(FastRecoveryIntegration, OverlapWindowAdmitsReassertedQueuesStraggler) {
         mc.fs->assertions_rebuilt() >= 1) {
       g_reasserted = mc.fs->write_gate(survivor->id(), 0,
                                        survivor->lease_epoch(),
-                                       mc.fs->manager_epoch());
+                                       mc.fs->manager_epoch(0));
       g_straggler = mc.fs->write_gate(straggler->id(), 0, straggler_epoch,
-                                      mc.fs->manager_epoch());
+                                      mc.fs->manager_epoch(0));
       g_stale = mc.fs->write_gate(survivor->id(), 0, survivor->lease_epoch(),
-                                  mc.fs->manager_epoch() - 1);
+                                  mc.fs->manager_epoch(0) - 1);
       return;
     }
     if (mc.sim.now() < t0 + 3.0) {
@@ -248,7 +248,7 @@ TEST(FastRecoveryIntegration, ManagerStrikesDedupedPerReporterAndEpoch) {
   ASSERT_NE(b, nullptr);
   ASSERT_NE(c, nullptr);
   mc.sim.run();
-  const std::uint64_t epoch0 = mc.fs->manager_epoch();
+  const std::uint64_t epoch0 = mc.fs->manager_epoch(0);
 
   // One flapping accuser: five reports, still one distinct reporter.
   for (int i = 0; i < 5; ++i) {
@@ -266,7 +266,7 @@ TEST(FastRecoveryIntegration, ManagerStrikesDedupedPerReporterAndEpoch) {
 
   // Third distinct accuser inside one episode: the takeover fires.
   mc.cluster->note_manager_unreachable(mc.fs, c->id());
-  EXPECT_GT(mc.fs->manager_epoch(), epoch0);
+  EXPECT_GT(mc.fs->manager_epoch(0), epoch0);
   mc.sim.run();  // drain the rebuild
   EXPECT_EQ(mc.fs->manager_takeovers(), 1u);
 

@@ -169,14 +169,14 @@ TEST(GpfsClient, ReadaheadPrefetchesSequentialStream) {
   auto fr = mc.open(r, "/seq", kAlice, OpenFlags::ro());
   const InodeNum ino = *mc.fs->ns().resolve("/seq");
 
-  // First sequential read ramps up cautiously: exactly readahead_min
+  // First sequential read ramps up cautiously: exactly kReadaheadMin
   // blocks land ahead of the demand window, no more.
   ASSERT_TRUE(mc.read(r, *fr, 0, 2 * MiB).ok());  // blocks 0,1 (+RA)
   int cached_ahead = 0;
   for (std::uint64_t b = 2; b < 12; ++b) {
     if (r->pool().contains({ino, b})) ++cached_ahead;
   }
-  EXPECT_EQ(cached_ahead, static_cast<int>(r->config().readahead_min));
+  EXPECT_EQ(cached_ahead, static_cast<int>(Client::kReadaheadMin));
   EXPECT_GT(r->readahead_issued(), 0u);
 
   // Confirmed sequential hits double the window toward the cap; after a
@@ -235,7 +235,7 @@ struct SharedReadFile {
 
   std::vector<Holding> holdings_of(const Client* who) {
     std::vector<Holding> out;
-    for (const Holding& h : mc.fs->tokens().holdings(ino)) {
+    for (const Holding& h : mc.fs->shard_tokens(0).holdings(ino)) {
       if (h.client == who->id()) out.push_back(h);
     }
     return out;
@@ -421,7 +421,7 @@ TEST(GpfsClient, RevokeDuringRandomMapFetchRetakesToken) {
   bool covered_at_done = false;
   r->read(*fr, 155 * kBs, kBs, [&](Result<Bytes> res) {
     got = res;
-    for (const Holding& h : mc.fs->tokens().holdings(ino)) {
+    for (const Holding& h : mc.fs->shard_tokens(0).holdings(ino)) {
       if (h.client == r->id() &&
           h.range.contains(TokenRange{155 * kBs, 156 * kBs})) {
         covered_at_done = true;
@@ -511,20 +511,28 @@ TEST(GpfsClient, WriteBehindCoalescesDirtyFifoRuns) {
 }
 
 TEST(GpfsClient, WriteBehindStallsAtDirtyCap) {
-  ClusterConfig cfg;
-  cfg.client.max_dirty = 8 * MiB;
-  MiniCluster mc(6, 4, 1 * MiB, cfg);
+  MiniCluster mc(6, 4, 1 * MiB);
   Client* c = mc.mount_on(2);
   auto fh = mc.open(c, "/burst", kAlice, OpenFlags::create_rw());
-  // A 64 MiB burst cannot be absorbed instantly: the writer must stall
-  // on write-behind, so completion time reflects NSD throughput (4
-  // devices x 200 MB/s = 800 MB/s floor, plus the GbE client link cap of
-  // ~118 MB/s, which dominates).
+  // A burst of twice the write-behind cap cannot be absorbed instantly:
+  // the writer must stall on write-behind, so completion time reflects
+  // NSD throughput (4 devices x 200 MB/s = 800 MB/s floor, plus the GbE
+  // client link cap of ~118 MB/s, which dominates).
+  // Timed at the write's own completion: draining the simulator also
+  // waits out write-behind, stalled or not.
+  const Bytes burst = 2 * Client::kMaxDirty;
   const double t0 = mc.sim.now();
-  auto w = mc.write(c, *fh, 0, 64 * MiB);
-  ASSERT_TRUE(w.ok());
-  const double elapsed = mc.sim.now() - t0;
-  EXPECT_GT(elapsed, 0.3);  // >= (64-8) MiB at GbE speed
+  std::optional<Result<Bytes>> w;
+  double accepted_at = 0;
+  c->write(*fh, 0, burst, [&](Result<Bytes> r) {
+    w = std::move(r);
+    accepted_at = mc.sim.now();
+  });
+  mc.sim.run();
+  ASSERT_TRUE(w.has_value() && w->ok());
+  // >= (burst - cap) at the GbE line rate, 125 MB/s
+  EXPECT_GT(accepted_at - t0,
+            static_cast<double>(burst - Client::kMaxDirty) / 125e6);
 }
 
 TEST(GpfsClient, NsdFailoverToBackupServer) {
@@ -640,9 +648,9 @@ TEST(GpfsClient, UnmountReleasesTokens) {
   auto fh = mc.open(c, "/f", kAlice, OpenFlags::create_rw());
   ASSERT_TRUE(mc.write(c, *fh, 0, 1 * MiB).ok());
   ASSERT_TRUE(mc.fsync(c, *fh).ok());
-  EXPECT_GT(mc.fs->tokens().total_holdings(), 0u);
+  EXPECT_GT(mc.fs->shard_tokens(0).total_holdings(), 0u);
   mc.cluster->unmount(c);
-  EXPECT_EQ(mc.fs->tokens().total_holdings(), 0u);
+  EXPECT_EQ(mc.fs->shard_tokens(0).total_holdings(), 0u);
   EXPECT_FALSE(c->mounted());
 }
 

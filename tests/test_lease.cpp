@@ -280,7 +280,7 @@ TEST(LeaseIntegration, CrashedWriterExpelAndRecovery) {
   // Write-behind without fsync: the allocate-ahead journal records stay
   // uncommitted, and the victim holds rw tokens over the range.
   ASSERT_TRUE(mc.write(victim, *vfh, 0, 4 * MiB).ok());
-  EXPECT_GT(mc.fs->journal().uncommitted_count(victim->id()), 0u);
+  EXPECT_GT(mc.fs->shard_journal(0).uncommitted_count(victim->id()), 0u);
   const std::uint64_t old_epoch = victim->lease_epoch();
   EXPECT_GT(old_epoch, 0u);
 
@@ -406,7 +406,7 @@ TEST(LeaseIntegration, ChurnedNodeReregistersAsNewIncarnation) {
   auto fh = mc.open(c, "/f", kAlice, OpenFlags::create_rw());
   ASSERT_TRUE(fh.ok());
   ASSERT_TRUE(mc.write(c, *fh, 0, 3 * MiB).ok());
-  EXPECT_GT(mc.fs->journal().uncommitted_count(c->id()), 0u);
+  EXPECT_GT(mc.fs->shard_journal(0).uncommitted_count(c->id()), 0u);
   const std::uint64_t old_epoch = c->lease_epoch();
 
   fault::FaultInjector inject(mc.net, Rng(9));
@@ -419,7 +419,7 @@ TEST(LeaseIntegration, ChurnedNodeReregistersAsNewIncarnation) {
   EXPECT_GE(mc.fs->expels(), 1u);
   EXPECT_GE(mc.fs->journal_records_replayed(), 1u);
   EXPECT_GT(c->lease_epoch(), old_epoch);
-  EXPECT_EQ(mc.fs->journal().uncommitted_count(c->id()), 0u);
+  EXPECT_EQ(mc.fs->shard_journal(0).uncommitted_count(c->id()), 0u);
   EXPECT_EQ(mc.cluster->mounted_clients(), 1u);
   EXPECT_TRUE(mc.fs->fsck().clean());
 
@@ -478,7 +478,7 @@ TEST(LeaseIntegration, ExpelReleasesAllHoldings) {
   ASSERT_TRUE(mc.write(victim, *vfh2, 0, 1 * MiB).ok());
   ASSERT_TRUE(mc.fsync(victim, *vfh).ok());
   ASSERT_TRUE(mc.fsync(victim, *vfh2).ok());
-  EXPECT_GT(mc.fs->tokens().total_holdings(), 0u);
+  EXPECT_GT(mc.fs->shard_tokens(0).total_holdings(), 0u);
 
   mc.fs->expel_client(victim->id(), "test");
   mc.sim.run();
@@ -542,8 +542,8 @@ TEST(LeaseIntegration, ManagerCrashElectsSuccessorAndRebuildsTokens) {
   EXPECT_TRUE(aw->ok()) << (aw->ok() ? "" : aw->error().to_string());
   EXPECT_EQ(inject.manager_crashes(), 1u);
   EXPECT_EQ(mc.fs->manager_takeovers(), 1u);
-  EXPECT_EQ(mc.fs->manager_node(), mc.site.hosts[0]);  // lowest live id
-  EXPECT_EQ(mc.fs->manager_epoch(), 2u);
+  EXPECT_EQ(mc.fs->manager_node(0), mc.site.hosts[0]);  // lowest live id
+  EXPECT_EQ(mc.fs->manager_epoch(0), 2u);
   EXPECT_GE(mc.fs->assertions_rebuilt(), 2u);  // both clients reasserted
   EXPECT_EQ(mc.fs->expels(), 0u);  // every member answered the rebuild
   const ClusterConfig cfg = short_lease_cfg();
@@ -591,7 +591,7 @@ TEST(LeaseIntegration, ManagerCrashDuringExpelStillExpelsAndFences) {
   std::optional<Result<Bytes>> vw;
   victim->write(*vfh, 0, 4 * MiB, [&](Result<Bytes> r) { vw = std::move(r); });
   mc.sim.run_until(mc.sim.now() + 0.015);
-  EXPECT_GT(mc.fs->journal().uncommitted_count(victim->id()), 0u);
+  EXPECT_GT(mc.fs->shard_journal(0).uncommitted_count(victim->id()), 0u);
   fault::FaultInjector inject(mc.net, Rng(23));
   inject.watch_pool(mc.cluster->connection_pool());
   inject.watch_cluster(*mc.cluster);
@@ -620,7 +620,7 @@ TEST(LeaseIntegration, ManagerCrashDuringExpelStillExpelsAndFences) {
   EXPECT_EQ(mc.fs->manager_takeovers(), 1u);
   EXPECT_GE(mc.fs->expels(), 1u);  // the mute victim, via the sweep
   EXPECT_GE(mc.fs->journal_records_replayed(), 1u);
-  EXPECT_EQ(mc.fs->journal().uncommitted_count(victim->id()), 0u);
+  EXPECT_EQ(mc.fs->shard_journal(0).uncommitted_count(victim->id()), 0u);
   // The healed victim's flush carried manager epoch 1 against a
   // filesystem now at epoch 2: fenced as stale-manager traffic.
   EXPECT_GE(mc.fs->stale_manager_fenced(), 1u);
@@ -655,7 +655,7 @@ TEST(LeaseIntegration, TakeoverExpelsDeadHolderDuringRebuild) {
   auto sfh = mc.open(survivor, "/f", kAlice, OpenFlags::rw());
   ASSERT_TRUE(sfh.ok());
   ASSERT_TRUE(mc.write(victim, *vfh, 0, 4 * MiB).ok());
-  EXPECT_GT(mc.fs->journal().uncommitted_count(victim->id()), 0u);
+  EXPECT_GT(mc.fs->shard_journal(0).uncommitted_count(victim->id()), 0u);
 
   fault::FaultInjector inject(mc.net, Rng(29));
   inject.watch_pool(mc.cluster->connection_pool());
@@ -676,7 +676,7 @@ TEST(LeaseIntegration, TakeoverExpelsDeadHolderDuringRebuild) {
   EXPECT_EQ(mc.fs->manager_takeovers(), 1u);
   EXPECT_GE(mc.fs->expels(), 1u);
   EXPECT_GE(mc.fs->journal_records_replayed(), 1u);
-  EXPECT_EQ(mc.fs->journal().uncommitted_count(victim->id()), 0u);
+  EXPECT_EQ(mc.fs->shard_journal(0).uncommitted_count(victim->id()), 0u);
   EXPECT_TRUE(mc.fs->fsck().clean());
 }
 
@@ -760,13 +760,13 @@ TEST(LeaseIntegration, DeposedManagerGrantsAndRevokesAreFenced) {
   ASSERT_TRUE(mc.write(a, *afh, 0, 1 * MiB).ok());
   ASSERT_TRUE(mc.fsync(a, *afh).ok());
   const InodeNum ino = mc.fs->ns().stat("/f")->ino;
-  const std::uint64_t old_epoch = mc.fs->manager_epoch();
+  const std::uint64_t old_epoch = mc.fs->manager_epoch(0);
   ASSERT_EQ(old_epoch, 1u);
 
   // Depose the manager, then resurrect the node after the takeover.
   mc.net.set_node_up(mc.site.hosts[1], false);
   ASSERT_TRUE(mc.stat(a, "/f").ok());  // drives election + rebuild
-  ASSERT_EQ(mc.fs->manager_epoch(), old_epoch + 1);
+  ASSERT_EQ(mc.fs->manager_epoch(0), old_epoch + 1);
   mc.net.set_node_up(mc.site.hosts[1], true);
 
   // The resurrected incarnation's grant is rejected...
@@ -781,7 +781,7 @@ TEST(LeaseIntegration, DeposedManagerGrantsAndRevokesAreFenced) {
   EXPECT_GE(a->stale_mgr_rejects(), 2u);
   // Current-epoch traffic is honoured.
   EXPECT_TRUE(a->deliver_manager_grant(ino, TokenRange{0, 1 * MiB},
-                                       LockMode::rw, mc.fs->manager_epoch()));
+                                       LockMode::rw, mc.fs->manager_epoch(0)));
   const std::string am = a->mmpmon();
   EXPECT_NE(am.find("_smg_"), std::string::npos);
 }

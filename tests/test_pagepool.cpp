@@ -95,13 +95,18 @@ TEST(PagePool, InvalidateFixesDirtyCount) {
 }
 
 TEST(PagePool, HitMissCounters) {
-  PagePool p(4 * MiB, 1 * MiB);
-  p.note_lookup(false);
+  PagePool p(2 * MiB, 1 * MiB);
+  EXPECT_FALSE(p.lookup({1, 0}));
   p.insert_clean({1, 0});
-  p.note_lookup(true);
-  p.note_lookup(true);
+  p.insert_clean({1, 1});
+  EXPECT_TRUE(p.lookup({1, 0}));
+  EXPECT_TRUE(p.lookup({1, 0}));
   EXPECT_EQ(p.misses(), 1u);
   EXPECT_EQ(p.hits(), 2u);
+  // A hit is touched: the next insert evicts the other page.
+  p.insert_clean({1, 2});
+  EXPECT_TRUE(p.contains({1, 0}));
+  EXPECT_FALSE(p.contains({1, 1}));
 }
 
 TEST(PagePool, InsertExistingTouches) {

@@ -234,7 +234,7 @@ TEST(ShardFailover, TakeoverForgetsReaderBlockMap) {
   ASSERT_FALSE(mc.fs->recovering());
   ASSERT_EQ(r->lease_lapses(), 0u);
   const InodeNum ino = *mc.fs->ns().resolve(path);
-  for (const Holding& h : mc.fs->tokens().holdings(ino)) {
+  for (const Holding& h : mc.fs->shard_tokens(0).holdings(ino)) {
     EXPECT_NE(h.client, r->id()) << "the takeover kept a clean token";
   }
 

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -68,6 +69,7 @@ class ByteSet {
   }
   void clear() { iv_.clear(); }
   bool empty() const { return iv_.empty(); }
+  friend bool operator==(const ByteSet&, const ByteSet&) = default;
 
  private:
   std::map<Bytes, Bytes> iv_;
@@ -276,6 +278,144 @@ TEST(TokenProperty, RandomOpsAgreeWithByteSetOracle) {
       }
     }
   }
+}
+
+// HeldTokens, one client's token cache, against the same byte-set
+// oracle: its rights are what it recorded minus what it trimmed, rw
+// holdings stay maximal (an rw probe hits iff the rw bytes cover it),
+// blocks() lists exactly the blocks the holdings cover whole, and the
+// takeover clamp keeps exactly the rw bytes inside each dirty span and
+// reports the rest as dropped.
+TEST(TokenProperty, HeldTokensAgreeWithByteSetOracle) {
+  constexpr Bytes kBs = 8;
+  constexpr std::uint64_t kBlocks = 24;
+  const std::vector<InodeNum> inos = {1, 2, 3, 4};
+  for (std::uint64_t seed : {1u, 7u, 42u, 1337u}) {
+    HeldTokens held;
+    std::map<InodeNum, OracleClient> oracle;
+    Rng rng(seed);
+    auto rand_range = [&] {
+      const Bytes lo = rng.below(kBlocks * kBs);
+      const Bytes hi =
+          rng.chance(0.05) ? kWholeFile : lo + 1 + rng.below(6 * kBs);
+      return TokenRange{lo, hi};
+    };
+    auto any = [&](InodeNum ino) {
+      ByteSet s = oracle[ino].ro;
+      s.add_all(oracle[ino].rw);
+      return s;
+    };
+
+    for (int op = 0; op < 1500; ++op) {
+      const InodeNum ino = inos[rng.below(inos.size())];
+      const auto kind = static_cast<int>(rng.below(20));
+      if (kind < 10) {
+        const LockMode mode = rng.chance(0.5) ? LockMode::rw : LockMode::ro;
+        const TokenRange r = rand_range();
+        held.record(ino, r, mode, rng.chance(0.5));
+        (mode == LockMode::rw ? oracle[ino].rw : oracle[ino].ro)
+            .add(r.lo, r.hi);
+      } else if (kind < 17) {
+        const TokenRange r = rand_range();
+        held.trim(ino, r);
+        oracle[ino].ro.sub(r.lo, r.hi);
+        oracle[ino].rw.sub(r.lo, r.hi);
+      } else if (kind < 19) {
+        // Takeover of the odd or the even inodes; some have no dirty span.
+        const InodeNum parity = rng.below(2);
+        std::unordered_map<InodeNum, TokenRange> spans;
+        for (InodeNum i : inos) {
+          if (i % 2 == parity && rng.chance(0.7)) spans[i] = rand_range();
+        }
+        std::map<InodeNum, ByteSet> before;
+        for (InodeNum i : inos) before[i] = any(i);
+        const HeldTokens::Clamp c = held.clamp(
+            [parity](InodeNum i) { return i % 2 == parity; }, spans);
+        std::map<InodeNum, ByteSet> kept;
+        std::map<InodeNum, ByteSet> dropped;
+        for (const TokenAssertion& a : c.kept) {
+          ASSERT_EQ(a.mode, LockMode::rw);
+          ASSERT_FALSE(kept[a.ino].overlaps(a.range.lo, a.range.hi));
+          kept[a.ino].add(a.range.lo, a.range.hi);
+        }
+        for (const auto& [i, r] : c.dropped) {
+          ASSERT_FALSE(kept[i].overlaps(r.lo, r.hi)) << "dropped kept bytes";
+          dropped[i].add(r.lo, r.hi);
+        }
+        for (InodeNum i : inos) {
+          if (i % 2 != parity) {
+            ASSERT_TRUE(kept[i].empty() && dropped[i].empty());
+            continue;
+          }
+          ByteSet want;
+          if (auto sp = spans.find(i); sp != spans.end()) {
+            want = oracle[i].rw;
+            want.sub(0, sp->second.lo);
+            want.sub(sp->second.hi, kWholeFile);
+          }
+          ASSERT_EQ(kept[i], want) << "seed " << seed << " op " << op;
+          ByteSet all = kept[i];
+          all.add_all(dropped[i]);
+          ASSERT_EQ(all, before[i]) << "clamp lost bytes, seed " << seed;
+          oracle[i].ro.clear();
+          oracle[i].rw = want;
+        }
+      } else {
+        held.clear();
+        oracle.clear();
+      }
+
+      for (InodeNum i : inos) {
+        const ByteSet all = any(i);
+        for (int k = 0; k < 6; ++k) {
+          const TokenRange q = rand_range();
+          const HeldTokens::Held* rw = held.covers(i, q, LockMode::rw);
+          ASSERT_EQ(rw != nullptr, oracle[i].rw.covers(q.lo, q.hi))
+              << "covers(rw), seed " << seed << " op " << op;
+          if (rw != nullptr) {
+            ASSERT_EQ(rw->mode, LockMode::rw);
+            ASSERT_TRUE(rw->range.contains(q));
+          }
+          const HeldTokens::Held* ro = held.covers(i, q, LockMode::ro);
+          if (ro != nullptr) {
+            ASSERT_TRUE(ro->range.contains(q));
+            ASSERT_TRUE(all.covers(q.lo, q.hi)) << "covers(ro) unsound";
+          }
+          if (rw != nullptr) {
+            ASSERT_NE(ro, nullptr) << "ro probe refused an rw holding";
+          }
+        }
+        const std::vector<BlockRange> bl = held.blocks(i, kBs);
+        for (std::size_t k = 1; k < bl.size(); ++k) {
+          ASSERT_LT(bl[k - 1].hi, bl[k].lo) << "blocks not sorted, disjoint";
+        }
+        for (std::uint64_t b = 0; b < kBlocks + 8; ++b) {
+          const bool listed =
+              std::any_of(bl.begin(), bl.end(), [b](const BlockRange& r) {
+                return r.lo <= b && b < r.hi;
+              });
+          ASSERT_EQ(listed, all.covers(b * kBs, (b + 1) * kBs))
+              << "blocks(), seed " << seed << " op " << op << " block " << b;
+        }
+      }
+    }
+  }
+}
+
+// The first holding that covers a probe is the one covers() reports:
+// Client counts a batched-grant hit by its `widened` flag.
+TEST(TokenProperty, HeldTokensFirstCoveringHoldingDecides) {
+  HeldTokens held;
+  held.record(5, {0, 100}, LockMode::rw, /*widened=*/false);
+  held.record(5, {50, 150}, LockMode::ro, /*widened=*/true);
+  const HeldTokens::Held* h = held.covers(5, {60, 70}, LockMode::ro);
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->mode, LockMode::rw);
+  EXPECT_FALSE(h->widened);
+  h = held.covers(5, {120, 130}, LockMode::ro);
+  ASSERT_NE(h, nullptr);
+  EXPECT_TRUE(h->widened);
+  EXPECT_EQ(held.covers(5, {120, 130}, LockMode::rw), nullptr);
 }
 
 }  // namespace
