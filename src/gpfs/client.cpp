@@ -1,7 +1,6 @@
 #include "gpfs/client.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "common/fanin.hpp"
 #include "common/log.hpp"
@@ -12,12 +11,8 @@ namespace {
 constexpr Bytes kPagepool = 256 * MiB;
 /// Speculative (readahead) fill bytes in flight.
 constexpr Bytes kMaxInflightFill = 48 * MiB;
-/// Most blocks one coalesced NSD request carries.
-constexpr std::size_t kCoalesceBlocks = 8;
 /// Token and allocation batch, in blocks, on a confirmed write streak.
 constexpr std::uint64_t kWriteBatchBlocks = 64;
-/// Concurrent write-behind I/Os.
-constexpr std::size_t kFlushParallel = 32;
 /// Block-map entries per chunk fetch.
 constexpr std::uint64_t kMapChunk = 64;
 /// Request payload of a namespace or map RPC to the manager.
@@ -35,10 +30,6 @@ constexpr Bytes kDataHeader = 64;
 
 /// Per-extent descriptor cost in a vectored NSD request header.
 constexpr Bytes kExtentDesc = 16;
-
-/// How deep into the dirty FIFO the flusher looks for same-NSD blocks
-/// to coalesce with the one it just popped.
-constexpr std::size_t kFlushScan = 256;
 
 }  // namespace
 
@@ -65,7 +56,7 @@ void Client::meta_call(std::uint32_t shard, Bytes req_payload,
   MGFS_ASSERT(mounted(), "metadata RPC without a mount");
   if (started_at < 0) started_at = simulator().now();
   saw_recovery = saw_recovery || fs_->recovering();
-  const net::NodeId target = mgr_[shard].node;
+  const net::NodeId target = session_.manager(shard);
   FileSystem* fs = fs_;
   rpc_.call<R>(
       node_, target, req_payload,
@@ -86,6 +77,7 @@ void Client::meta_call(std::uint32_t shard, Bytes req_payload,
           if (saw_recovery) {
             recovery_op_hist_.add(simulator().now() - started_at);
           }
+          if (res.code() == Errc::stale) on_lease_lapsed();
           done(std::move(res));
           return;
         }
@@ -100,9 +92,8 @@ void Client::meta_call(std::uint32_t shard, Bytes req_payload,
         // timeout against the deposed manager is stale evidence, not an
         // accusation against its successor).
         const bool was_recovering = mounted() && fs_->shard_recovering(shard);
-        if (manager_watch_ && !was_recovering &&
-            fs_->manager_node(shard) == target) {
-          manager_watch_(shard);
+        if (!was_recovering && fs_->manager_node(shard) == target) {
+          session_.accuse(shard);
         }
         ++rpc_retries_;
         // While a takeover rebuild is in flight the failure is the gate,
@@ -129,7 +120,7 @@ void Client::meta_call(std::uint32_t shard, Bytes req_payload,
               // flight) resets the attempt budget — the new target has
               // not failed us yet, and a redrive against a recovering
               // manager must outlast the rebuild, not a 4-attempt burst.
-              const net::NodeId fresh = refresh_manager_view(shard, target);
+              const net::NodeId fresh = session_.refresh(shard, target, *fs_);
               const int next_attempt =
                   (fs_->recovering() || !(fresh == target)) ? 0 : attempt + 1;
               meta_call<R>(shard, req_payload, std::move(server),
@@ -164,17 +155,9 @@ void Client::bind(FileSystem* fs, AccessMode access, double cipher_s_per_byte,
   access_ = access;
   cipher_ = cipher_s_per_byte;
   servers_ = std::move(servers);
-  seed_manager_views();
+  session_.seed(*fs);
   // The pagepool caches whole file-system blocks.
   pool_ = PagePool(kPagepool, fs->block_size());
-}
-
-void Client::seed_manager_views() {
-  mgr_.clear();
-  mgr_.reserve(fs_->shard_count());
-  for (std::uint32_t s = 0; s < fs_->shard_count(); ++s) {
-    mgr_.push_back(MgrView{fs_->manager_node(s), fs_->manager_epoch(s)});
-  }
 }
 
 void Client::unbind() {
@@ -183,11 +166,9 @@ void Client::unbind() {
   open_.clear();
   held_.clear();
   block_map_.clear();
-  dirty_fifo_.clear();
-  dirty_addr_.clear();
-  anchor_fails_.clear();
+  wb_.clear();
   alloc_ahead_hi_.clear();
-  uncommitted_.clear();
+  marks_.clear();
 }
 
 Client::OpenFile* Client::file(Fh fh) {
@@ -227,9 +208,6 @@ void Client::ensure_token(InodeNum ino, TokenRange required,
       [this, ino, required, mode,
        done = std::move(done)](Result<TokenRange> res) {
         if (!res.ok()) {
-          // stale = the manager expelled us; start lease recovery so
-          // the caller's retry finds a fresh epoch.
-          if (res.code() == Errc::stale) on_lease_lapsed();
           done(res.error());
           return;
         }
@@ -425,7 +403,7 @@ void Client::nsd_run_attempt(NsdRun run, bool write,
         continue;
       }
       gate_shards.push_back(s);
-      gates.emplace_back(f.key.ino, mgr_[s].epoch);
+      gates.emplace_back(f.key.ino, session_.manager_epoch(s));
     }
   }
 
@@ -494,7 +472,7 @@ void Client::nsd_run_attempt(NsdRun run, bool write,
 
   breaker_.consume_probe(target, simulator().now());
   const ClientId me = id_;
-  const std::uint64_t epoch = lease_epoch_;
+  const std::uint64_t epoch = session_.lease_epoch();
   rpc_.call<int>(
       node_, target, req,
       [servers, target, dev, extents = std::move(extents), write, total,
@@ -744,7 +722,6 @@ void Client::open(const std::string& path, const Principal& who,
       },
       [this, who, flags, done = std::move(done)](Result<OpenResult> res) {
         if (!res.ok()) {
-          if (res.code() == Errc::stale) on_lease_lapsed();
           done(res.error());
           return;
         }
@@ -946,9 +923,7 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
   const Bytes new_size = std::max(f->size, offset + len);
   // Marked before any token/allocate work, so a write that later fails
   // still makes the next fsync commit (the conservative side).
-  Uncommitted& mark = uncommitted_[ino];
-  mark.seq = ++write_seq_;
-  mark.end = std::max(mark.end, offset + len);
+  marks_.mark(ino, offset + len);
 
   // Streaming-write detection: once the sequential pattern is confirmed
   // (two hits), batch the token grant and block allocation over the
@@ -1010,19 +985,13 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
               return;
             }
             for (std::uint64_t bi = b0; bi <= b1; ++bi) {
-              const PageKey key{ino, bi};
-              const bool was_dirty = pool_.is_dirty(key);
-              if (!pool_.insert_dirty(key)) {
+              const std::optional<BlockPlacement> e = map_entry(ino, bi);
+              MGFS_ASSERT(e.has_value() && e->copies > 0,
+                          "dirty page without placement");
+              if (!wb_.enqueue(PageKey{ino, bi}, *e)) {
                 done(err(Errc::io_error,
                          "pagepool pinned solid with dirty pages"));
                 return;
-              }
-              if (!was_dirty) {
-                const std::optional<BlockPlacement> e = map_entry(ino, bi);
-                MGFS_ASSERT(e.has_value() && e->copies > 0,
-                            "dirty page without placement");
-                dirty_fifo_.push_back(key);
-                dirty_addr_[key] = *e;
               }
             }
             // Commits can land out of order: an allocate-ahead-covered
@@ -1038,8 +1007,7 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
             } else {
               // Write-behind cap reached: stall the writer until flushes
               // bring the dirty total back under the cap.
-              stalled_writers_.push_back(
-                  [len, done = std::move(done)] { done(len); });
+              wb_.stall([len, done = std::move(done)] { done(len); });
             }
           };
           if (rmw.empty()) {
@@ -1069,7 +1037,6 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
             [this, ino, b0, count, batch, proceed = std::move(proceed)](
                 Result<BlockMapChunk> res) mutable {
               if (!res.ok()) {
-                if (res.code() == Errc::stale) on_lease_lapsed();
                 proceed(res.error());
                 return;
               }
@@ -1084,72 +1051,27 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
 }
 
 void Client::pump_flush() {
-  while (flights_ < kFlushParallel && !dirty_fifo_.empty()) {
-    const PageKey key = dirty_fifo_.front();
-    dirty_fifo_.pop_front();
-    if (!pool_.is_dirty(key)) continue;  // cleaned or invalidated already
-    auto ait = dirty_addr_.find(key);
-    MGFS_ASSERT(ait != dirty_addr_.end(), "dirty page without address");
-    const BlockPlacement pl = ait->second;
-    const std::uint8_t ac = flush_anchor(pl);
-    const BlockAddr addr = pl.addr[ac];
-
-    // Coalesce: pull other dirty blocks bound for the same NSD out of
-    // the FIFO head so the whole run goes out as one wire request.
-    // Replicated blocks coalesce on their *anchor* copy; propagation to
-    // the other copies fans out per block after the anchor run lands.
-    std::vector<BlockFetch> items{BlockFetch{key, addr, false, ac, 0}};
-    std::size_t scanned = 0;
-    for (auto it = dirty_fifo_.begin();
-         it != dirty_fifo_.end() && scanned < kFlushScan &&
-         items.size() < kCoalesceBlocks;) {
-      ++scanned;
-      const PageKey k = *it;
-      if (!pool_.is_dirty(k)) {
-        it = dirty_fifo_.erase(it);
-        continue;
-      }
-      auto a2 = dirty_addr_.find(k);
-      MGFS_ASSERT(a2 != dirty_addr_.end(), "dirty page without address");
-      const std::uint8_t ac2 = flush_anchor(a2->second);
-      if (a2->second.addr[ac2].nsd == addr.nsd) {
-        items.push_back(BlockFetch{k, a2->second.addr[ac2], false, ac2, 0});
-        it = dirty_fifo_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    auto runs = build_nsd_runs(std::move(items), kCoalesceBlocks);
-    MGFS_ASSERT(runs.size() == 1, "flush coalescing spans one NSD");
-    NsdRun run = std::move(runs.front());
-    if (run.items.size() > 1) {
-      coal_blocks_ += run.items.size();
+  while (std::optional<NsdRun> run = wb_.next_run()) {
+    if (run->items.size() > 1) {
+      coal_blocks_ += run->items.size();
       ++coal_requests_;
     }
-    ++flights_;
-    for (const BlockFetch& f : run.items) ++inflight_per_ino_[f.key.ino];
     // One flight covers the whole run; it frees up when every item has
     // reached a terminal sub-run (splits re-issue under the same done).
-    auto remaining = std::make_shared<std::size_t>(run.items.size());
-    nsd_io_run(std::move(run), true, 0,
+    auto remaining = std::make_shared<std::size_t>(run->items.size());
+    nsd_io_run(std::move(*run), true, 0,
                [this, remaining](const NsdRun& r, const Status& st) {
       bool lapsed = false;
       for (const BlockFetch& f : r.items) {
         const PageKey k = f.key;
         if (st.ok()) {
           bytes_written_remote_ += pool_.page_size();
-          // Write-through: the page only goes clean (and the per-inode
-          // inflight count only drops) once every clean replica copy has
-          // the data too — fsync must cover propagation.
           finish_block_flush(k, f.copy);
         } else if (st.code() == Errc::stale) {
           // Fenced: our lease epoch is dead, this page can never land.
           // Uncommitted write-behind data of a lapsed incarnation is
           // lost by design — drop it and enter lease recovery.
-          release_inflight(k.ino);
-          pool_.invalidate(k.ino, k.block, k.block + 1);
-          dirty_addr_.erase(k);
-          anchor_fails_.erase(k);
+          wb_.drop(k);
           lapsed = true;
         } else {
           // Transient failure (e.g. both servers down): requeue after a
@@ -1159,81 +1081,45 @@ void Client::pump_flush() {
           // copy exists, divorce the anchor (mark it divergent) so the
           // requeued flush re-anchors on a reachable replica — this is
           // what lets writes keep landing through a site outage.
-          release_inflight(k.ino);
-          const int fails = ++anchor_fails_[k];
-          auto ait2 = dirty_addr_.find(k);
-          if (fails >= 3 && ait2 != dirty_addr_.end() &&
-              ait2->second.clean_copies() > 1 &&
-              !ait2->second.is_divergent(f.copy)) {
-            anchor_fails_.erase(k);
+          if (wb_.anchor_failed(k, f.copy)) {
             ++replica_failovers_;
             mark_divergent(k, f.copy, [] {});
           }
           simulator().after(kFlushRetryDelay, [this, k] {
-            if (!mounted() || !pool_.is_dirty(k)) {
-              dirty_addr_.erase(k);
-              return;
-            }
-            dirty_fifo_.push_back(k);
-            pump_flush();
+            if (mounted() && wb_.requeue(k)) pump_flush();
           });
         }
       }
       if (lapsed) on_lease_lapsed();
-      unstall_writers();
-      check_flush_waiters();
+      wb_.settle();
       *remaining -= r.items.size();
       if (*remaining == 0) {
-        --flights_;
+        wb_.end_flight();
         pump_flush();
       }
     });
   }
 }
 
-std::uint8_t Client::flush_anchor(const BlockPlacement& p) {
-  // Prefer the primary copy; if it has been marked divergent (its NSD
-  // was unreachable), anchor on the first clean replica instead.
-  if (!p.is_divergent(0)) return 0;
-  for (std::uint8_t c = 1; c < p.copies; ++c) {
-    if (!p.is_divergent(c)) return c;
-  }
-  return 0;  // no clean copy recorded locally: fall back to primary
-}
-
 void Client::finish_block_flush(const PageKey& k, std::uint8_t anchor) {
-  auto ait = dirty_addr_.find(k);
-  if (ait == dirty_addr_.end()) {
-    // Invalidated while the anchor write was in flight.
-    release_inflight(k.ino);
-    unstall_writers();
-    check_flush_waiters();
-    return;
-  }
-  const BlockPlacement pl = ait->second;
+  // No placement: invalidated while the anchor write was in flight.
+  const BlockPlacement* p = wb_.placement(k);
+  const BlockPlacement pl = p != nullptr ? *p : BlockPlacement{};
   std::vector<std::uint8_t> targets;
   for (std::uint8_t c = 0; c < pl.copies; ++c) {
     if (c != anchor && !pl.is_divergent(c)) targets.push_back(c);
   }
+  auto landed = [this, k] {
+    if (wb_.landed(k)) pump_flush();
+  };
   if (targets.empty()) {
-    complete_block_flush(k);
+    landed();
     return;
   }
-  // Propagate to every other clean copy; the page goes clean only when
-  // all copies have landed (or been marked divergent on failure).
-  FanIn fan(targets.size(), [this, k] { complete_block_flush(k); });
+  FanIn fan(targets.size(), std::move(landed));
   for (const std::uint8_t c : targets) {
     write_replica_copy(k, pl.addr[c], c, fan);
   }
-}
-
-void Client::complete_block_flush(const PageKey& k) {
-  pool_.mark_clean(k);
-  dirty_addr_.erase(k);
-  anchor_fails_.erase(k);
-  release_inflight(k.ino);
-  unstall_writers();
-  check_flush_waiters();
 }
 
 void Client::write_replica_copy(const PageKey& k, BlockAddr addr,
@@ -1278,53 +1164,20 @@ void Client::mark_divergent(const PageKey& k, std::uint8_t copy,
           if (auto it = block_map_.find(k.ino); it != block_map_.end()) {
             it->second.mark_divergent(k.block, copy);
           }
-          if (auto it = dirty_addr_.find(k); it != dirty_addr_.end()) {
-            it->second.divergent |= static_cast<std::uint8_t>(1u << copy);
+          if (BlockPlacement* p = wb_.placement(k)) {
+            p->divergent |= static_cast<std::uint8_t>(1u << copy);
           }
         }
         done();
       });
 }
 
-void Client::release_inflight(InodeNum ino) {
-  auto it = inflight_per_ino_.find(ino);
-  if (it != inflight_per_ino_.end() && --it->second == 0) {
-    inflight_per_ino_.erase(it);
-  }
-}
-
-void Client::check_flush_waiters() {
-  // fsync()/revoke waiters whose inode fully flushed (or whose dirty
-  // pages were discarded by lease recovery)?
-  for (auto wit = flush_waiters_.begin(); wit != flush_waiters_.end();) {
-    const InodeNum ino = wit->first;
-    const bool busy = inflight_per_ino_.count(ino) > 0 ||
-                      !pool_.dirty_pages(ino).empty();
-    if (!busy) {
-      auto cb = std::move(wit->second);
-      wit = flush_waiters_.erase(wit);
-      cb();
-    } else {
-      ++wit;
-    }
-  }
-}
-
-void Client::unstall_writers() {
-  if (pool_.dirty_bytes() > kMaxDirty) return;
-  auto stalled = std::move(stalled_writers_);
-  stalled_writers_.clear();
-  for (auto& cb : stalled) cb();
-}
-
 void Client::flush_inode(InodeNum ino, sim::Callback done) {
-  const bool busy =
-      inflight_per_ino_.count(ino) > 0 || !pool_.dirty_pages(ino).empty();
-  if (!busy) {
+  if (!wb_.busy(ino)) {
     done();
     return;
   }
-  flush_waiters_.emplace_back(ino, std::move(done));
+  wb_.wait(ino, std::move(done));
   pump_flush();
 }
 
@@ -1338,9 +1191,7 @@ void Client::fsync(Fh fh, std::function<void(Status)> done) {
   const Bytes size = f->size;
   // Stamp of the newest write this fsync covers; 0 = nothing written
   // since the last commit.
-  const auto mark = uncommitted_.find(ino);
-  const std::uint64_t seq =
-      mark == uncommitted_.end() ? 0 : mark->second.seq;
+  const std::uint64_t seq = marks_.pending(ino);
   flush_inode(ino, [this, ino, size, seq, done = std::move(done)]() mutable {
     if (!mounted()) {
       done(Status{});
@@ -1358,28 +1209,14 @@ void Client::fsync(Fh fh, std::function<void(Status)> done) {
         fs->shard_of(ino), 64, 64,
         [fs, ino, size, me] { return fs->op_extend_size(ino, size, me); },
         [this, ino, size, seq, done = std::move(done)](Status st) {
-          if (st.ok()) {
-            // Committed, unless a write began after this fsync did or
-            // wrote past `size`.
-            auto w = uncommitted_.find(ino);
-            if (w != uncommitted_.end() && w->second.seq == seq &&
-                w->second.end <= size) {
-              uncommitted_.erase(w);
-            }
-          } else if (st.code() == Errc::stale) {
-            on_lease_lapsed();
-          }
+          if (st.ok()) marks_.settle(ino, seq, size);
           done(st);
         });
   });
 }
 
 void Client::flush_all(sim::Callback done) {
-  // Inodes with dirty pages, and those whose pages are already in
-  // flight but no longer dirty in the pool.
-  std::set<InodeNum> inodes;
-  for (const PageKey& k : pool_.all_dirty()) inodes.insert(k.ino);
-  for (const auto& [ino, n] : inflight_per_ino_) inodes.insert(ino);
+  const std::set<InodeNum> inodes = wb_.busy_inodes();
   if (inodes.empty()) {
     rpc_.pool().network().simulator().defer(std::move(done));
     return;
@@ -1511,12 +1348,12 @@ std::string Client::mmpmon() const {
      << "  _coal_ " << coal_blocks_ << "\n"          // blocks coalesced
      << "  _spl_ " << coal_splits_ << "\n"           // coalesced-run splits
      << "  _mrpc_ " << meta_rpcs_saved_ << "\n"      // metadata RPCs saved
-     << "  _lse_ " << lease_renewals_ << "\n"        // lease renewals
-     << "  _lps_ " << lease_lapses_ << "\n"          // lease lapses
+     << "  _lse_ " << session_.renewals() << "\n"    // lease renewals
+     << "  _lps_ " << session_.lapses() << "\n"      // lease lapses
      << "  _fnc_ " << fenced_writes_ << "\n"         // fenced (stale) writes
-     << "  _mto_ " << mgr_takeovers_ << "\n"         // manager takeovers seen
-     << "  _mrr_ " << mgr_reroutes_ << "\n"          // manager-RPC reroutes
-     << "  _smg_ " << stale_mgr_rejects_ << "\n"     // stale-manager refusals
+     << "  _mto_ " << session_.takeovers() << "\n"   // manager takeovers seen
+     << "  _mrr_ " << session_.reroutes() << "\n"    // manager-RPC reroutes
+     << "  _smg_ " << session_.stale_rejects() << "\n"  // stale-manager refusals
      << "  _rpb_ " << recovery_probes_ << "\n"       // fast recovery probes
      << "  _rp50_ " << recovery_op_hist_.quantile(0.5) << "\n"  // p50 (s)
      << "  _rp99_ " << recovery_op_hist_.quantile(0.99) << "\n";  // p99 (s)
@@ -1527,20 +1364,11 @@ std::string Client::mmpmon() const {
 // disk lease
 // --------------------------------------------------------------------------
 
-void Client::set_lease(std::uint64_t epoch, double duration) {
-  lease_epoch_ = epoch;
-  lease_duration_ = duration;
-  lease_renewed_at_ = simulator().now();
-}
-
 void Client::maybe_renew_lease() {
-  if (!mounted() || lapse_handling_ || lease_renew_inflight_) return;
-  const double now = simulator().now();
-  if (now - lease_renewed_at_ < 0.5 * lease_duration_) return;
-  lease_renew_inflight_ = true;
+  if (!mounted() || !session_.begin_renewal(simulator().now())) return;
   FileSystem* fs = fs_;
   const ClientId me = id_;
-  const std::uint64_t inc = incarnation_;
+  const std::uint64_t inc = session_.incarnation();
   // Shard 0 is the lease home: one renewal RPC covers every shard (the
   // batched heartbeat — a lease asserts node liveness, not per-domain
   // authority).
@@ -1550,27 +1378,12 @@ void Client::maybe_renew_lease() {
         reply(64, fs->op_lease_renew(me));
       },
       [this, inc](Result<std::uint64_t> r) {
-        if (incarnation_ != inc) return;  // superseded by crash/rejoin
-        lease_renew_inflight_ = false;
-        if (!mounted()) return;
-        if (r.ok()) {
-          ++lease_renewals_;
-          lease_renewed_at_ = simulator().now();
-          return;
-        }
-        if (r.code() == Errc::stale) {
-          on_lease_lapsed();
-        }
-        // Transient failure: lease_renewed_at_ stays old, so the next
-        // read/write retries the renewal immediately.
+        session_.end_renewal(inc, r.ok() && mounted(), simulator().now());
       });
 }
 
 void Client::on_lease_lapsed() {
-  if (lapse_handling_) return;
-  lapse_handling_ = true;
-  ++lease_lapses_;
-  ++incarnation_;
+  if (!session_.lapse()) return;
   MGFS_WARN("client", "client " << id_
                                 << ": disk lease lapsed; discarding cached "
                                    "state and rejoining");
@@ -1581,39 +1394,30 @@ void Client::on_lease_lapsed() {
 }
 
 void Client::attempt_rejoin(int attempt) {
-  if (!mounted() || !rejoin_) {
-    lapse_handling_ = false;
+  if (!mounted() || !session_.rejoin()) {
+    session_.abandon_rejoin();
     return;
   }
-  const std::uint64_t inc = incarnation_;
-  rejoin_([this, inc, attempt](Result<std::uint64_t> r) {
-    if (incarnation_ != inc) return;  // a crash_reset superseded us
+  const std::uint64_t inc = session_.incarnation();
+  session_.rejoin()([this, inc, attempt](Result<std::uint64_t> r) {
+    if (session_.incarnation() != inc) return;  // a crash_reset superseded us
     if (!mounted()) {
-      lapse_handling_ = false;
+      session_.abandon_rejoin();
       return;
     }
     if (r.ok()) {
-      lapse_handling_ = false;
-      lease_renew_inflight_ = false;
-      lease_epoch_ = *r;
-      lease_renewed_at_ = simulator().now();
-      // Readmission came from whoever holds the manager roles now:
-      // adopt every shard's current view.
-      for (std::uint32_t s = 0; s < fs_->shard_count(); ++s) {
-        adopt_manager_view(s, fs_->manager_node(s), fs_->manager_epoch(s));
-      }
+      session_.rejoined(*r, simulator().now(), *fs_);
       MGFS_INFO("client", "client " << id_ << ": rejoined under lease epoch "
-                                    << lease_epoch_);
+                                    << session_.lease_epoch());
       pump_flush();
-      unstall_writers();
-      check_flush_waiters();
+      wb_.settle();
       return;
     }
     // Manager unreachable: keep trying under backoff — the client is
     // useless until it rejoins.
     simulator().after(cfg_.retry.backoff(std::min(attempt, 8), rng_),
                       [this, inc, attempt] {
-                        if (incarnation_ != inc) return;
+                        if (session_.incarnation() != inc) return;
                         attempt_rejoin(attempt + 1);
                       });
   });
@@ -1621,9 +1425,7 @@ void Client::attempt_rejoin(int attempt) {
 
 void Client::discard_cached_state(bool reset_breakers) {
   pool_.invalidate_all();
-  dirty_fifo_.clear();
-  dirty_addr_.clear();
-  anchor_fails_.clear();
+  wb_.clear();
   held_.clear();
   block_map_.clear();
   ++map_forgets_;
@@ -1632,21 +1434,11 @@ void Client::discard_cached_state(bool reset_breakers) {
   if (reset_breakers) breaker_.clear();
   // Writers stalled on the dirty cap and fsync/revoke waiters can
   // proceed: the dirty pages they were waiting out no longer exist.
-  unstall_writers();
-  check_flush_waiters();
+  wb_.settle();
 }
 
 void Client::crash_reset() {
-  ++incarnation_;  // orphan every in-flight completion of the old life
-  lapse_handling_ = false;
-  lease_renew_inflight_ = false;
-  lease_epoch_ = 0;  // cluster glue re-registers and sets the new epoch
-  if (fs_ != nullptr) {
-    // Reboot re-reads the cluster configuration: whatever nodes hold
-    // the shard manager roles now are the ones this incarnation talks
-    // to.
-    seed_manager_views();
-  }
+  session_.reboot(fs_);
   // open_ survives deliberately: callers hold Fh handles and in-flight
   // write() continuations hold OpenFile pointers; the handles stay
   // valid while every cached byte below them is discarded.
@@ -1656,19 +1448,19 @@ void Client::crash_reset() {
 bool Client::handle_revoke(InodeNum ino, TokenRange range,
                            std::uint64_t mgr_epoch, sim::Callback done) {
   const std::uint32_t shard = fs_->shard_of(ino);
-  if (mgr_epoch < mgr_[shard].epoch) {
+  if (!session_.admits(shard, mgr_epoch)) {
     // A deposed manager trying to strip a token the successor already
     // re-granted. Refuse without flushing anything — `done` never runs.
-    ++stale_mgr_rejects_;
     MGFS_WARN("client", "client " << id_ << ": revoke under stale manager "
                                   << "epoch " << mgr_epoch << " (have "
-                                  << mgr_[shard].epoch << "); refused");
+                                  << session_.manager_epoch(shard)
+                                  << "); refused");
     return false;
   }
   // A newer-epoch revoke doubles as first contact with the successor:
   // adopt its view before flushing, or the dirty pages this revoke
   // forces out would carry the old manager epoch and be fenced.
-  adopt_manager_view(shard, fs_->manager_node(shard), mgr_epoch);
+  session_.adopt(shard, fs_->manager_node(shard), mgr_epoch);
   flush_inode(ino, [this, ino, range, done = std::move(done)] {
     const Bytes bs = block_size();
     const std::uint64_t lo_blk = range.lo / bs;
@@ -1693,50 +1485,26 @@ bool Client::handle_revoke(InodeNum ino, TokenRange range,
 // manager failover
 // --------------------------------------------------------------------------
 
-void Client::adopt_manager_view(std::uint32_t shard, net::NodeId mgr_node,
-                                std::uint64_t mgr_epoch) {
-  MgrView& v = mgr_[shard];
-  if (mgr_epoch > v.epoch) {
-    v.epoch = mgr_epoch;
-    ++mgr_takeovers_;
-  }
-  v.node = mgr_node;
-}
-
-net::NodeId Client::refresh_manager_view(std::uint32_t shard,
-                                         net::NodeId failed_target) {
-  const net::NodeId fresh = fs_->manager_node(shard);
-  if (!(fresh == failed_target)) ++mgr_reroutes_;
-  adopt_manager_view(shard, fresh, fs_->manager_epoch(shard));
-  return fresh;
-}
-
 Result<ManagerAssertReply> Client::assert_tokens(net::NodeId mgr_node,
                                                  std::uint64_t mgr_epoch,
                                                  std::uint32_t shard) {
   if (!mounted()) return err(Errc::unavailable, "not mounted");
-  adopt_manager_view(shard, mgr_node, mgr_epoch);
+  session_.adopt(shard, mgr_node, mgr_epoch);
   ManagerAssertReply reply;
-  reply.lease_epoch = lease_epoch_;
+  reply.lease_epoch = session_.lease_epoch();
   // Dirty-journal summary: what this client still owes the data path
   // (the redrive the overlap window must absorb once its tokens are
-  // back). dirty_addr_ keys every unflushed page to its pre-allocated
-  // address, so the inode set falls out of the keys — and the per-inode
-  // covering span of those pages bounds what we must keep locked.
-  // Only `shard`'s inodes are asserted: the other shards' managers did
-  // not change, so their grants stay exactly as held.
+  // back). The per-inode covering span of the unflushed pages bounds
+  // what we must keep locked. Only `shard`'s inodes are asserted: the
+  // other shards' managers did not change, so their grants stay
+  // exactly as held.
   const Bytes bs = block_size();
-  std::unordered_map<InodeNum, TokenRange> dirty_span;
+  auto of_shard = [this, shard](InodeNum ino) {
+    return fs_->shard_of(ino) == shard;
+  };
+  const std::unordered_map<InodeNum, TokenRange> dirty_span =
+      wb_.dirty_spans(bs, of_shard);
   reply.dirty_bytes = pool_.dirty_bytes();
-  for (const auto& [key, addr] : dirty_addr_) {
-    if (fs_->shard_of(key.ino) != shard) continue;
-    const TokenRange pg{key.block * bs, (key.block + 1) * bs};
-    auto [it, fresh] = dirty_span.try_emplace(key.ino, pg);
-    if (!fresh) {
-      it->second.lo = std::min(it->second.lo, pg.lo);
-      it->second.hi = std::max(it->second.hi, pg.hi);
-    }
-  }
   for (const auto& [ino, span] : dirty_span) reply.dirty_inodes.push_back(ino);
   std::sort(reply.dirty_inodes.begin(), reply.dirty_inodes.end());
   // Assert only what this client still owes: rw tokens clamped to the
@@ -1747,9 +1515,7 @@ Result<ManagerAssertReply> Client::assert_tokens(net::NodeId mgr_node,
   // revoke round against a grant nobody is using. Clean holdings are
   // simply re-acquired on demand, same as after a plain wipe. Other
   // shards' holdings survive untouched.
-  HeldTokens::Clamp clamp = held_.clamp(
-      [this, shard](InodeNum ino) { return fs_->shard_of(ino) == shard; },
-      dirty_span);
+  HeldTokens::Clamp clamp = held_.clamp(of_shard, dirty_span);
   // Cached pages whose token was dropped lose their revoke channel —
   // nobody will tell us when another client rewrites them. Evict the
   // clean ones, and the cached holes there too (another client could
@@ -1783,10 +1549,7 @@ Result<ManagerAssertReply> Client::assert_tokens(net::NodeId mgr_node,
 
 bool Client::deliver_manager_grant(InodeNum ino, TokenRange range,
                                    LockMode mode, std::uint64_t mgr_epoch) {
-  if (mgr_epoch < mgr_[fs_->shard_of(ino)].epoch) {
-    ++stale_mgr_rejects_;
-    return false;
-  }
+  if (!session_.admits(fs_->shard_of(ino), mgr_epoch)) return false;
   held_.record(ino, range, mode, /*widened=*/true);
   return true;
 }

@@ -3,7 +3,8 @@
 // The client implements the performance-critical half of GPFS:
 //   * a pagepool block cache with LRU eviction
 //   * sequential-read detection and block readahead
-//   * buffered writes with write-behind (dirty cap stalls writers)
+//   * buffered writes with write-behind (WriteBehind, writebehind.hpp;
+//     the dirty cap stalls writers) and commit marks (CommitMarks)
 //   * a token cache (HeldTokens, token.hpp) — byte ranges this node
 //     may cache — kept coherent by the manager's revoke protocol
 //   * a block-map cache in column extents (BlockMapCache, blockmap.hpp),
@@ -14,6 +15,7 @@
 //     and a per-NSD-server circuit breaker (NsdBreaker, breaker.hpp)
 //     so I/O prefers the healthy replica instead of re-probing a dead
 //     or blackholed primary on every block
+//   * the disk lease and per-shard manager views (Session, session.hpp)
 //
 // All operations are asynchronous (completion callbacks), since every
 // miss is real simulated network + disk traffic. One Client == one
@@ -21,12 +23,10 @@
 // several Clients for several file systems.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/histogram.hpp"
@@ -36,6 +36,8 @@
 #include "gpfs/pagepool.hpp"
 #include "gpfs/readahead.hpp"
 #include "gpfs/rpc.hpp"
+#include "gpfs/session.hpp"
+#include "gpfs/writebehind.hpp"
 #include "sim/serial_resource.hpp"
 
 namespace mgfs::gpfs {
@@ -72,7 +74,7 @@ class Client {
   /// Readahead ramp start, in blocks, after the first sequential hit.
   static constexpr std::uint64_t kReadaheadMin = 4;
   /// Write-behind ceiling: past it, writers stall until flushes drain.
-  static constexpr Bytes kMaxDirty = 64 * MiB;
+  static constexpr Bytes kMaxDirty = WriteBehind::kMaxDirty;
 
   /// `rng` feeds retry jitter; pass a per-client split of the cluster
   /// stream so runs stay seed-deterministic.
@@ -154,25 +156,13 @@ class Client {
   /// grant is cached like any widened grant.
   bool deliver_manager_grant(InodeNum ino, TokenRange range, LockMode mode,
                              std::uint64_t mgr_epoch);
-  /// Invoked with the target shard whenever a manager RPC fails
-  /// retryably — the cluster wires this to its manager-suspicion
-  /// machinery so repeated unreachability triggers a takeover of that
-  /// shard.
-  void set_manager_watch(std::function<void(std::uint32_t)> fn) {
-    manager_watch_ = std::move(fn);
-  }
-  std::uint64_t mgr_takeovers() const { return mgr_takeovers_; }
-  std::uint64_t mgr_reroutes() const { return mgr_reroutes_; }
-  std::uint64_t stale_mgr_rejects() const { return stale_mgr_rejects_; }
+  std::uint64_t mgr_takeovers() const { return session_.takeovers(); }
+  std::uint64_t mgr_reroutes() const { return session_.reroutes(); }
+  std::uint64_t stale_mgr_rejects() const { return session_.stale_rejects(); }
 
-  // --- disk lease (cluster glue wires these at mount) --------------------
-  /// Rejoin the cluster after a lease lapse: one manager RPC that
-  /// re-registers this client and completes with the fresh epoch.
-  using RejoinFn =
-      std::function<void(std::function<void(Result<std::uint64_t>)>)>;
-  void set_lease(std::uint64_t epoch, double duration);
-  void set_rejoin(RejoinFn fn) { rejoin_ = std::move(fn); }
-  std::uint64_t lease_epoch() const { return lease_epoch_; }
+  // --- disk lease (the cluster glue starts the session at mount) ---------
+  Session& session() { return session_; }
+  std::uint64_t lease_epoch() const { return session_.lease_epoch(); }
   /// The node hosting this client rebooted (fault injector / cluster
   /// glue): all volatile state — caches, tokens, dirty pages, breaker
   /// history — is gone. Open handles survive as objects (callers may
@@ -190,15 +180,14 @@ class Client {
   std::uint64_t rpc_retries() const { return rpc_retries_; }
   std::uint64_t rpc_timeouts() const { return rpc_timeouts_; }
   std::uint64_t breaker_opens() const { return breaker_.opens(); }
-  std::uint64_t breaker_skips() const { return breaker_.skips(); }
   std::uint64_t breaker_probes() const { return breaker_.probes(); }
   std::uint64_t readahead_issued() const { return ra_issued_; }
   std::uint64_t blocks_coalesced() const { return coal_blocks_; }
   std::uint64_t coalesced_requests() const { return coal_requests_; }
   std::uint64_t coalesced_splits() const { return coal_splits_; }
   std::uint64_t meta_rpcs_saved() const { return meta_rpcs_saved_; }
-  std::uint64_t lease_renewals() const { return lease_renewals_; }
-  std::uint64_t lease_lapses() const { return lease_lapses_; }
+  std::uint64_t lease_renewals() const { return session_.renewals(); }
+  std::uint64_t lease_lapses() const { return session_.lapses(); }
   std::uint64_t fenced_writes() const { return fenced_writes_; }
   /// Metadata retries issued at the fast recovery-probe cadence.
   std::uint64_t recovery_probes() const { return recovery_probes_; }
@@ -269,7 +258,9 @@ class Client {
   // domain and serializes the server work behind that shard's manager
   // CPU. `started_at`/`saw_recovery` thread first-issue time and
   // whether the op ever saw the recovering gate through the retry
-  // chain, feeding the recovery-op latency histogram.
+  // chain, feeding the recovery-op latency histogram. A `stale` answer
+  // means the manager expelled us: lease recovery starts before `done`
+  // runs, so the caller's retry finds a fresh epoch.
   template <typename R>
   void meta_call(std::uint32_t shard, Bytes req_payload,
                  Rpc::ServerFn<R> server,
@@ -318,30 +309,20 @@ class Client {
                        int attempt, RunDone done);
   void split_run(NsdRun run, bool write, int attempt, RunDone done);
 
-  // write-behind
+  // write-behind: send WriteBehind's runs while flight slots are free
   void pump_flush();
   void flush_inode(InodeNum ino, sim::Callback done);
-  void unstall_writers();
-  void check_flush_waiters();
-  // Write-through replication: the flush anchors on the primary (or the
-  // first clean copy when the primary is divergent); once the anchor
-  // write lands, the data is propagated to every other clean copy
-  // before the page goes clean — fsync therefore covers all copies. A
-  // copy that cannot be reached is marked divergent at the manager so
-  // readers skip it until reconciliation.
-  /// Anchor copy for flushing `p`: primary if clean, else first clean.
-  static std::uint8_t flush_anchor(const BlockPlacement& p);
-  /// Anchor landed: propagate to the remaining clean copies, then mark
-  /// the page clean and release its inflight accounting.
+  /// Write-through replication: the anchor copy landed; propagate to
+  /// every other clean copy before the page goes clean, so fsync covers
+  /// all copies. A copy that cannot be reached is marked divergent at
+  /// the manager, and readers skip it until reconciliation.
   void finish_block_flush(const PageKey& k, std::uint8_t anchor);
-  void complete_block_flush(const PageKey& k);
   void write_replica_copy(const PageKey& k, BlockAddr addr, std::uint8_t copy,
                           sim::Callback done);
   /// Record at the manager (and in local caches) that copy `copy` of the
   /// block missed a committed write.
   void mark_divergent(const PageKey& k, std::uint8_t copy,
                       sim::Callback done);
-  void release_inflight(InodeNum ino);
 
   // disk lease
   /// Piggybacked renewal at read()/write() entry: past half the lease
@@ -355,21 +336,6 @@ class Client {
   /// Retry loop for the rejoin RPC (backoff; superseded by incarnation).
   void attempt_rejoin(int attempt);
   void discard_cached_state(bool reset_breakers);
-
-  // manager failover
-  /// Adopt (mgr_node, mgr_epoch) as the believed manager view of
-  /// `shard`; counts a takeover when the epoch advances. Older epochs
-  /// only move the node.
-  void adopt_manager_view(std::uint32_t shard, net::NodeId mgr_node,
-                          std::uint64_t mgr_epoch);
-  /// Before a metadata retry: re-look-up `shard`'s manager node from
-  /// the cluster configuration (fs_). Returns the refreshed target and
-  /// counts a reroute when it differs from `failed_target`.
-  net::NodeId refresh_manager_view(std::uint32_t shard,
-                                   net::NodeId failed_target);
-  /// (Re-)seed the per-shard manager views from the cluster config
-  /// (bind, crash reboot, rejoin).
-  void seed_manager_views();
 
   OpenFile* file(Fh fh);
   Bytes block_size() const { return fs_->block_size(); }
@@ -403,19 +369,7 @@ class Client {
       fill_waiters_;
   Bytes fill_inflight_ = 0;  // speculative fill bytes in flight
 
-  // Commit tracking: inodes written since their last successful commit
-  // (op_extend_size). A successful commit clears the mark only if no
-  // write began after its fsync did (same `seq`) and its size covers
-  // every byte written (another handle on the inode may have written
-  // past this one's size). fsync/close of an unmarked inode has nothing
-  // to commit and sends no manager RPC. Marks outlive lease lapse and
-  // crash_reset, like open_; only unbind drops them.
-  struct Uncommitted {
-    std::uint64_t seq = 0;  // client-wide stamp of the newest write
-    Bytes end = 0;          // highest byte written since the last commit
-  };
-  std::unordered_map<InodeNum, Uncommitted> uncommitted_;
-  std::uint64_t write_seq_ = 0;
+  CommitMarks marks_;  // inodes written since their last commit
   std::uint64_t unlink_seq_ = 0;  // request ids for op_unlink
 
   // allocation high-water mark from write-streak batching, per inode:
@@ -423,41 +377,9 @@ class Client {
   // allocation RPC entirely
   std::unordered_map<InodeNum, std::uint64_t> alloc_ahead_hi_;
 
-  // write-behind state
-  std::deque<PageKey> dirty_fifo_;
-  std::unordered_map<PageKey, BlockPlacement, PageKeyHash> dirty_addr_;
-  // Consecutive transient anchor-flush failures per page; past a small
-  // bound with another clean copy available, the anchor is marked
-  // divergent and the flush re-anchors (writes survive a dark primary).
-  std::unordered_map<PageKey, int, PageKeyHash> anchor_fails_;
-  std::size_t flights_ = 0;
-  std::vector<sim::Callback> stalled_writers_;
-  // fsync/revoke waiters: (ino, callback fired when no dirty+inflight)
-  std::vector<std::pair<InodeNum, sim::Callback>> flush_waiters_;
-  std::unordered_map<InodeNum, std::size_t> inflight_per_ino_;
-
+  WriteBehind wb_{pool_};
   NsdBreaker breaker_;  // NSD server health, keyed by serving node
-
-  // disk lease state
-  std::uint64_t lease_epoch_ = 0;
-  double lease_duration_ = 0;
-  double lease_renewed_at_ = 0;
-  bool lease_renew_inflight_ = false;
-  bool lapse_handling_ = false;   // rejoin in progress
-  RejoinFn rejoin_;
-  /// Bumped on crash_reset / lease lapse; async completions from an
-  /// older incarnation check it and drop their results.
-  std::uint64_t incarnation_ = 0;
-
-  // believed manager view, one per metadata shard: metadata RPCs for a
-  // shard target its node; NSD writes and revoke checks carry its epoch
-  // (the two-epoch invariant, per token domain)
-  struct MgrView {
-    net::NodeId node{};
-    std::uint64_t epoch = 0;
-  };
-  std::vector<MgrView> mgr_;
-  std::function<void(std::uint32_t)> manager_watch_;
+  Session session_;     // disk lease and per-shard manager views
 
   Bytes bytes_read_remote_ = 0;
   Bytes bytes_written_remote_ = 0;
@@ -471,12 +393,7 @@ class Client {
   std::uint64_t coal_requests_ = 0;    // coalesced (multi-block) requests
   std::uint64_t coal_splits_ = 0;      // coalesced requests split on failure
   std::uint64_t meta_rpcs_saved_ = 0;  // token/alloc RPCs skipped by batching
-  std::uint64_t lease_renewals_ = 0;   // renewal RPCs acknowledged
-  std::uint64_t lease_lapses_ = 0;     // times the lease was lost
   std::uint64_t fenced_writes_ = 0;    // writes rejected by epoch fencing
-  std::uint64_t mgr_takeovers_ = 0;    // manager-epoch advances adopted
-  std::uint64_t mgr_reroutes_ = 0;     // metadata RPCs re-targeted
-  std::uint64_t stale_mgr_rejects_ = 0;  // deposed-manager RPCs refused
   std::uint64_t recovery_probes_ = 0;  // fast-cadence recovery retries
   // Ops that saw the recovering gate: 10ms bins out to 20s.
   Histogram recovery_op_hist_{0.01, 2000, "recovery_ops"};

@@ -268,12 +268,17 @@ std::uint64_t Cluster::readmit(FileSystem& fs, Client* client,
   return fs.op_client_register(client->id());
 }
 
-Client::RejoinFn Cluster::make_rejoin(Cluster* exporter, FileSystem* fs,
-                                      Client* c, AccessMode access,
-                                      std::string via_cluster) {
-  return [this, exporter, fs, c, access,
-          via = std::move(via_cluster)](
-             std::function<void(Result<std::uint64_t>)> done) {
+void Cluster::start_session(Cluster* exporter, FileSystem* fs, Client* c,
+                            AccessMode access, std::uint64_t epoch,
+                            std::string via_cluster) {
+  Session& s = c->session();
+  s.set_lease(epoch, fs->config().lease_duration, sim_.now());
+  s.set_watch([exporter, fs, id = c->id()](std::uint32_t shard) {
+    exporter->note_manager_unreachable(fs, shard, id);
+  });
+  s.set_rejoin([this, exporter, fs, c, access,
+                via = std::move(via_cluster)](
+                   std::function<void(Result<std::uint64_t>)> done) {
     Rpc::CallOptions opts;
     opts.deadline = cfg_.client.rpc_deadline;
     rpc_.call<std::uint64_t>(
@@ -290,7 +295,7 @@ Client::RejoinFn Cluster::make_rejoin(Cluster* exporter, FileSystem* fs,
           reply(64, exporter->readmit(*fs, c, access, via));
         },
         std::move(done), opts);
-  };
+  });
 }
 
 Result<Client*> Cluster::mount(const std::string& fsname,
@@ -307,11 +312,7 @@ Result<Client*> Cluster::mount(const std::string& fsname,
   const std::uint64_t epoch =
       register_client(*fs, ptr, AccessMode::read_write, "");
   ptr->bind(fs, AccessMode::read_write, 0.0, make_server_lookup());
-  ptr->set_lease(epoch, fs->config().lease_duration);
-  ptr->set_rejoin(make_rejoin(this, fs, ptr, AccessMode::read_write, ""));
-  ptr->set_manager_watch([this, fs, id = ptr->id()](std::uint32_t shard) {
-    note_manager_unreachable(fs, shard, id);
-  });
+  start_session(this, fs, ptr, AccessMode::read_write, epoch, "");
   return ptr;
 }
 
@@ -342,7 +343,7 @@ void Cluster::restart_incarnation(Client* c) {
   c->crash_reset();
   registry_[c->id()] = rec;
   const std::uint64_t epoch = rec.fs->op_client_register(c->id());
-  c->set_lease(epoch, rec.fs->config().lease_duration);
+  c->session().set_lease(epoch, rec.fs->config().lease_duration, sim_.now());
 }
 
 void Cluster::unmount(Client* client) {
@@ -602,15 +603,8 @@ void Cluster::mount_remote(const std::string& local_device,
               }
               cptr->bind(g->fs, g->access, g->cipher_s_per_byte,
                          exporter->make_server_lookup());
-              cptr->set_lease(g->epoch, g->fs->config().lease_duration);
-              cptr->set_rejoin(make_rejoin(exporter, g->fs, cptr, g->access,
-                                           cfg_.name));
-              // Manager failover is the exporting cluster's business: it
-              // owns the file system and the membership list.
-              cptr->set_manager_watch(
-                  [exporter, fs = g->fs, id = cptr->id()](std::uint32_t s) {
-                    exporter->note_manager_unreachable(fs, s, id);
-                  });
+              start_session(exporter, g->fs, cptr, g->access, g->epoch,
+                            cfg_.name);
               clients_.push_back(std::move(*client));
               remote_owner_[cptr] = exporter;
               ++handshakes_;

@@ -156,10 +156,6 @@ class Cluster {
   /// one token domain's manager never depose another's.
   void note_manager_unreachable(FileSystem* fs, std::uint32_t shard,
                                 ClientId reporter);
-  /// Single-manager compatibility: shard 0.
-  void note_manager_unreachable(FileSystem* fs, ClientId reporter) {
-    note_manager_unreachable(fs, 0, reporter);
-  }
   /// GPFS-style manager takeover of one shard: elect the lowest-id live
   /// member node (excluding the deposed shard manager), bump that
   /// shard's manager epoch, and rebuild its token table — plus the
@@ -215,10 +211,13 @@ class Cluster {
   /// MountRecord if the expel dropped it, grant a fresh epoch.
   std::uint64_t readmit(FileSystem& fs, Client* client, AccessMode access,
                         const std::string& via_cluster);
-  /// Rejoin closure handed to the client: one RPC to the manager that
-  /// runs readmit() on the exporting cluster.
-  Client::RejoinFn make_rejoin(Cluster* exporter, FileSystem* fs, Client* c,
-                               AccessMode access, std::string via_cluster);
+  /// Start a mounted client's session under lease `epoch`: its rejoin
+  /// is one RPC to the manager that runs readmit() on the exporting
+  /// cluster, and its manager-unreachable reports go to the exporter,
+  /// which owns the file system and the membership list.
+  void start_session(Cluster* exporter, FileSystem* fs, Client* c,
+                     AccessMode access, std::uint64_t epoch,
+                     std::string via_cluster);
   /// Expel + readmit one client after its node restarted.
   void restart_incarnation(Client* c);
   Client::ServerLookup make_server_lookup();

@@ -159,6 +159,9 @@ struct NsdRun {
   std::vector<NsdExtent> extents;
 };
 
+/// Most blocks one coalesced NSD request carries.
+inline constexpr std::size_t kCoalesceBlocks = 8;
+
 /// Group fetches into per-NSD runs of at most `max_per_run` blocks,
 /// preserving first-seen NSD order (determinism), then merge
 /// device-adjacent blocks within each run into extents.

@@ -252,20 +252,20 @@ TEST(FastRecoveryIntegration, ManagerStrikesDedupedPerReporterAndEpoch) {
 
   // One flapping accuser: five reports, still one distinct reporter.
   for (int i = 0; i < 5; ++i) {
-    mc.cluster->note_manager_unreachable(mc.fs, a->id());
+    mc.cluster->note_manager_unreachable(mc.fs, 0, a->id());
   }
   EXPECT_EQ(mc.fs->manager_takeovers(), 0u);
 
   // Quiet lease period: the episode is forgiven, accusers start over.
-  mc.cluster->note_manager_unreachable(mc.fs, b->id());
+  mc.cluster->note_manager_unreachable(mc.fs, 0, b->id());
   mc.sim.run_until(mc.sim.now() + 2.0 * fast_cfg().lease_duration);
-  mc.cluster->note_manager_unreachable(mc.fs, a->id());
-  mc.cluster->note_manager_unreachable(mc.fs, b->id());
+  mc.cluster->note_manager_unreachable(mc.fs, 0, a->id());
+  mc.cluster->note_manager_unreachable(mc.fs, 0, b->id());
   EXPECT_FALSE(mc.fs->recovering());
   EXPECT_EQ(mc.fs->manager_takeovers(), 0u);
 
   // Third distinct accuser inside one episode: the takeover fires.
-  mc.cluster->note_manager_unreachable(mc.fs, c->id());
+  mc.cluster->note_manager_unreachable(mc.fs, 0, c->id());
   EXPECT_GT(mc.fs->manager_epoch(0), epoch0);
   mc.sim.run();  // drain the rebuild
   EXPECT_EQ(mc.fs->manager_takeovers(), 1u);
@@ -273,9 +273,9 @@ TEST(FastRecoveryIntegration, ManagerStrikesDedupedPerReporterAndEpoch) {
   // The strike ledger accused the deposed incarnation, not the office:
   // the successor starts clean, so the same three reports must
   // re-accumulate from scratch (two distinct are not enough).
-  mc.cluster->note_manager_unreachable(mc.fs, a->id());
-  mc.cluster->note_manager_unreachable(mc.fs, a->id());
-  mc.cluster->note_manager_unreachable(mc.fs, b->id());
+  mc.cluster->note_manager_unreachable(mc.fs, 0, a->id());
+  mc.cluster->note_manager_unreachable(mc.fs, 0, a->id());
+  mc.cluster->note_manager_unreachable(mc.fs, 0, b->id());
   EXPECT_EQ(mc.fs->manager_takeovers(), 1u);
 }
 

@@ -535,6 +535,28 @@ TEST(GpfsClient, WriteBehindStallsAtDirtyCap) {
             static_cast<double>(burst - Client::kMaxDirty) / 125e6);
 }
 
+TEST(GpfsClient, WriteToPageInFlightIsFlushed) {
+  MiniCluster mc;
+  Client* c = mc.mount_on(2);
+  auto fh = mc.open(c, "/inflight", kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(fh.ok());
+  const Bytes before = c->bytes_written_remote();
+  // The first write's flush leaves at once; the second write re-dirties
+  // the same block while that flush is still on the wire.
+  std::optional<Result<Bytes>> second;
+  c->write(*fh, 0, 4 * KiB, [&](Result<Bytes> r) {
+    ASSERT_TRUE(r.ok());
+    c->write(*fh, 4 * KiB, 4 * KiB,
+             [&](Result<Bytes> r2) { second = std::move(r2); });
+  });
+  mc.sim.run();
+  ASSERT_TRUE(second.has_value() && second->ok());
+  ASSERT_TRUE(mc.fsync(c, *fh).ok());
+  // Both versions of the block reach the NSD: the second is not lost.
+  EXPECT_EQ(c->bytes_written_remote() - before, 2 * MiB);
+  EXPECT_EQ(c->pool().dirty_bytes(), 0u);
+}
+
 TEST(GpfsClient, NsdFailoverToBackupServer) {
   MiniCluster mc;
   Client* c = mc.mount_on(2);
