@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Perf smoke gate: build the Fig. 11 MPI-IO scaling bench in Release and
-# run a reduced-scale sweep (--smoke: 1/4/16 nodes, 128 MiB per task).
+# Perf smoke gate: build the tree in Release (warnings are errors) and
+# run a reduced-scale Fig. 11 MPI-IO scaling sweep (--smoke: 1/4/16
+# nodes, 128 MiB per task).
 # Emits BENCH_fig11.json so CI can archive the numbers and diff them
 # across commits; the run completing with sane throughput is the gate,
 # paper-scale comparisons stay in the full (64-node) bench.
@@ -11,8 +12,11 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build-bench}"
 
-cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$build_dir" -j "$(nproc)" --target fig11_scaling chaos_soak scale_sweep shard_sweep
+# Every target (tests and examples included) in Release with -Werror:
+# the tree builds warning-free, and a new compiler warning fails here.
+cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS=-Werror
+cmake --build "$build_dir" -j "$(nproc)"
 
 "$build_dir/bench/fig11_scaling" --smoke --json "$repo_root/BENCH_fig11.json"
 

@@ -8,13 +8,13 @@ AllocationMap::AllocationMap(std::vector<std::uint64_t> blocks_per_nsd) {
   for (std::uint64_t cap : blocks_per_nsd) {
     PerNsd p;
     p.capacity = cap;
-    const std::uint64_t words = (cap + 63) / 64;
-    p.bitmap.assign(words, 0);
+    const std::uint64_t words = p.words();
+    p.pages.resize((words + kPageWords - 1) / kPageWords);
     // Bits of the final word past capacity can never be allocated: mark
     // them used up front so every clear bit in the map is a real block
     // and the scan never has to special-case the tail.
     if (cap % 64 != 0) {
-      p.bitmap[words - 1] = ~0ULL << (cap % 64);
+      p.word_for_write(words - 1) = ~0ULL << (cap % 64);
     }
     // Every word starts with at least one free bit (words only exist to
     // cover capacity), so all summary bits covering real words are set.
@@ -24,6 +24,17 @@ AllocationMap::AllocationMap(std::vector<std::uint64_t> blocks_per_nsd) {
     }
     nsds_.push_back(std::move(p));
   }
+}
+
+std::uint64_t AllocationMap::PerNsd::word(std::uint64_t w) const {
+  const auto& page = pages[w / kPageWords];
+  return page ? page[w % kPageWords] : 0;
+}
+
+std::uint64_t& AllocationMap::PerNsd::word_for_write(std::uint64_t w) {
+  auto& page = pages[w / kPageWords];
+  if (!page) page = std::make_unique<std::uint64_t[]>(kPageWords);
+  return page[w % kPageWords];
 }
 
 std::uint64_t AllocationMap::capacity_blocks(std::uint32_t nsd) const {
@@ -56,7 +67,7 @@ Result<std::uint64_t> AllocationMap::take_free_bit(PerNsd& p) {
   // sequence is exactly what the old per-word next-fit scan produced —
   // same word granularity, same lowest-bit-first order — so seeded
   // runs allocate identically.
-  const std::uint64_t words = p.bitmap.size();
+  const std::uint64_t words = p.words();
   const std::uint64_t groups = p.summary.size();
   const std::uint64_t start_word = p.rotor / 64;
   const std::uint64_t start_group = start_word / 64;
@@ -71,13 +82,14 @@ Result<std::uint64_t> AllocationMap::take_free_bit(PerNsd& p) {
     }
   }
   MGFS_ASSERT(word < words, "summary lost a free word");
-  const std::uint64_t free_mask = ~p.bitmap[word];
+  std::uint64_t& bits = p.word_for_write(word);
+  const std::uint64_t free_mask = ~bits;
   MGFS_ASSERT(free_mask != 0, "summary bit set on a full word");
   const int bit = __builtin_ctzll(free_mask);
   const std::uint64_t block = word * 64 + static_cast<std::uint64_t>(bit);
   MGFS_ASSERT(block < p.capacity, "tail bit escaped pre-marking");
-  p.bitmap[word] |= (1ULL << bit);
-  if (p.bitmap[word] == ~0ULL) {
+  bits |= (1ULL << bit);
+  if (bits == ~0ULL) {
     p.summary[word / 64] &= ~(1ULL << (word % 64));
   }
   ++p.used;
@@ -133,10 +145,10 @@ Status AllocationMap::free_block(BlockAddr addr) {
   }
   const std::uint64_t word = addr.block / 64;
   const std::uint64_t mask = 1ULL << (addr.block % 64);
-  if (!(p.bitmap[word] & mask)) {
+  if (!(p.word(word) & mask)) {
     return Status(Errc::invalid_argument, "double free");
   }
-  p.bitmap[word] &= ~mask;
+  p.word_for_write(word) &= ~mask;
   p.summary[word / 64] |= 1ULL << (word % 64);
   --p.used;
   return Status{};
@@ -146,7 +158,32 @@ bool AllocationMap::is_allocated(BlockAddr addr) const {
   if (addr.nsd >= nsds_.size()) return false;
   const PerNsd& p = nsds_[addr.nsd];
   if (addr.block >= p.capacity) return false;
-  return (p.bitmap[addr.block / 64] >> (addr.block % 64)) & 1;
+  return (p.word(addr.block / 64) >> (addr.block % 64)) & 1;
+}
+
+std::uint64_t AllocationMap::allocated_blocks() const {
+  std::uint64_t total = 0;
+  for (const PerNsd& p : nsds_) {
+    std::uint64_t set = 0;
+    for (const auto& page : p.pages) {
+      if (!page) continue;
+      for (std::uint64_t i = 0; i < kPageWords; ++i) {
+        set += static_cast<std::uint64_t>(__builtin_popcountll(page[i]));
+      }
+    }
+    if (p.capacity % 64 != 0) set -= 64 - p.capacity % 64;  // tail bits
+    MGFS_ASSERT(set == p.used, "allocation bitmap disagrees with its count");
+    total += set;
+  }
+  return total;
+}
+
+std::size_t AllocationMap::resident_pages() const {
+  std::size_t n = 0;
+  for (const PerNsd& p : nsds_) {
+    for (const auto& page : p.pages) n += page != nullptr;
+  }
+  return n;
 }
 
 }  // namespace mgfs::gpfs

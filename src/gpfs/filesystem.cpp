@@ -825,11 +825,11 @@ void FileSystem::replay_journal_slice(std::uint32_t shard, ClientId client) {
 
 FsckReport FileSystem::fsck() const {
   FsckReport rep;
-  // Reference counts per (nsd, block) over every copy of every block.
-  std::vector<std::vector<std::uint8_t>> refs(alloc_.nsd_count());
-  for (std::size_t d = 0; d < refs.size(); ++d) {
-    refs[d].assign(alloc_.capacity_blocks(static_cast<std::uint32_t>(d)), 0);
-  }
+  // Every in-range copy's address, sorted, so copies sharing a block
+  // are neighbours. O(R log R) time and O(R) memory in the references
+  // R, plus the allocation map's resident pages; nothing is sized by
+  // capacity.
+  std::vector<BlockAddr> refs;
   for (InodeNum ino : ns_.inode_list()) {
     const std::uint64_t slots = ns_.inode(ino)->blocks.size();
     for (std::uint64_t bi = 0; bi < slots; ++bi) {
@@ -838,22 +838,28 @@ FsckReport FileSystem::fsck() const {
         ++(c == 0 ? rep.referenced_blocks : rep.replica_refs);
         if (p.is_divergent(c)) ++rep.divergent_replicas;
         const BlockAddr& a = p.addr[c];
-        if (a.nsd >= refs.size() || a.block >= refs[a.nsd].size()) {
+        if (a.nsd >= alloc_.nsd_count() ||
+            a.block >= alloc_.capacity_blocks(a.nsd)) {
           ++rep.dangling_refs;
           continue;
         }
-        if (refs[a.nsd][a.block]++) ++rep.duplicate_refs;
-        if (!alloc_.is_allocated(a)) ++rep.dangling_refs;
+        refs.push_back(a);
       }
     }
   }
-  for (std::uint32_t d = 0; d < refs.size(); ++d) {
-    for (std::uint64_t b = 0; b < refs[d].size(); ++b) {
-      if (!alloc_.is_allocated(BlockAddr{d, b})) continue;
-      ++rep.allocated_blocks;
-      if (!refs[d][b]) ++rep.orphaned_blocks;
+  std::sort(refs.begin(), refs.end());
+  std::uint64_t distinct_allocated = 0;
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    const bool allocated = alloc_.is_allocated(refs[i]);
+    if (!allocated) ++rep.dangling_refs;
+    if (i > 0 && refs[i] == refs[i - 1]) {
+      ++rep.duplicate_refs;
+    } else if (allocated) {
+      ++distinct_allocated;
     }
   }
+  rep.allocated_blocks = alloc_.allocated_blocks();
+  rep.orphaned_blocks = rep.allocated_blocks - distinct_allocated;
   for (ClientId c : lease_.expelled_clients()) {
     // Aggregate across journal slices: an expelled client's tail may be
     // spread over several shards.
@@ -937,12 +943,6 @@ void FileSystem::lease_touch(ClientId client) {
   sweep_leases();
 }
 
-void FileSystem::op_token_release(ClientId client, InodeNum ino,
-                                  TokenRange range) {
-  lease_touch(client);
-  shards_[shard_of(ino)].tokens.release(client, ino, range);
-}
-
 void FileSystem::op_client_gone(ClientId client) {
   // Clean unmount: the client flushed, so its journal tails need no
   // replay — drop them with the lease, across every shard it touched.
@@ -1021,11 +1021,6 @@ std::size_t FileSystem::reconcile_replicas() {
 void FileSystem::set_nsd_down(std::uint32_t id, bool down) {
   MGFS_ASSERT(id < nsd_down_.size(), "bad nsd id");
   nsd_down_[id] = down ? 1 : 0;
-}
-
-bool FileSystem::nsd_is_down(std::uint32_t id) const {
-  MGFS_ASSERT(id < nsd_down_.size(), "bad nsd id");
-  return nsd_down_[id] != 0;
 }
 
 std::size_t FileSystem::evacuate_nsd(std::uint32_t id) {

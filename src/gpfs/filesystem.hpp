@@ -309,7 +309,6 @@ class FileSystem {
   /// replica). Reads/writes to existing copies are governed by the data
   /// path (breakers / device failure), not this flag.
   void set_nsd_down(std::uint32_t id, bool down);
-  bool nsd_is_down(std::uint32_t id) const;
   /// Permanent NSD loss (mmdeldisk after a dead RAID set): every copy on
   /// `id` with a surviving clean copy elsewhere is re-protected — a
   /// replacement block is allocated on another NSD (site-spread), data
@@ -333,13 +332,9 @@ class FileSystem {
   void op_token_acquire(ClientId client, InodeNum ino, TokenRange range,
                         TokenRange desired, LockMode mode,
                         std::function<void(Result<TokenRange>)> done);
-  void op_token_release(ClientId client, InodeNum ino, TokenRange range);
   void op_client_gone(ClientId client);
 
-  /// Stripe origin of a file: first NSD for block 0.
-  std::uint32_t stripe_origin(InodeNum ino) const {
-    return static_cast<std::uint32_t>(ino % nsds_.size());
-  }
+  /// Striping rule: block `bi` of a file lives on NSD (ino + bi) mod n.
   std::uint32_t nsd_for_block(InodeNum ino, std::uint64_t bi) const {
     return static_cast<std::uint32_t>((ino + bi) % nsds_.size());
   }

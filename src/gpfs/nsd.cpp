@@ -26,7 +26,6 @@ NsdServer::GateDecision NsdServer::write_admitted(ClientId client,
   if (!write_gate_) return GateDecision::admit;
   const GateDecision d = write_gate_(client, ino, lease_epoch, mgr_epoch);
   if (d == GateDecision::fence) ++fenced_;
-  if (d == GateDecision::retry) ++gated_retries_;
   return d;
 }
 

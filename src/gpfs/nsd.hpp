@@ -95,10 +95,6 @@ class NsdServer {
                               std::uint64_t lease_epoch,
                               std::uint64_t mgr_epoch);
   std::uint64_t fenced_writes() const { return fenced_; }
-  /// Writes refused retryably because a takeover was rebuilding state —
-  /// the denominator of the overlap window (gated vs admitted during
-  /// recovery).
-  std::uint64_t gated_retries() const { return gated_retries_; }
 
   /// Fail-slow injection (fault engine): multiply all request CPU by
   /// `factor`. 1.0 is healthy; the gray-failure literature's fail-slow
@@ -117,7 +113,6 @@ class NsdServer {
   std::uint64_t requests_ = 0;
   Bytes bytes_ = 0;
   std::uint64_t fenced_ = 0;
-  std::uint64_t gated_retries_ = 0;
 };
 
 }  // namespace mgfs::gpfs

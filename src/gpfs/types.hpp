@@ -2,6 +2,7 @@
 #pragma once
 
 #include <array>
+#include <compare>
 #include <cstdint>
 #include <string>
 
@@ -33,7 +34,9 @@ struct BlockAddr {
   std::uint32_t nsd = 0;
   std::uint64_t block = 0;
 
-  friend bool operator==(const BlockAddr&, const BlockAddr&) = default;
+  /// Ordered by (nsd, block), so a sorted run of addresses groups
+  /// copies that share a block.
+  friend auto operator<=>(const BlockAddr&, const BlockAddr&) = default;
 };
 
 /// Replication ceiling. GPFS caps metadata/data replicas at 2 in the

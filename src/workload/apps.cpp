@@ -8,7 +8,7 @@ namespace mgfs::workload {
 namespace {
 
 std::string dump_name(const std::string& dir, std::size_t i) {
-  char buf[16];
+  char buf[32];  // "dump_" + up to 20 digits + NUL
   std::snprintf(buf, sizeof(buf), "dump_%04zu", i);
   return dir + "/" + buf;
 }

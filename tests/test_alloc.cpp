@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
 
 #include "common/rng.hpp"
@@ -188,6 +190,222 @@ TEST(AllocationMap, SummaryReopensFreedWordAtRotor) {
   }
   EXPECT_EQ(got, std::set<std::uint64_t>(std::begin(freed), std::end(freed)));
   EXPECT_EQ(m.allocate_on(0).code(), Errc::no_space);
+}
+
+// --- paged bitmap ------------------------------------------------------
+
+constexpr std::uint64_t kPageBlocks = AllocationMap::kPageWords * 64;
+
+/// Dense reference allocator: the same next-fit rule (the first bitmap
+/// word at or after the rotor's word that has a free block, cyclically,
+/// then that word's lowest free block) over one std::vector<bool> per
+/// NSD, plus which bitmap pages have ever held a block in use.
+class DenseAlloc {
+ public:
+  explicit DenseAlloc(const std::vector<std::uint64_t>& caps) {
+    for (std::uint64_t cap : caps) {
+      Nsd n;
+      n.used.assign(cap, false);
+      n.touched.assign((cap + kPageBlocks - 1) / kPageBlocks, false);
+      // The pre-marked tail word puts the last page in use at once.
+      if (cap % 64 != 0) n.touched.back() = true;
+      nsds_.push_back(std::move(n));
+    }
+  }
+
+  std::uint64_t total_free() const {
+    std::uint64_t t = 0;
+    for (const Nsd& n : nsds_) t += n.used.size() - n.in_use;
+    return t;
+  }
+
+  std::optional<BlockAddr> allocate_on(std::uint32_t nsd) {
+    Nsd& n = nsds_[nsd];
+    const std::uint64_t cap = n.used.size();
+    if (n.in_use == cap) return std::nullopt;
+    const std::uint64_t words = (cap + 63) / 64;
+    for (std::uint64_t k = 0; k < words; ++k) {
+      const std::uint64_t w = (n.rotor / 64 + k) % words;
+      for (std::uint64_t b = w * 64; b < std::min(cap, w * 64 + 64); ++b) {
+        if (n.used[b]) continue;
+        n.used[b] = true;
+        n.touched[b / kPageBlocks] = true;
+        ++n.in_use;
+        n.rotor = b + 1 < cap ? b + 1 : 0;
+        return BlockAddr{nsd, b};
+      }
+    }
+    ADD_FAILURE() << "reference lost a free block";
+    return std::nullopt;
+  }
+
+  std::optional<std::vector<BlockAddr>> allocate_striped(std::uint32_t first,
+                                                         std::size_t count) {
+    if (total_free() < count) return std::nullopt;
+    const auto n = static_cast<std::uint32_t>(nsds_.size());
+    std::vector<BlockAddr> out;
+    for (std::size_t i = 0; i < count; ++i) {
+      std::optional<BlockAddr> b;
+      for (std::uint32_t k = 0; k < n && !b; ++k) {
+        b = allocate_on(static_cast<std::uint32_t>((first + i + k) % n));
+      }
+      if (!b) return std::nullopt;
+      out.push_back(*b);
+    }
+    return out;
+  }
+
+  void free_block(BlockAddr a) {
+    Nsd& n = nsds_[a.nsd];
+    ASSERT_TRUE(n.used[a.block]);
+    n.used[a.block] = false;
+    --n.in_use;
+  }
+
+  bool is_allocated(BlockAddr a) const { return nsds_[a.nsd].used[a.block]; }
+
+  std::size_t touched_pages() const {
+    std::size_t t = 0;
+    for (const Nsd& n : nsds_) {
+      t += static_cast<std::size_t>(
+          std::count(n.touched.begin(), n.touched.end(), true));
+    }
+    return t;
+  }
+
+ private:
+  struct Nsd {
+    std::vector<bool> used;
+    std::vector<bool> touched;
+    std::uint64_t in_use = 0;
+    std::uint64_t rotor = 0;
+  };
+  std::vector<Nsd> nsds_;
+};
+
+void expect_same_state(const AllocationMap& m, const DenseAlloc& ref,
+                       const std::vector<std::uint64_t>& caps) {
+  ASSERT_EQ(m.total_free(), ref.total_free());
+  EXPECT_EQ(m.allocated_blocks(), m.total_capacity() - m.total_free());
+  EXPECT_EQ(m.resident_pages(), ref.touched_pages());
+  for (std::uint32_t d = 0; d < caps.size(); ++d) {
+    for (std::uint64_t b = 0; b < caps[d]; ++b) {
+      ASSERT_EQ(m.is_allocated({d, b}), ref.is_allocated({d, b}))
+          << "nsd " << d << " block " << b;
+    }
+  }
+}
+
+class PagedAllocDiff : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PagedAllocDiff, SameAddressSequenceAsDenseBitmap) {
+  const std::vector<std::uint64_t> caps(3, GetParam());
+  AllocationMap m(caps);
+  DenseAlloc ref(caps);
+  Rng rng(GetParam() * 7 + 1);
+  std::vector<BlockAddr> live;
+  // Churn that fills the map to ~90% and then hovers there, so the rotor
+  // wraps a nearly full map many times and walks every page.
+  const std::uint64_t total = 3 * GetParam();
+  const std::uint64_t ops = 3 * total + 2000;
+  const std::uint64_t checkpoint = ops / 8 + 1;
+  for (std::uint64_t op = 0; op < ops; ++op) {
+    const double p_alloc =
+        static_cast<double>(live.size()) < 0.9 * total ? 0.8 : 0.3;
+    const double dice = rng.uniform();
+    if (dice < 0.6 * p_alloc) {
+      const auto nsd = static_cast<std::uint32_t>(rng.below(caps.size()));
+      auto got = m.allocate_on(nsd);
+      auto want = ref.allocate_on(nsd);
+      ASSERT_EQ(got.ok(), want.has_value()) << "op " << op;
+      if (want) {
+        ASSERT_EQ(*got, *want) << "op " << op;
+        live.push_back(*want);
+      }
+    } else if (dice < p_alloc) {
+      const auto first = static_cast<std::uint32_t>(rng.below(caps.size()));
+      const std::size_t n = 1 + rng.below(8);
+      auto got = m.allocate_striped(first, n);
+      auto want = ref.allocate_striped(first, n);
+      ASSERT_EQ(got.ok(), want.has_value()) << "op " << op;
+      if (want) {
+        ASSERT_EQ(*got, *want) << "op " << op;
+        live.insert(live.end(), want->begin(), want->end());
+      }
+    } else if (!live.empty()) {
+      const std::size_t i = rng.below(live.size());
+      ASSERT_TRUE(m.free_block(live[i]).ok()) << "op " << op;
+      ref.free_block(live[i]);
+      live[i] = live.back();
+      live.pop_back();
+    }
+    if (op % checkpoint == 0) {
+      expect_same_state(m, ref, caps);
+      if (HasFatalFailure()) return;
+    }
+  }
+  expect_same_state(m, ref, caps);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Capacities, PagedAllocDiff,
+    ::testing::Values(1, 63, 64, 65, kPageBlocks - 64, kPageBlocks + 64,
+                      3 * kPageBlocks + 17));
+
+TEST(AllocationMapPaging, PagesFollowTheBlocksInUse) {
+  // Four 2^32-block NSDs: a dense bitmap would be 2 GiB. A thousand
+  // striped blocks land in the first page of each.
+  constexpr std::uint64_t kCap = 1ULL << 32;
+  AllocationMap m(std::vector<std::uint64_t>(4, kCap));
+  EXPECT_EQ(m.resident_pages(), 0u);
+  std::vector<BlockAddr> got;
+  for (std::uint32_t i = 0; i < 250; ++i) {
+    auto blocks = m.allocate_striped(i % 4, 4);
+    ASSERT_TRUE(blocks.ok());
+    got.insert(got.end(), blocks->begin(), blocks->end());
+  }
+  EXPECT_EQ(m.total_free(), 4 * kCap - 1000);
+  EXPECT_EQ(m.allocated_blocks(), 1000u);
+  EXPECT_EQ(m.resident_pages(), 4u);
+  // Reads and no-op frees of never-written pages materialize nothing.
+  EXPECT_FALSE(m.is_allocated({3, kCap - 1}));
+  EXPECT_FALSE(m.is_allocated({0, kCap / 2}));
+  EXPECT_EQ(m.free_block({1, kCap / 3}).code(), Errc::invalid_argument);
+  EXPECT_EQ(m.resident_pages(), 4u);
+  for (const BlockAddr& a : got) ASSERT_TRUE(m.free_block(a).ok());
+  EXPECT_EQ(m.total_free(), 4 * kCap);
+  EXPECT_EQ(m.allocated_blocks(), 0u);
+}
+
+TEST(AllocationMapPaging, TailWordIsWrittenAtConstruction) {
+  // The final word's pre-marked bits are the only write a fresh map
+  // makes: one page for a ragged capacity, none for a multiple of 64.
+  EXPECT_EQ(AllocationMap({64, 128}).resident_pages(), 0u);
+  AllocationMap ragged({65, 3 * kPageBlocks + 1});
+  EXPECT_EQ(ragged.resident_pages(), 2u);
+  EXPECT_EQ(ragged.allocated_blocks(), 0u);
+  EXPECT_FALSE(ragged.is_allocated({1, 3 * kPageBlocks}));
+}
+
+TEST(AllocationMapPaging, FreshPagesReadAsFreeAfterEarlierMapsDie) {
+  // Fill and drop maps repeatedly so a new map's pages are likely to
+  // reuse memory that held all-ones words: every fresh page must still
+  // read as free.
+  for (int round = 0; round < 4; ++round) {
+    {
+      AllocationMap full({4 * kPageBlocks});
+      for (std::uint64_t i = 0; i < 4 * kPageBlocks; ++i) {
+        ASSERT_TRUE(full.allocate_on(0).ok());
+      }
+    }
+    AllocationMap fresh({4 * kPageBlocks});
+    auto a = fresh.allocate_on(0);
+    ASSERT_TRUE(a.ok());
+    EXPECT_EQ(a->block, 0u);
+    EXPECT_EQ(fresh.allocated_blocks(), 1u);
+    EXPECT_FALSE(fresh.is_allocated({0, 1}));
+    EXPECT_FALSE(fresh.is_allocated({0, kPageBlocks - 1}));
+  }
 }
 
 }  // namespace

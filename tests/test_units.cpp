@@ -48,7 +48,9 @@ TEST_P(CeilDivProperty, MatchesDefinition) {
   for (std::uint64_t b : {1ull, 2ull, 3ull, 7ull, 256ull, 4096ull}) {
     const std::uint64_t q = ceil_div(a, b);
     EXPECT_GE(q * b, a);
-    if (q > 0) EXPECT_LT((q - 1) * b, a);
+    if (q > 0) {
+      EXPECT_LT((q - 1) * b, a);
+    }
   }
 }
 
