@@ -957,17 +957,18 @@ bool run_shard_crash(const std::string&) {
   // takeover is near-instant.)
   h.inject.schedule_blackhole(t0, old_mgr, 2.5);
 
-  // Each writer appends one block per cycle — a token acquire, an
-  // allocation and a journal commit against its own shard, nothing
-  // cross-domain — until the drill window closes. Ops that fail while
-  // the victim's manager is dark are redriven after a beat, the way a
-  // VFS layer retries EAGAIN: the acceptance question is whether the
-  // *domain* comes back, not whether one RPC got lucky.
+  // Each writer appends 64 KiB per cycle past block 0 (which its
+  // create grant covered) — token acquires, allocations and journal
+  // commits against its own shard, nothing cross-domain — until the
+  // drill window closes. Ops that fail while the victim's manager is
+  // dark are redriven after a beat, the way a VFS layer retries
+  // EAGAIN: the acceptance question is whether the *domain* comes
+  // back, not whether one RPC got lucky.
   std::function<void(std::uint32_t)> cycle = [&](std::uint32_t k) {
     Writer& w = writers[k];
     if (sim.now() >= t_end) return;
     auto redrive = [&, k] { sim.after(0.05, [&, k] { cycle(k); }); };
-    w.c->write(w.fh, Bytes(w.cycles * 64 * KiB), 64 * KiB,
+    w.c->write(w.fh, fs.block_size() + w.cycles * 64 * KiB, 64 * KiB,
                [&, k, redrive](Result<Bytes> r) {
                  if (!r.ok()) return redrive();
                  writers[k].c->fsync(writers[k].fh, [&, k, redrive](Status s) {

@@ -8,8 +8,12 @@
 // the SDSC machine room.
 //
 // Paper result: reads scale to just under 6 GB/s at 64 nodes, writes to
-// roughly 3.5 GB/s, reads consistently above writes (the RAID-5
-// read-modify-write penalty this model reproduces mechanistically).
+// roughly 3.5 GB/s, reads consistently above writes. Here neither the
+// RAID-5 read-modify-write (2.5 disk bytes per write byte) nor write
+// token ping-pong on the shared file (the benchmark's 64-task
+// mpiio_stream sees 6 revokes) sets the write rate: from 2 writers on,
+// each gets about half the 1 GbE rate one writer reaches, and the
+// mechanism that halves it is still open.
 //
 // Scale note: 32 DS4100 trays (2016 spindles, 12.8 GB/s of controller
 // bandwidth) match the full production build-out;
@@ -207,10 +211,15 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < reads.size(); ++i) {
     if (reads.points()[i].y < writes.points()[i].y) reads_above = false;
   }
-  std::cout << "  reads >= writes at every node count: "
+  std::cout << std::fixed << std::setprecision(0)
+            << "  reads >= writes at every node count: "
             << (reads_above ? "yes" : "NO")
-            << " (paper: reads above writes throughout; cause here is the "
-               "RAID-5 read-modify-write penalty)\n";
+            << " (paper: reads above writes throughout; cause here is not "
+               "RAID-5 read-modify-write nor token revokes: "
+            << counts[1] << " writers total " << writes.points()[1].y
+            << " MB/s against " << reads.points()[1].y
+            << " MB/s of reads, cause open)\n"
+            << std::defaultfloat;
   // Gate: the paper's shape (reads above writes) and both 64-node rates
   // within 10% of the paper.
   auto near_paper = [](double measured, double paper) {

@@ -67,8 +67,10 @@ ShardPoint run_point(std::uint32_t shards, std::size_t n,
   gpfs::Cluster cluster(sim, net, cfg, Rng(42));
 
   // 16 KiB blocks: one full-block write per file keeps the data path a
-  // sub-millisecond flush, so the manager CPU — not the NSD pipe — is
-  // the contended resource (this is a *metadata* bench).
+  // sub-millisecond flush, so up to 2 shards the manager CPU is the
+  // contended resource (this is a *metadata* bench). A create cycle is
+  // 2 manager ops, so from 4 shards on the 8 servers' GbE links bind
+  // instead (with 16 servers 8 shards reach 98k ops/s, not 55k).
   bench::ServerFarm farm = bench::make_rate_farm(
       cluster, sim, site, /*first_host=*/0, kServers, kNsds,
       BytesPerSec(200e6), /*device_capacity=*/64 * GiB, "shard",

@@ -9,7 +9,7 @@
 namespace mgfs {
 
 Histogram::Histogram(double bin_width, std::size_t bin_count, std::string name)
-    : bin_width_(bin_width), name_(std::move(name)), bins_(bin_count, 0) {
+    : bin_width_(bin_width), bin_count_(bin_count), name_(std::move(name)) {
   MGFS_ASSERT(bin_width > 0 && bin_count > 0, "bad histogram shape");
 }
 
@@ -23,24 +23,28 @@ void Histogram::add(double v) {
     return;
   }
   const auto idx = static_cast<std::size_t>(v / bin_width_);
-  if (idx >= bins_.size()) {
+  if (idx >= bin_count_) {
     ++overflow_;
-  } else {
-    ++bins_[idx];
+    return;
   }
+  if (bins_.empty()) bins_.assign(bin_count_, 0);
+  ++bins_[idx];
 }
 
 void Histogram::merge(const Histogram& other) {
   MGFS_ASSERT(bin_width_ == other.bin_width_ &&
-                  bins_.size() == other.bins_.size(),
+                  bin_count_ == other.bin_count_,
               "histogram merge shape mismatch");
   if (other.count_ == 0) return;
+  if (bins_.empty() && !other.bins_.empty()) bins_.assign(bin_count_, 0);
   if (count_ == 0 || other.min_ < min_) min_ = other.min_;
   if (other.max_ > max_) max_ = other.max_;
   count_ += other.count_;
   sum_ += other.sum_;
   overflow_ += other.overflow_;
-  for (std::size_t i = 0; i < bins_.size(); ++i) bins_[i] += other.bins_[i];
+  for (std::size_t i = 0; i < other.bins_.size(); ++i) {
+    bins_[i] += other.bins_[i];
+  }
 }
 
 double Histogram::mean() const {

@@ -35,7 +35,10 @@ class Histogram {
 
  private:
   double bin_width_;
+  std::size_t bin_count_;
   std::string name_;
+  /// Empty until the first in-range add or merge: most histograms (one
+  /// per client for recovery-window ops) never see a value.
   std::vector<std::uint64_t> bins_;
   std::uint64_t overflow_ = 0;
   std::uint64_t count_ = 0;

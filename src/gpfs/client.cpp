@@ -168,6 +168,7 @@ void Client::unbind() {
   block_map_.clear();
   wb_.clear();
   alloc_ahead_hi_.clear();
+  create_grants_.clear();
   marks_.clear();
 }
 
@@ -298,14 +299,16 @@ void Client::ensure_map(InodeNum ino, std::uint64_t first,
   }
   FanIn fan(fetches.size(), std::move(done));
   FileSystem* fs = fs_;
+  const ClientId me = id_;
   const std::uint32_t shard = fs_->shard_of(ino);
   for (const Fetch& fe : fetches) {
     meta_call<BlockMapChunk>(
         shard, kMetaPayload,
-        [fs, ino, fe](Rpc::ReplyFn<BlockMapChunk> reply) {
+        [fs, ino, fe, me](Rpc::ReplyFn<BlockMapChunk> reply) {
           // Priced at what GPFS indirect blocks hold, ~16 bytes per
           // block covered, however compactly the reply encodes them.
-          reply(16 * fe.count, fs->op_block_map(ino, fe.first, fe.count));
+          reply(16 * fe.count,
+                fs->op_block_map(ino, fe.first, fe.count, me));
         },
         [this, ino, fan](Result<BlockMapChunk> res) {
           if (!res.ok()) {
@@ -718,12 +721,22 @@ void Client::open(const std::string& path, const Principal& who,
   meta_call<OpenResult>(
       fs_->shard_of_path(path), kMetaPayload,
       [fs, path, who, flags, me](Rpc::ReplyFn<OpenResult> reply) {
-        reply(64, fs->op_open(path, who, flags, me));
+        Result<OpenResult> res = fs->op_open(path, who, flags, me);
+        const Bytes payload = res.ok() && res->grant ? 64 + 16 : 64;
+        reply(payload, std::move(res));
       },
       [this, who, flags, done = std::move(done)](Result<OpenResult> res) {
         if (!res.ok()) {
           done(res.error());
           return;
+        }
+        if (res->grant) {
+          // The create grant: block 0 is ours to write with no further
+          // token or allocation RPC.
+          held_.record(res->ino, TokenRange{0, block_size()}, LockMode::rw,
+                       /*widened=*/false);
+          install_chunk(res->ino, *res->grant);
+          create_grants_.insert(res->ino);
         }
         const Fh fh = next_fh_++;
         OpenFile f;
@@ -919,6 +932,18 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
   const std::uint64_t b0 = offset / bs;
   const std::uint64_t b1 = (offset + len - 1) / bs;
   const InodeNum ino = f->ino;
+  if (b0 == 0) {
+    // A give-back of block 0 is in flight: write once it is answered,
+    // when block 0 is unmapped here and gets allocated afresh.
+    if (auto g = giving_back_.find(ino); g != giving_back_.end()) {
+      g->second.push_back([this, fh, offset, len, done]() mutable {
+        write(fh, offset, len, std::move(done));
+      });
+      return;
+    }
+    // Written by its creator: the create grant's block 0 is kept.
+    create_grants_.erase(ino);
+  }
   const Bytes old_size = f->size;
   const Bytes new_size = std::max(f->size, offset + len);
   // Marked before any token/allocate work, so a write that later fails
@@ -1027,15 +1052,22 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
         // write so the next `batch` writes skip the allocation RPC.
         const std::size_t count =
             static_cast<std::size_t>(b1 - b0 + 1 + batch);
+        // The creator's first allocation past an unwritten block 0 hands
+        // the create grant's block back, so it reads as a hole; one
+        // give-back in flight at a time, and close retries a failed one.
+        const bool give_back =
+            create_grants_.count(ino) > 0 && giving_back_.count(ino) == 0;
+        if (give_back) giving_back_[ino];
         meta_call<BlockMapChunk>(
             fs_->shard_of(ino), kMetaPayload,
-            [fs, ino, b0, count, new_size,
-             me](Rpc::ReplyFn<BlockMapChunk> reply) {
-              reply(16 * count,
-                    fs->op_allocate(ino, b0, count, new_size, me));
+            [fs, ino, b0, count, new_size, me,
+             give_back](Rpc::ReplyFn<BlockMapChunk> reply) {
+              reply(16 * count, fs->op_allocate(ino, b0, count, new_size, me,
+                                                give_back));
             },
-            [this, ino, b0, count, batch, proceed = std::move(proceed)](
-                Result<BlockMapChunk> res) mutable {
+            [this, ino, b0, count, batch, give_back,
+             proceed = std::move(proceed)](Result<BlockMapChunk> res) mutable {
+              if (give_back) gave_back(ino, res.ok());
               if (!res.ok()) {
                 proceed(res.error());
                 return;
@@ -1182,6 +1214,10 @@ void Client::flush_inode(InodeNum ino, sim::Callback done) {
 }
 
 void Client::fsync(Fh fh, std::function<void(Status)> done) {
+  sync(fh, false, std::move(done));
+}
+
+void Client::sync(Fh fh, bool give_back, std::function<void(Status)> done) {
   OpenFile* f = file(fh);
   if (f == nullptr) {
     done(Status(Errc::invalid_argument, "bad file handle"));
@@ -1192,12 +1228,13 @@ void Client::fsync(Fh fh, std::function<void(Status)> done) {
   // Stamp of the newest write this fsync covers; 0 = nothing written
   // since the last commit.
   const std::uint64_t seq = marks_.pending(ino);
-  flush_inode(ino, [this, ino, size, seq, done = std::move(done)]() mutable {
+  flush_inode(ino, [this, ino, size, seq, give_back,
+                    done = std::move(done)]() mutable {
     if (!mounted()) {
       done(Status{});
       return;
     }
-    if (seq == 0) {
+    if (seq == 0 && !give_back) {
       // The manager already holds everything this inode has to commit.
       // Complete from the event loop: callers' loops are not re-entrant.
       simulator().defer([done = std::move(done)] { done(Status{}); });
@@ -1207,9 +1244,14 @@ void Client::fsync(Fh fh, std::function<void(Status)> done) {
     const ClientId me = id_;
     meta_status(
         fs->shard_of(ino), 64, 64,
-        [fs, ino, size, me] { return fs->op_extend_size(ino, size, me); },
-        [this, ino, size, seq, done = std::move(done)](Status st) {
-          if (st.ok()) marks_.settle(ino, seq, size);
+        [fs, ino, size, me, give_back] {
+          return fs->op_extend_size(ino, size, me, give_back);
+        },
+        [this, ino, size, seq, give_back, done = std::move(done)](Status st) {
+          if (st.ok()) {
+            marks_.settle(ino, seq, size);
+            if (give_back) gave_back(ino, true);
+          }
           done(st);
         });
   });
@@ -1226,10 +1268,27 @@ void Client::flush_all(sim::Callback done) {
 }
 
 void Client::close(Fh fh, std::function<void(Status)> done) {
-  fsync(fh, [this, fh, done = std::move(done)](Status st) {
+  // Created here and block 0 never written: the close's commit hands
+  // the create grant's block back, or it would stay allocated unwritten.
+  const OpenFile* f = file(fh);
+  const bool give_back = f != nullptr && create_grants_.count(f->ino) > 0;
+  sync(fh, give_back, [this, fh, done = std::move(done)](Status st) {
     open_.erase(fh);
     done(st);
   });
+}
+
+void Client::gave_back(InodeNum ino, bool ok) {
+  if (ok) create_grants_.erase(ino);
+  // Block 0 may be a hole now (even after a failure: the reply may be
+  // what was lost); the next access refetches it.
+  if (auto it = block_map_.find(ino); it != block_map_.end()) {
+    it->second.forget(0, 1);
+  }
+  auto g = giving_back_.find(ino);
+  if (g == giving_back_.end()) return;
+  for (sim::Callback& w : g->second) simulator().defer(std::move(w));
+  giving_back_.erase(g);
 }
 
 void Client::refresh_size(Fh fh, std::function<void(Result<Bytes>)> done) {
@@ -1306,10 +1365,30 @@ void Client::unlink(const std::string& path, const Principal& who,
   // One id for every retransmission of this unlink (meta_call re-sends
   // the same request), so a retry after a lost reply is recognised.
   const std::uint64_t req = ++unlink_seq_;
-  meta_status(
-      fs_->shard_of_path(path), kMetaPayload, 64,
-      [fs, path, who, me, req] { return fs->op_unlink(path, who, me, req); },
-      std::move(done));
+  meta_call<InodeNum>(
+      fs_->shard_of_path(path), kMetaPayload,
+      [fs, path, who, me, req](Rpc::ReplyFn<InodeNum> reply) {
+        reply(64, fs->op_unlink(path, who, me, req));
+      },
+      [this, done = std::move(done)](Result<InodeNum> res) {
+        if (!res.ok()) {
+          done(res.error());
+          return;
+        }
+        forget_inode(*res);
+        done(Status{});
+      });
+}
+
+void Client::forget_inode(InodeNum ino) {
+  // Pages still dirty or in flight keep their inode's state until the
+  // write-behind is done with them.
+  if (!mounted() || wb_.busy(ino)) return;
+  held_.forget(ino);
+  block_map_.erase(ino);
+  pool_.invalidate(ino, 0, ~0ULL);
+  alloc_ahead_hi_.erase(ino);
+  create_grants_.erase(ino);
 }
 
 void Client::rename(const std::string& from, const std::string& to,
@@ -1430,6 +1509,7 @@ void Client::discard_cached_state(bool reset_breakers) {
   block_map_.clear();
   ++map_forgets_;
   alloc_ahead_hi_.clear();
+  create_grants_.clear();
   fill_inflight_ = 0;
   if (reset_breakers) breaker_.clear();
   // Writers stalled on the dirty cap and fsync/revoke waiters can
@@ -1461,6 +1541,9 @@ bool Client::handle_revoke(InodeNum ino, TokenRange range,
   // adopt its view before flushing, or the dirty pages this revoke
   // forces out would carry the old manager epoch and be fenced.
   session_.adopt(shard, fs_->manager_node(shard), mgr_epoch);
+  // Once another client may see block 0, a create grant's block is no
+  // longer ours to give back.
+  if (range.lo < block_size()) create_grants_.erase(ino);
   flush_inode(ino, [this, ino, range, done = std::move(done)] {
     const Bytes bs = block_size();
     const std::uint64_t lo_blk = range.lo / bs;
@@ -1524,6 +1607,9 @@ Result<ManagerAssertReply> Client::assert_tokens(net::NodeId mgr_node,
   // kept spans by construction (every dirty page sits under some rw
   // token and inside its inode's dirty span, so its clip retains it).
   for (const auto& [ino, r] : clamp.dropped) {
+    // A create grant whose token is not reasserted is not ours to give
+    // back any more.
+    if (r.lo < bs) create_grants_.erase(ino);
     // Interior blocks only: a block straddling a kept-range edge is
     // still partly under token, and a partially-dirtied page must not
     // be dropped with unflushed bytes aboard.

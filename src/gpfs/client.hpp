@@ -27,6 +27,7 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/histogram.hpp"
@@ -109,7 +110,8 @@ class Client {
   /// at the manager — only when the inode was written since its last
   /// commit; a clean fsync completes locally (still asynchronously).
   void fsync(Fh fh, std::function<void(Status)> done);
-  /// fsync, then drop the handle.
+  /// fsync, then drop the handle. The file's creator that never wrote
+  /// its block 0 commits anyway, handing the create grant's block back.
   void close(Fh fh, std::function<void(Status)> done);
   /// Flush every dirty page of every file (unmount preparation).
   void flush_all(sim::Callback done);
@@ -336,6 +338,16 @@ class Client {
   /// Retry loop for the rejoin RPC (backoff; superseded by incarnation).
   void attempt_rejoin(int attempt);
   void discard_cached_state(bool reset_breakers);
+  /// A give-back of `ino`'s block 0 was answered: forget its cached
+  /// placement, the grant too if it succeeded (`ok`), and release the
+  /// block-0 writes that waited on it.
+  void gave_back(InodeNum ino, bool ok);
+  /// fsync's body; `give_back` forces the commit RPC and has it free the
+  /// create grant's unwritten block 0.
+  void sync(Fh fh, bool give_back, std::function<void(Status)> done);
+  /// After an unlink: drop the dead inode's tokens, map, pages and
+  /// allocate-ahead mark, unless write-behind still holds its pages.
+  void forget_inode(InodeNum ino);
 
   OpenFile* file(Fh fh);
   Bytes block_size() const { return fs_->block_size(); }
@@ -376,6 +388,13 @@ class Client {
   // blocks below it were allocated ahead, so a later write skips the
   // allocation RPC entirely
   std::unordered_map<InodeNum, std::uint64_t> alloc_ahead_hi_;
+  // inodes this client created with a block-0 grant, has not written
+  // at block 0 and still holds that token on without a break: their
+  // first write (or close) decides whether block 0 is kept
+  std::unordered_set<InodeNum> create_grants_;
+  // inodes with a give-back in flight, and the block-0 writes waiting
+  // for its answer (they must not write to the block it may free)
+  std::unordered_map<InodeNum, std::vector<sim::Callback>> giving_back_;
 
   WriteBehind wb_{pool_};
   NsdBreaker breaker_;  // NSD server health, keyed by serving node

@@ -190,9 +190,13 @@ Result<OpenResult> FileSystem::op_open(const std::string& path,
                cfg_.name + " is exported read-only to this cluster");
   }
   auto ino = ns_.resolve(path);
-  if (!ino.ok()) {
+  const bool created = !ino.ok();
+  if (created) {
     if (ino.code() != Errc::not_found || !flags.create) return ino.error();
-    ino = ns_.create(path, who, Mode{064}, sim_.now());
+    // Born in its name's domain: the create, the creator's token and
+    // allocations and its commit then all run on one shard's manager.
+    ino = ns_.create(path, who, Mode{064}, sim_.now(), shard_count(),
+                     shard_of_path(path));
     if (!ino.ok()) return ino.error();
     shards_[shard_of(*ino)].journal.note_sync_op(client, JournalOp::create,
                                                  *ino);
@@ -231,7 +235,50 @@ Result<OpenResult> FileSystem::op_open(const std::string& path,
     jrnl.note_sync_op(client, JournalOp::truncate, *ino);
     st = ns_.stat(*ino);
   }
-  return OpenResult{*ino, st->size, flags.write};
+  OpenResult out{*ino, st->size, flags.write, std::nullopt};
+  if (created && flags.write) out.grant = grant_first_block(client, *ino);
+  return out;
+}
+
+std::optional<BlockMapChunk> FileSystem::grant_first_block(ClientId client,
+                                                           InodeNum ino) {
+  // A fresh inode has no other holder to conflict with.
+  const std::uint32_t s = shard_of(ino);
+  TokenManager& tokens = shards_[s].tokens;
+  if (!grants_open(s) || lease_.expelled(client) ||
+      !tokens.holdings(ino).empty()) {
+    return std::nullopt;
+  }
+  const Result<BlockPlacement> p = allocate_block(ino, 0, client);
+  if (!p.ok()) return std::nullopt;
+  // Exactly block 0, never widened to the whole file: a shared file's
+  // other writers would otherwise start by revoking it.
+  tokens.install(client, ino, LockMode::rw, TokenRange{0, cfg_.block_size});
+  note_grant(s, client, ino);
+  BlockMapEncoder map(0, nsds_.size());
+  map.add(0, *p);
+  return std::move(map).finish(1);
+}
+
+std::optional<ClientId> FileSystem::block0_returnable_by(InodeNum ino) const {
+  const std::uint32_t s = shard_of(ino);
+  const std::optional<ClientId> owner = shards_[s].journal.allocator(ino, 0);
+  if (!owner.has_value() ||
+      !shards_[s].tokens.holds(*owner, ino, TokenRange{0, cfg_.block_size},
+                               LockMode::rw)) {
+    return std::nullopt;
+  }
+  return owner;
+}
+
+void FileSystem::give_back_block0(ClientId client, InodeNum ino) {
+  // Only while the creator's block-0 token is intact: a revoke let
+  // another client reference (and commit) the block.
+  if (block0_returnable_by(ino) != client) return;
+  for (const JournalRecord& r :
+       shards_[shard_of(ino)].journal.take_block(client, ino, 0)) {
+    undo(r);
+  }
 }
 
 Result<StatInfo> FileSystem::op_stat(const std::string& path) {
@@ -248,29 +295,34 @@ Result<std::vector<std::string>> FileSystem::op_readdir(
   return ns_.readdir(path, who);
 }
 
-Status FileSystem::op_unlink(const std::string& path, const Principal& who,
-                             ClientId client, std::uint64_t req) {
+Result<InodeNum> FileSystem::op_unlink(const std::string& path,
+                                       const Principal& who, ClientId client,
+                                       std::uint64_t req) {
   if (shards_[shard_of_path(path)].recovering) {
-    return Status(Errc::unavailable, "manager takeover in progress");
+    return err(Errc::unavailable, "manager takeover in progress");
   }
   lease_touch(client);
   const AccessMode mount_access = access_of(client);
   if (mount_access != AccessMode::read_write) {
-    return Status(Errc::read_only, cfg_.name);
+    return err(Errc::read_only, cfg_.name);
   }
-  std::uint64_t& last = last_unlink_[client];
-  if (last == req) return Status{};  // a retransmission: already applied
+  UnlinkRecord& last = last_unlink_[client];
+  if (last.req == req) return last.ino;  // a retransmission: already applied
   auto ino = ns_.resolve(path);
   auto freed = ns_.unlink(path, who);
   if (!freed.ok()) return freed.error();
-  last = req;
+  last = UnlinkRecord{req, *ino};
   for (const BlockAddr& b : *freed) {
     MGFS_ASSERT(alloc_.free_block(b).ok(), "unlink freed unknown block");
   }
-  if (ino.ok()) shards_[shard_of(*ino)].journal.forget_inode(*ino);
-  shards_[ino.ok() ? shard_of(*ino) : 0].journal.note_sync_op(
-      client, JournalOp::unlink, ino.ok() ? *ino : 0);
-  return Status{};
+  // The inode is gone: its journal tail is moot and no holding on it
+  // can protect anything any more.
+  const std::uint32_t s = shard_of(*ino);
+  shards_[s].journal.forget_inode(*ino);
+  shards_[s].journal.note_sync_op(client, JournalOp::unlink, *ino);
+  shards_[s].tokens.extract(*ino);
+  grant_streaks_.erase(*ino);
+  return *ino;
 }
 
 Status FileSystem::op_rename(const std::string& from, const std::string& to,
@@ -288,14 +340,20 @@ Status FileSystem::op_rename(const std::string& from, const std::string& to,
 
 Result<BlockMapChunk> FileSystem::op_block_map(InodeNum ino,
                                                std::uint64_t first_block,
-                                               std::size_t count) const {
+                                               std::size_t count,
+                                               ClientId client) const {
   if (shards_[shard_of(ino)].recovering) {
     return err(Errc::unavailable, "manager takeover in progress");
   }
   if (ns_.inode(ino) == nullptr) return err(Errc::not_found, "stale inode");
+  // Block 0 its creator may still hand back reads as a hole to everyone
+  // else: a client without a token there does not cache a hole, so it
+  // asks again once it holds one, and never keeps a freed placement.
+  const bool hide0 = first_block == 0 && count > 0 &&
+                     block0_returnable_by(ino).value_or(client) != client;
   BlockMapEncoder map(first_block, nsds_.size());
   for (std::uint64_t bi = first_block; bi < first_block + count; ++bi) {
-    map.add(bi, ns_.placement(ino, bi));
+    map.add(bi, bi == 0 && hide0 ? BlockPlacement{} : ns_.placement(ino, bi));
   }
   return std::move(map).finish(count);
 }
@@ -304,9 +362,11 @@ Result<BlockMapChunk> FileSystem::op_allocate(InodeNum ino,
                                               std::uint64_t first_block,
                                               std::size_t count,
                                               Bytes size_hint,
-                                              ClientId client) {
-  MetaJournal& jrnl = shards_[shard_of(ino)].journal;
-  if (shards_[shard_of(ino)].recovering) {
+                                              ClientId client,
+                                              bool give_back) {
+  const std::uint32_t s = shard_of(ino);
+  MetaJournal& jrnl = shards_[s].journal;
+  if (shards_[s].recovering) {
     return err(Errc::unavailable, "manager takeover in progress");
   }
   lease_touch(client);
@@ -316,10 +376,8 @@ Result<BlockMapChunk> FileSystem::op_allocate(InodeNum ino,
   if (access_of(client) != AccessMode::read_write) {
     return err(Errc::read_only, cfg_.name);
   }
-  const Inode* n = ns_.inode(ino);
-  if (n == nullptr) return err(Errc::not_found, "stale inode");
-  const auto want_copies = static_cast<std::uint8_t>(
-      std::min<std::uint32_t>(n->replication, kMaxReplicas));
+  if (ns_.inode(ino) == nullptr) return err(Errc::not_found, "stale inode");
+  if (give_back) give_back_block0(client, ino);
   BlockMapEncoder map(first_block, nsds_.size());
   for (std::uint64_t bi = first_block; bi < first_block + count; ++bi) {
     BlockPlacement p = ns_.placement(ino, bi);
@@ -330,42 +388,54 @@ Result<BlockMapChunk> FileSystem::op_allocate(InodeNum ino,
       map.add(bi, p);
       continue;
     }
-    const std::uint32_t preferred = nsd_for_block(ino, bi);
-    Result<BlockAddr> addr = err(Errc::unavailable, "preferred NSD down");
-    if (!nsd_down_[preferred]) addr = alloc_.allocate_on(preferred);
-    for (std::size_t k = 1; !addr.ok() && k < nsds_.size(); ++k) {
-      const auto cand =
-          static_cast<std::uint32_t>((preferred + k) % nsds_.size());
-      if (nsd_down_[cand]) continue;
-      addr = alloc_.allocate_on(cand);
-    }
-    if (!addr.ok()) return err(Errc::no_space, cfg_.name + " is full");
-    // WAL rule: every copy's undo record exists before the in-place
-    // mutation, so a writer that dies mid-propagation has its
-    // half-written copies removed (and blocks freed) at replay instead
-    // of surviving as silent stale replicas. Further copies prefer a
-    // site-distinct NSD; a full/down cluster degrades to fewer copies
-    // rather than failing the write.
-    jrnl.log_alloc(client, ino, bi, *addr);
-    p = BlockPlacement::single(*addr);
-    for (std::uint8_t c = 1; c < want_copies; ++c) {
-      const std::uint32_t target = pick_replica_nsd(preferred, p);
-      if (target >= nsds_.size()) break;
-      auto ra = alloc_.allocate_on(target);
-      if (!ra.ok()) break;
-      jrnl.log_replica(client, ino, bi, *ra);
-      p.add(*ra);
-      ++replicas_allocated_;
-    }
-    MGFS_ASSERT(ns_.set_placement(ino, bi, p).ok(), "set_placement failed");
-    map.add(bi, p);
+    const Result<BlockPlacement> placed = allocate_block(ino, bi, client);
+    if (!placed.ok()) return placed.error();
+    map.add(bi, *placed);
   }
   MGFS_ASSERT(ns_.extend_size(ino, size_hint, sim_.now()).ok(),
               "extend_size failed");
   return std::move(map).finish(count);
 }
 
-Status FileSystem::op_extend_size(InodeNum ino, Bytes size, ClientId client) {
+Result<BlockPlacement> FileSystem::allocate_block(InodeNum ino,
+                                                  std::uint64_t bi,
+                                                  ClientId client) {
+  MetaJournal& jrnl = shards_[shard_of(ino)].journal;
+  const auto want_copies = static_cast<std::uint8_t>(
+      std::min<std::uint32_t>(ns_.inode(ino)->replication, kMaxReplicas));
+  const std::uint32_t preferred = nsd_for_block(ino, bi);
+  Result<BlockAddr> addr = err(Errc::unavailable, "preferred NSD down");
+  if (!nsd_down_[preferred]) addr = alloc_.allocate_on(preferred);
+  for (std::size_t k = 1; !addr.ok() && k < nsds_.size(); ++k) {
+    const auto cand =
+        static_cast<std::uint32_t>((preferred + k) % nsds_.size());
+    if (nsd_down_[cand]) continue;
+    addr = alloc_.allocate_on(cand);
+  }
+  if (!addr.ok()) return err(Errc::no_space, cfg_.name + " is full");
+  // WAL rule: every copy's undo record exists before the in-place
+  // mutation, so a writer that dies mid-propagation has its
+  // half-written copies removed (and blocks freed) at replay instead
+  // of surviving as silent stale replicas. Further copies prefer a
+  // site-distinct NSD; a full/down cluster degrades to fewer copies
+  // rather than failing the write.
+  jrnl.log_alloc(client, ino, bi, *addr);
+  BlockPlacement p = BlockPlacement::single(*addr);
+  for (std::uint8_t c = 1; c < want_copies; ++c) {
+    const std::uint32_t target = pick_replica_nsd(preferred, p);
+    if (target >= nsds_.size()) break;
+    auto ra = alloc_.allocate_on(target);
+    if (!ra.ok()) break;
+    jrnl.log_replica(client, ino, bi, *ra);
+    p.add(*ra);
+    ++replicas_allocated_;
+  }
+  MGFS_ASSERT(ns_.set_placement(ino, bi, p).ok(), "set_placement failed");
+  return p;
+}
+
+Status FileSystem::op_extend_size(InodeNum ino, Bytes size, ClientId client,
+                                  bool give_back) {
   MetaJournal& jrnl = shards_[shard_of(ino)].journal;
   if (shards_[shard_of(ino)].recovering) {
     // Overlap window: a client that already reasserted has a live lease
@@ -379,6 +449,7 @@ Status FileSystem::op_extend_size(InodeNum ino, Bytes size, ClientId client) {
     if (!lease_.renew(client, sim_.now())) {
       return Status(Errc::unavailable, "manager takeover in progress");
     }
+    if (give_back) give_back_block0(client, ino);
     jrnl.commit_allocs(client, ino, ceil_div(size, cfg_.block_size));
     return ns_.extend_size(ino, size, sim_.now());
   }
@@ -387,6 +458,7 @@ Status FileSystem::op_extend_size(InodeNum ino, Bytes size, ClientId client) {
     return Status(Errc::stale, "client expelled: rejoin required");
   }
   // fsync commit point: allocations under the durable size are real.
+  if (give_back) give_back_block0(client, ino);
   jrnl.commit_allocs(client, ino, ceil_div(size, cfg_.block_size));
   return ns_.extend_size(ino, size, sim_.now());
 }
@@ -394,7 +466,7 @@ Status FileSystem::op_extend_size(InodeNum ino, Bytes size, ClientId client) {
 void FileSystem::op_token_acquire(
     ClientId client, InodeNum ino, TokenRange range, TokenRange desired,
     LockMode mode, std::function<void(Result<TokenRange>)> done) {
-  if (shards_[shard_of(ino)].recovering || shards_[0].recovering) {
+  if (!grants_open(shard_of(ino))) {
     done(err(Errc::unavailable, "manager takeover in progress"));
     return;
   }
@@ -414,7 +486,7 @@ void FileSystem::token_retry(ClientId client, InodeNum ino, TokenRange range,
   // Re-resolve the shard at every re-entry: a delegation may have moved
   // the inode's authority while this request waited out a revoke round.
   const std::uint32_t s = shard_of(ino);
-  if (shards_[s].recovering || shards_[0].recovering) {
+  if (!grants_open(s)) {
     // A takeover is repopulating this shard's token table from
     // assertions; a request resolved against the half-built state could
     // grant bytes a client is about to reassert. (Shard 0 mid-rebuild
@@ -434,9 +506,7 @@ void FileSystem::token_retry(ClientId client, InodeNum ino, TokenRange range,
   TokenDecision d = shards_[s].tokens.request(client, ino, range, desired,
                                               mode);
   if (d.granted) {
-    ++tokens_granted_;
-    note_first_grant(s);
-    note_grant_for_delegation(client, ino);
+    note_grant(s, client, ino);
     done(d.granted_range);
     return;
   }
@@ -749,6 +819,17 @@ void FileSystem::park_for_recovery(std::uint32_t shard, sim::Callback resume) {
   sim_.after(std::max(cfg_.lease_recovery_wait, 1e-3), fire);
 }
 
+bool FileSystem::grants_open(std::uint32_t shard) const {
+  return !shards_[shard].recovering && !shards_[0].recovering;
+}
+
+void FileSystem::note_grant(std::uint32_t shard, ClientId client,
+                            InodeNum ino) {
+  ++tokens_granted_;
+  note_first_grant(shard);
+  note_grant_for_delegation(client, ino);
+}
+
 void FileSystem::note_first_grant(std::uint32_t shard) {
   MetaShard& sh = shards_[shard];
   if (sh.takeover_started_at >= 0 && sh.first_grant_at < 0) {
@@ -798,29 +879,33 @@ void FileSystem::replay_journal_slice(std::uint32_t shard, ClientId client) {
   // the alloc itself.
   for (const JournalRecord& r :
        shards_[shard].journal.take_uncommitted(client)) {
-    BlockPlacement p = ns_.placement(r.ino, r.block);
-    const std::uint8_t c = p.find(r.addr);
-    // An alloc record owns copy 0, a replica record one further copy;
-    // an address found elsewhere (or nowhere) was re-placed since and
-    // is not ours to undo. The inode may be gone entirely — unlink
-    // already freed its blocks.
-    if (c >= p.copies || (c == 0) != (r.op == JournalOp::alloc)) continue;
-    if (c == 0) {
-      // Undoing the allocation punches a hole: every copy goes.
-      for (std::uint8_t k = 0; k < p.copies; ++k) {
-        MGFS_ASSERT(alloc_.free_block(p.addr[k]).ok(),
-                    "journal replay: free_block failed");
-      }
-      p = BlockPlacement{};
-    } else {
-      MGFS_ASSERT(alloc_.free_block(r.addr).ok(),
-                  "journal replay: free_block failed");
-      p.remove(c);
-    }
-    MGFS_ASSERT(ns_.set_placement(r.ino, r.block, p).ok(),
-                "journal replay: set_placement failed");
-    ++journal_replays_;
+    if (undo(r)) ++journal_replays_;
   }
+}
+
+bool FileSystem::undo(const JournalRecord& r) {
+  BlockPlacement p = ns_.placement(r.ino, r.block);
+  const std::uint8_t c = p.find(r.addr);
+  // An alloc record owns copy 0, a replica record one further copy;
+  // an address found elsewhere (or nowhere) was re-placed since and
+  // is not ours to undo. The inode may be gone entirely — unlink
+  // already freed its blocks.
+  if (c >= p.copies || (c == 0) != (r.op == JournalOp::alloc)) return false;
+  if (c == 0) {
+    // Undoing the allocation punches a hole: every copy goes.
+    for (std::uint8_t k = 0; k < p.copies; ++k) {
+      MGFS_ASSERT(alloc_.free_block(p.addr[k]).ok(),
+                  "journal undo: free_block failed");
+    }
+    p = BlockPlacement{};
+  } else {
+    MGFS_ASSERT(alloc_.free_block(r.addr).ok(),
+                "journal undo: free_block failed");
+    p.remove(c);
+  }
+  MGFS_ASSERT(ns_.set_placement(r.ino, r.block, p).ok(),
+              "journal undo: set_placement failed");
+  return true;
 }
 
 FsckReport FileSystem::fsck() const {

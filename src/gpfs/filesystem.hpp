@@ -23,6 +23,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,6 +44,11 @@ struct OpenResult {
   InodeNum ino = 0;
   Bytes size = 0;
   bool writable = false;
+  /// A create for write also hands the creator an rw token on exactly
+  /// block 0 and block 0's placement (DESIGN.md §5.1), so its first
+  /// write needs no further manager round trip. Empty when the manager
+  /// could not grant (takeover in progress, file system full).
+  std::optional<BlockMapChunk> grant;
 };
 
 /// Result of an fsck-style consistency scan (tests / chaos bench).
@@ -267,29 +273,40 @@ class FileSystem {
   /// `req` is the client's id for this unlink, the same on every
   /// retransmission. An unlink that already ran but whose reply was lost
   /// (say, to a manager crash) is answered from the record of that run
-  /// when it is sent again, instead of with not_found.
-  Status op_unlink(const std::string& path, const Principal& who,
-                   ClientId client, std::uint64_t req);
+  /// when it is sent again, instead of with not_found. Every token
+  /// holding on the dead inode is dropped; the reply names the inode so
+  /// the unlinker can drop its own cached state of it.
+  Result<InodeNum> op_unlink(const std::string& path, const Principal& who,
+                             ClientId client, std::uint64_t req);
   Status op_rename(const std::string& from, const std::string& to,
                    const Principal& who);
 
   /// Fetch blocks [first_block, first_block + count) of a file's block
-  /// map for client-side caching, encoded in column extents.
+  /// map for `client`'s cache, encoded in column extents. Block 0 that
+  /// its creator may still give back reads as a hole to any other
+  /// client.
   Result<BlockMapChunk> op_block_map(InodeNum ino, std::uint64_t first_block,
-                                     std::size_t count) const;
+                                     std::size_t count, ClientId client) const;
 
   /// Allocate any missing blocks in [first_block, first_block+count) of
   /// `ino`, striped from the file's stripe origin, and record the
   /// file size as at least `size_hint`. Requires write access. Replies
-  /// with the range's block map.
+  /// with the range's block map. `give_back`: the creator has not
+  /// written block 0 of the file it created, so the block its create
+  /// grant allocated is freed again first and block 0 reads as a hole
+  /// (a no-op once that grant's token was revoked or the block
+  /// committed).
   Result<BlockMapChunk> op_allocate(InodeNum ino, std::uint64_t first_block,
                                     std::size_t count, Bytes size_hint,
-                                    ClientId client);
+                                    ClientId client, bool give_back = false);
 
   /// fsync: record the durable size. This is also the journal commit
   /// point — the client's allocate-ahead records under the committed
-  /// size are retired and no longer undone on expel.
-  Status op_extend_size(InodeNum ino, Bytes size, ClientId client);
+  /// size are retired and no longer undone on expel. `give_back` as for
+  /// op_allocate, before the commit: a creator closing a file whose
+  /// block 0 it never wrote.
+  Status op_extend_size(InodeNum ino, Bytes size, ClientId client,
+                        bool give_back = false);
 
   // --- replication (DESIGN.md §6, replication model) --------------------
   // Every copy of a block is read through ns().placement(ino, bi).
@@ -396,12 +413,34 @@ class FileSystem {
   /// Stamp `shard`'s first post-takeover service point (write admit or
   /// token grant) for takeover_to_first_grant_s.
   void note_first_grant(std::uint32_t shard);
+  /// New token grants in `shard`'s domain: not while it or the lease
+  /// home (shard 0) rebuilds its tables.
+  bool grants_open(std::uint32_t shard) const;
+  /// Bookkeeping of every token grant, the create grant's included.
+  void note_grant(std::uint32_t shard, ClientId client, InodeNum ino);
   /// Piggybacked renewal + lazy sweep at manager-op entry.
   void lease_touch(ClientId client);
   /// Replay (undo) `client`'s uncommitted records in every journal
   /// slice — expel is a cluster-level decision, domain by domain.
   void replay_journal(ClientId client);
   void replay_journal_slice(std::uint32_t shard, ClientId client);
+  /// Undo one journaled install; false when the copy was re-placed
+  /// since (or its inode is gone) and there is nothing of it to undo.
+  bool undo(const JournalRecord& r);
+  /// Place every copy of the hole (ino, bi) for `client`, each copy
+  /// journaled before the install. no_space when no NSD has room.
+  Result<BlockPlacement> allocate_block(InodeNum ino, std::uint64_t bi,
+                                        ClientId client);
+  /// The create grant: an rw token on block 0 of the fresh `ino` and
+  /// block 0 allocated, under the conditions op_token_acquire grants
+  /// under; nullopt when they do not hold.
+  std::optional<BlockMapChunk> grant_first_block(ClientId client,
+                                                 InodeNum ino);
+  /// The client that may still give back block 0 of `ino`: it holds the
+  /// rw token on [0, block_size) and block 0's uncommitted alloc record.
+  std::optional<ClientId> block0_returnable_by(InodeNum ino) const;
+  /// Undo `client`'s allocation of block 0 if it may still give it back.
+  void give_back_block0(ClientId client, InodeNum ino);
   /// Auto-delegation bookkeeping on a token grant: after
   /// cfg_.auto_delegate_ops consecutive single-client acquires on an
   /// inode, move its metanode to the picker's preferred shard.
@@ -429,10 +468,14 @@ class FileSystem {
   std::uint64_t revocations_ = 0;
   std::uint64_t journal_replays_ = 0;
   std::uint64_t fenced_writes_ = 0;
-  /// Each client's last applied unlink request id. Durable metadata
-  /// like the journal, not rebuilt at takeover, so a successor manager
-  /// recognises a retransmission too.
-  std::unordered_map<ClientId, std::uint64_t> last_unlink_;
+  /// Each client's last applied unlink request id and the inode it
+  /// removed. Durable metadata like the journal, not rebuilt at
+  /// takeover, so a successor manager recognises a retransmission too.
+  struct UnlinkRecord {
+    std::uint64_t req = 0;
+    InodeNum ino = 0;
+  };
+  std::unordered_map<ClientId, UnlinkRecord> last_unlink_;
 
   // metanode delegation state
   /// Inodes whose authority was moved off their hash shard.

@@ -125,6 +125,39 @@ void MetaJournal::forget_inode(InodeNum ino) {
   maybe_compact();
 }
 
+std::vector<JournalRecord> MetaJournal::take_block(ClientId c, InodeNum ino,
+                                                  std::uint64_t bi) {
+  std::vector<JournalRecord> out;
+  auto it = by_block_.find(block_key(ino, bi));
+  if (it == by_block_.end()) return out;
+  for (const std::uint32_t idx : it->second) {
+    const Slot& s = slab_[idx];
+    if (!s.live || s.rec.client != c || s.rec.ino != ino ||
+        s.rec.block != bi) {
+      continue;
+    }
+    out.push_back(s.rec);
+    kill(idx);
+  }
+  maybe_compact();
+  std::reverse(out.begin(), out.end());
+  return out;
+}
+
+std::optional<ClientId> MetaJournal::allocator(InodeNum ino,
+                                               std::uint64_t bi) const {
+  auto it = by_block_.find(block_key(ino, bi));
+  if (it == by_block_.end()) return std::nullopt;
+  for (const std::uint32_t idx : it->second) {
+    const Slot& s = slab_[idx];
+    if (s.live && s.rec.op == JournalOp::alloc && s.rec.ino == ino &&
+        s.rec.block == bi) {
+      return s.rec.client;
+    }
+  }
+  return std::nullopt;
+}
+
 std::vector<JournalRecord> MetaJournal::take_uncommitted(ClientId c) {
   std::vector<JournalRecord> out;
   auto it = by_client_.find(c);

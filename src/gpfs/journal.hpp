@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -75,6 +76,14 @@ class MetaJournal {
   /// The inode's block list was torn down at the namespace level
   /// (unlink / truncate freed the blocks): pending undos are moot.
   void forget_inode(InodeNum ino);
+
+  /// Remove and return `c`'s uncommitted records for (ino, bi), newest
+  /// first — a creator giving back the block its create grant placed.
+  std::vector<JournalRecord> take_block(ClientId c, InodeNum ino,
+                                        std::uint64_t bi);
+
+  /// The client whose uncommitted alloc record placed (ino, bi), if any.
+  std::optional<ClientId> allocator(InodeNum ino, std::uint64_t bi) const;
 
   /// Remove and return `c`'s uncommitted records, newest first — the
   /// undo order for replay.

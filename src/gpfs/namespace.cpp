@@ -143,7 +143,9 @@ Result<std::vector<std::string>> Namespace::readdir(
 
 Result<InodeNum> Namespace::create(std::string_view path,
                                    const Principal& who, Mode mode,
-                                   double now) {
+                                   double now, std::uint32_t modulus,
+                                   std::uint32_t residue) {
+  MGFS_ASSERT(residue < modulus, "inode residue out of range");
   auto w = walk_to_parent(path);
   if (!w.ok()) return w.error();
   Inode& parent = get(w->parent);
@@ -153,8 +155,9 @@ Result<InodeNum> Namespace::create(std::string_view path,
   if (parent.entries.count(w->leaf)) {
     return err(Errc::exists, std::string(path));
   }
+  next_ino_ += 1 + (residue + modulus - (next_ino_ + 1) % modulus) % modulus;
   Inode f;
-  f.ino = ++next_ino_;
+  f.ino = next_ino_;
   f.type = FileType::regular;
   f.owner_dn = who.dn;
   f.mode = mode;

@@ -69,8 +69,12 @@ class Namespace {
   bool exists(std::string_view path) const;
 
   // --- mutation --------------------------------------------------------
+  /// Create a regular file numbered with the next free inode number
+  /// congruent to `residue` mod `modulus`; the numbers skipped to reach
+  /// it stay unused. The default numbers consecutively.
   Result<InodeNum> create(std::string_view path, const Principal& who,
-                          Mode mode, double now);
+                          Mode mode, double now, std::uint32_t modulus = 1,
+                          std::uint32_t residue = 0);
   Result<InodeNum> mkdir(std::string_view path, const Principal& who,
                          Mode mode, double now);
   /// Unlink a file; returns every copy of every block it held so the

@@ -198,6 +198,8 @@ class HeldTokens {
   void record(InodeNum ino, TokenRange r, LockMode mode, bool widened);
   /// Drop `r` from every holding of `ino` (a revoke).
   void trim(InodeNum ino, TokenRange r);
+  /// Drop every holding of `ino` (its file was unlinked).
+  void forget(InodeNum ino) { held_.erase(ino); }
   /// The blocks of `block_size` bytes that holdings of `ino` (any mode)
   /// wholly cover, sorted and disjoint.
   std::vector<BlockRange> blocks(InodeNum ino, Bytes block_size) const;

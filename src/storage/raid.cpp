@@ -85,14 +85,10 @@ std::vector<RaidSet::DiskOp> RaidSet::plan(Bytes offset, Bytes len,
           ops.push_back({mem, disk_off, chunk, false});
         }
       } else {
-        if (!full_stripe) {
-          // Read-modify-write: read old data + old parity first.
-          if (!members_[mem]->failed()) {
-            ops.push_back({mem, disk_off, chunk, false});
-          }
-          if (!members_[pmem]->failed()) {
-            ops.push_back({pmem, disk_off, chunk, false});
-          }
+        if (!full_stripe && !members_[mem]->failed()) {
+          // Read-modify-write: read the old data first (the old parity
+          // is read once per stripe, below).
+          ops.push_back({mem, disk_off, chunk, false});
         }
         if (!members_[mem]->failed()) {
           ops.push_back({mem, disk_off, chunk, true});
@@ -102,16 +98,16 @@ std::vector<RaidSet::DiskOp> RaidSet::plan(Bytes offset, Bytes len,
       cpos += chunk;
     }
 
-    if (write) {
-      // One parity update per touched stripe, spanning the touched extent.
+    if (write && !members_[pmem]->failed()) {
+      // One parity update per touched stripe, spanning the touched
+      // extent; a partial stripe reads that old parity extent once.
       const Bytes poff = (in_stripe % unit == 0 && span >= unit)
                              ? 0
                              : (in_stripe % unit);
       const Bytes pfrom = unit_base + poff;
       const Bytes plen = std::min<Bytes>({unit - poff, span, unit});
-      if (!members_[pmem]->failed()) {
-        ops.push_back({pmem, pfrom, plen, true});
-      }
+      if (!full_stripe) ops.push_back({pmem, pfrom, plen, false});
+      ops.push_back({pmem, pfrom, plen, true});
     }
     pos = stripe_end;
   }

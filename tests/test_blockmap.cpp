@@ -104,7 +104,7 @@ TEST(BlockMap, StripedFileIsOneExtentPerNsd) {
     ASSERT_TRUE(addr.ok());
     ASSERT_TRUE(fs.ns().set_block(*ino, bi, *addr).ok());
   }
-  auto chunk = fs.op_block_map(*ino, 0, kBlocks);
+  auto chunk = fs.op_block_map(*ino, 0, kBlocks, 1);
   ASSERT_TRUE(chunk.ok());
   EXPECT_EQ(chunk->extents.size(), 16u);
   EXPECT_TRUE(chunk->multi.empty());

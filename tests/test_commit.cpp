@@ -179,10 +179,11 @@ TEST(Commit, FailedWriteStillMarksInode) {
   auto fh = mc.open(c, "/f", kAlice, OpenFlags::create_rw());
   ASSERT_TRUE(fh.ok());
 
-  // The write's token request cannot reach the manager. Nothing may
-  // have changed, but the close commits anyway: marking is conservative.
+  // The write's token request cannot reach the manager (past block 0,
+  // which the create grant already covers). Nothing may have changed,
+  // but the close commits anyway: marking is conservative.
   mc.net.set_node_up(mc.site.hosts[1], false);
-  ASSERT_FALSE(mc.write(c, *fh, 0, 1 * MiB).ok());
+  ASSERT_FALSE(mc.write(c, *fh, 1 * MiB, 1 * MiB).ok());
   mc.net.set_node_up(mc.site.hosts[1], true);
   const std::uint64_t before = manager_rpcs(mc);
   EXPECT_TRUE(mc.close(c, *fh).ok());

@@ -67,6 +67,28 @@ TEST(Histogram, MergeAccumulatesBinsAndExtremes) {
   EXPECT_EQ(a.count(), 4u);
 }
 
+TEST(Histogram, MergeIntoAnUntouchedHistogram) {
+  // Bins are allocated on first use; an untouched histogram still takes
+  // a merge, and one that only ever overflowed still has none.
+  Histogram into(1.0, 100);
+  Histogram from(1.0, 100);
+  from.add(7.5);
+  from.add(7.5);
+  from.add(300.0);
+  into.merge(from);
+  EXPECT_EQ(into.count(), 3u);
+  EXPECT_EQ(into.overflow(), 1u);
+  EXPECT_NEAR(into.quantile(0.5), 7.5, 1.0);
+  Histogram over(1.0, 100);
+  over.add(500.0);
+  Histogram sum(1.0, 100);
+  sum.merge(over);
+  EXPECT_EQ(sum.overflow(), 1u);
+  EXPECT_DOUBLE_EQ(sum.quantile(0.5), 500.0);
+  sum.add(3.5);
+  EXPECT_NEAR(sum.quantile(0.0), 3.5, 1.0);
+}
+
 TEST(Histogram, PrintSummaryLine) {
   Histogram h(0.001, 100, "recall");
   h.add(0.010);

@@ -149,9 +149,10 @@ TEST(EdgeCases, ZeroByteFileLifecycle) {
 TEST(EdgeCases, HugeSparseFileStatsWithoutAllocation) {
   MiniCluster mc;
   gpfs::Client* c = mc.mount_on(2);
-  auto fh = mc.open(c, "/sparse", kAlice, gpfs::OpenFlags::create_rw());
-  // One byte at 32 GiB: only one block allocated.
+  // One byte at 32 GiB: only one block allocated, counting the block 0
+  // the create grant placed and the write handed back.
   const std::uint64_t free0 = mc.fs->alloc().total_free();
+  auto fh = mc.open(c, "/sparse", kAlice, gpfs::OpenFlags::create_rw());
   ASSERT_TRUE(mc.write(c, *fh, 32 * GiB, 1).ok());
   ASSERT_TRUE(mc.close(c, *fh).ok());
   EXPECT_EQ(mc.fs->alloc().total_free(), free0 - 1);

@@ -93,6 +93,22 @@ TEST_F(RaidFixture, SmallWritePaysReadModifyWrite)
   EXPECT_EQ(writes, 2);
 }
 
+TEST_F(RaidFixture, PartialStripeWriteReadsParityOnce) {
+  make(8, 256 * KiB);
+  // 1 MiB spans four data columns of one stripe: read the old data and
+  // the old parity once, then write both.
+  const std::size_t pmem = raid->parity_member(0);
+  auto ops = raid->plan(0, 1 * MiB, true);
+  Bytes total = 0;
+  int parity_reads = 0;
+  for (const auto& op : ops) {
+    total += op.len;
+    if (op.member == pmem && !op.write) ++parity_reads;
+  }
+  EXPECT_EQ(parity_reads, 1);
+  EXPECT_EQ(total, 2 * MiB + 512 * KiB);
+}
+
 TEST_F(RaidFixture, DegradedReadReconstructsFromSurvivors) {
   make(4, 256 * KiB);
   // Fail the member holding stripe 0, column 0.

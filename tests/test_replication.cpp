@@ -71,7 +71,7 @@ TEST(Replication, UnreplicatedFilesHaveNoPlacementTableEntries) {
   ASSERT_EQ(blocks, 4u);
   // Every block is a one-copy placement on its striping-rule NSD, and
   // the block map hands clients exactly that, plus a hole past EOF.
-  auto chunk = mc.fs->op_block_map(ino, 0, blocks + 1);
+  auto chunk = mc.fs->op_block_map(ino, 0, blocks + 1, c->id());
   ASSERT_TRUE(chunk.ok());
   ASSERT_EQ(chunk->count, blocks + 1);
   for (std::uint64_t bi = 0; bi < blocks; ++bi) {
