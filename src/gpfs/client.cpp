@@ -70,8 +70,12 @@ void Client::meta_call(std::uint32_t shard, Bytes req_payload,
         });
       },
       [this, shard, req_payload, server, attempt, target, started_at,
-       saw_recovery, done = std::move(done)](Result<R> res) mutable {
+       saw_recovery, sent = simulator().now(),
+       done = std::move(done)](Result<R> res) mutable {
         if (res.code() == Errc::timed_out) ++rpc_timeouts_;
+        if (res.ok() || !retryable(res.code())) {
+          session_.heard(shard, target, simulator().now());
+        }
         if (res.ok() || !retryable(res.code()) ||
             cfg_.retry.exhausted(attempt)) {
           if (saw_recovery) {
@@ -92,7 +96,8 @@ void Client::meta_call(std::uint32_t shard, Bytes req_payload,
         // timeout against the deposed manager is stale evidence, not an
         // accusation against its successor).
         const bool was_recovering = mounted() && fs_->shard_recovering(shard);
-        if (!was_recovering && fs_->manager_node(shard) == target) {
+        if (!was_recovering && fs_->manager_node(shard) == target &&
+            session_.silent_since(shard, sent)) {
           session_.accuse(shard);
         }
         ++rpc_retries_;
@@ -167,8 +172,8 @@ void Client::unbind() {
   held_.clear();
   block_map_.clear();
   wb_.clear();
-  alloc_ahead_hi_.clear();
   create_grants_.clear();
+  referenced_.clear();
   marks_.clear();
 }
 
@@ -187,9 +192,9 @@ Bytes Client::known_size(Fh fh) const {
 // --------------------------------------------------------------------------
 
 void Client::ensure_token(InodeNum ino, TokenRange required,
-                          TokenRange desired, LockMode mode,
+                          TokenRange desired,
                           std::function<void(Status)> done) {
-  if (const HeldTokens::Held* h = held_.covers(ino, required, mode)) {
+  if (const HeldTokens::Held* h = held_.covers(ino, required, LockMode::ro)) {
     // A hit on a batched (widened) grant is a metadata RPC the
     // per-block protocol would have made.
     if (h->widened) ++meta_rpcs_saved_;
@@ -200,21 +205,20 @@ void Client::ensure_token(InodeNum ino, TokenRange required,
   const ClientId me = id_;
   meta_call<TokenRange>(
       fs_->shard_of(ino), 64,
-      [fs, me, ino, required, desired, mode](Rpc::ReplyFn<TokenRange> reply) {
-        fs->op_token_acquire(me, ino, required, desired, mode,
+      [fs, me, ino, required, desired](Rpc::ReplyFn<TokenRange> reply) {
+        fs->op_token_acquire(me, ino, required, desired, LockMode::ro,
                              [reply](Result<TokenRange> res) {
                                reply(64, std::move(res));
                              });
       },
-      [this, ino, required, mode,
-       done = std::move(done)](Result<TokenRange> res) {
+      [this, ino, required, done = std::move(done)](Result<TokenRange> res) {
         if (!res.ok()) {
           done(res.error());
           return;
         }
         const bool widened =
             res->lo < required.lo || res->hi > required.hi;
-        held_.record(ino, *res, mode, widened);
+        held_.record(ino, *res, LockMode::ro, widened);
         done(Status{});
       });
 }
@@ -666,7 +670,7 @@ void Client::prefetch_strided(InodeNum ino, std::uint64_t b0,
   const Bytes bs = block_size();
   const TokenRange want{b0 * bs, (b0 + count) * bs};
   ensure_token(
-      ino, want, want, LockMode::ro, [this, ino, b0, count](Status st) {
+      ino, want, want, [this, ino, b0, count](Status st) {
         // Speculative: any failure (or an unmount that raced with the
         // token RPC) just means no prefetch.
         if (!st.ok() || !mounted()) return;
@@ -731,12 +735,13 @@ void Client::open(const std::string& path, const Principal& who,
           return;
         }
         if (res->grant) {
-          // The create grant: block 0 is ours to write with no further
-          // token or allocation RPC.
+          // The create grant: block 0 is ours to write with no write
+          // grant.
           held_.record(res->ino, TokenRange{0, block_size()}, LockMode::rw,
                        /*widened=*/false);
           install_chunk(res->ino, *res->grant);
           create_grants_.insert(res->ino);
+          referenced_[res->ino] = BlockRange{0, 1};
         }
         const Fh fh = next_fh_++;
         OpenFile f;
@@ -746,7 +751,7 @@ void Client::open(const std::string& path, const Principal& who,
         f.size = res->size;
         f.ra = ReadaheadRamp(kReadaheadMin,
                              static_cast<std::uint64_t>(cfg_.readahead_blocks));
-        f.wb = ReadaheadRamp(8, kWriteBatchBlocks);
+        f.wb = ReadaheadRamp(kWriteBatchBlocks, kWriteBatchBlocks);
         open_[fh] = std::move(f);
         done(fh);
       });
@@ -821,7 +826,7 @@ void Client::read_attempt(const ReadPlan& p, bool retry,
                           std::function<void(Result<Bytes>)> done) {
   const std::uint64_t forgets = map_forgets_;
   ensure_token(
-      p.ino, p.required, p.desired, LockMode::ro,
+      p.ino, p.required, p.desired,
       [this, p, retry, forgets, done = std::move(done)](Status st) mutable {
         if (!st.ok()) {
           done(st.error());
@@ -951,134 +956,128 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
   marks_.mark(ino, offset + len);
 
   // Streaming-write detection: once the sequential pattern is confirmed
-  // (two hits), batch the token grant and block allocation over the
-  // ramp window. One-shot writes keep exact per-call block accounting.
+  // (two hits), the token and allocation cover the write's whole batch
+  // ahead (clamped at a predicted strided run end). One-shot writes keep
+  // exact per-call block accounting.
   const std::uint64_t wnd = f->wb.on_access(b0, b1);
-  const std::uint64_t batch =
-      (f->wb.hits() >= 2 && wnd > 0)
-          ? std::min<std::uint64_t>(wnd, kWriteBatchBlocks)
-          : 0;
-
+  const std::uint64_t batch = f->wb.hits() >= 2 ? wnd : 0;
   const TokenRange required{offset, offset + len};
   const TokenRange desired =
       batch == 0 ? required : TokenRange{b0 * bs, (b1 + 1 + batch) * bs};
 
-  ensure_token(
-      ino, required, desired, LockMode::rw,
-      [this, f, ino, b0, b1, batch, offset, len, bs, old_size, new_size,
-       done = std::move(done)](Status st) mutable {
-        if (!st.ok()) {
-          done(st.error());
+  auto accept = [this, f, ino, b0, b1, offset, len, bs, old_size, new_size,
+                 done = std::move(done)](Status st) mutable {
+    if (!st.ok()) {
+      done(st.error());
+      return;
+    }
+    // Read-modify-write edges: partially written blocks that already
+    // have on-disk contents must be fetched first.
+    std::vector<std::uint64_t> rmw;
+    if (offset % bs != 0 && b0 * bs < old_size &&
+        !pool_.contains({ino, b0})) {
+      rmw.push_back(b0);
+    }
+    if ((offset + len) % bs != 0 && b1 != b0 && b1 * bs < old_size &&
+        !pool_.contains({ino, b1})) {
+      rmw.push_back(b1);
+    }
+    auto commit = [this, f, ino, b0, b1, len, new_size,
+                   done = std::move(done)](Status st) mutable {
+      if (!st.ok()) {
+        done(st.error());
+        return;
+      }
+      for (std::uint64_t bi = b0; bi <= b1; ++bi) {
+        const std::optional<BlockPlacement> e = map_entry(ino, bi);
+        MGFS_ASSERT(e.has_value() && e->copies > 0,
+                    "dirty page without placement");
+        if (!wb_.enqueue(PageKey{ino, bi}, *e)) {
+          done(err(Errc::io_error, "pagepool pinned solid with dirty pages"));
           return;
         }
-        // Allocate missing blocks (batched). We always ask the manager
-        // when any entry is unknown or a hole.
-        bool need_alloc = false;
-        for (std::uint64_t bi = b0; bi <= b1 && !need_alloc; ++bi) {
-          const std::optional<BlockPlacement> e = map_entry(ino, bi);
-          if (!e.has_value() || e->copies == 0) need_alloc = true;
-        }
-        if (!need_alloc) {
-          // Covered by an earlier allocate-ahead batch: an allocation
-          // RPC the per-call protocol would have made.
-          auto wm = alloc_ahead_hi_.find(ino);
-          if (wm != alloc_ahead_hi_.end() && b1 < wm->second) {
-            ++meta_rpcs_saved_;
-          }
-        }
-        auto proceed = [this, f, ino, b0, b1, offset, len, bs, old_size,
-                        new_size, done = std::move(done)](Status st) mutable {
-          if (!st.ok()) {
-            done(st.error());
-            return;
-          }
-          // Read-modify-write edges: partially written blocks that
-          // already have on-disk contents must be fetched first.
-          std::vector<std::uint64_t> rmw;
-          if (offset % bs != 0 && b0 * bs < old_size &&
-              !pool_.contains({ino, b0})) {
-            rmw.push_back(b0);
-          }
-          if ((offset + len) % bs != 0 && b1 != b0 && b1 * bs < old_size &&
-              !pool_.contains({ino, b1})) {
-            rmw.push_back(b1);
-          }
-          auto commit = [this, f, ino, b0, b1, len, new_size,
-                         done = std::move(done)](Status st) mutable {
-            if (!st.ok()) {
-              done(st.error());
-              return;
-            }
-            for (std::uint64_t bi = b0; bi <= b1; ++bi) {
-              const std::optional<BlockPlacement> e = map_entry(ino, bi);
-              MGFS_ASSERT(e.has_value() && e->copies > 0,
-                          "dirty page without placement");
-              if (!wb_.enqueue(PageKey{ino, bi}, *e)) {
-                done(err(Errc::io_error,
-                         "pagepool pinned solid with dirty pages"));
-                return;
-              }
-            }
-            // Commits can land out of order: an allocate-ahead-covered
-            // write completes synchronously while an earlier write still
-            // waits on its allocation reply. Size only ever grows.
-            f->size = std::max(f->size, new_size);
-            pump_flush();
-            if (pool_.dirty_bytes() <= kMaxDirty) {
-              // A write whose token, map and allocation are all batched
-              // ahead reaches here synchronously; callers' issue loops
-              // are not re-entrant, so complete through the event queue.
-              simulator().defer([len, done = std::move(done)] { done(len); });
-            } else {
-              // Write-behind cap reached: stall the writer until flushes
-              // bring the dirty total back under the cap.
-              wb_.stall([len, done = std::move(done)] { done(len); });
-            }
-          };
-          if (rmw.empty()) {
-            commit(Status{});
-            return;
-          }
-          FanIn fan(rmw.size(), std::move(commit));
-          for (std::uint64_t bi : rmw) ensure_block_present(ino, bi, fan);
-        };
-        if (!need_alloc) {
-          proceed(Status{});
+      }
+      // Commits can land out of order: a write under a batched grant
+      // completes synchronously while an earlier write still waits on
+      // its grant. Size only ever grows.
+      f->size = std::max(f->size, new_size);
+      pump_flush();
+      if (pool_.dirty_bytes() <= kMaxDirty) {
+        // A write under a batched grant reaches here synchronously;
+        // callers' issue loops are not re-entrant, so complete through
+        // the event queue.
+        simulator().defer([len, done = std::move(done)] { done(len); });
+      } else {
+        // Write-behind cap reached: stall the writer until flushes
+        // bring the dirty total back under the cap.
+        wb_.stall([len, done = std::move(done)] { done(len); });
+      }
+    };
+    if (rmw.empty()) {
+      commit(Status{});
+      return;
+    }
+    FanIn fan(rmw.size(), std::move(commit));
+    for (std::uint64_t bi : rmw) ensure_block_present(ino, bi, fan);
+  };
+
+  // Under a held rw token, inside the blocks this client's grants
+  // referenced and with each block placed, the write asks the manager
+  // nothing.
+  const HeldTokens::Held* h = held_.covers(ino, required, LockMode::rw);
+  const auto ref = referenced_.find(ino);
+  bool placed = h != nullptr && ref != referenced_.end() &&
+                ref->second.lo <= b0 && b1 < ref->second.hi;
+  for (std::uint64_t bi = b0; bi <= b1 && placed; ++bi) {
+    const std::optional<BlockPlacement> e = map_entry(ino, bi);
+    placed = e.has_value() && e->copies > 0;
+  }
+  if (placed) {
+    // A hit on a batched grant is a round trip the per-call protocol
+    // would have made.
+    if (h->widened) ++meta_rpcs_saved_;
+    accept(Status{});
+    return;
+  }
+  // Anything else costs one write grant: token and allocation together.
+  // The creator's first grant past an unwritten block 0 hands the create
+  // grant's block back, so it reads as a hole; one give-back in flight
+  // at a time, and close retries a failed one.
+  const bool give_back =
+      create_grants_.count(ino) > 0 && giving_back_.count(ino) == 0;
+  if (give_back) giving_back_[ino];
+  FileSystem* fs = fs_;
+  const ClientId me = id_;
+  const std::uint64_t count = ceil_div(desired.hi, bs) - desired.lo / bs;
+  meta_call<WriteGrant>(
+      fs_->shard_of(ino), kMetaPayload,
+      [fs, me, ino, required, desired, new_size, give_back,
+       count](Rpc::ReplyFn<WriteGrant> reply) {
+        fs->op_write_grant(me, ino, required, desired, new_size, give_back,
+                           [reply, count](Result<WriteGrant> res) {
+                             reply(64 + 16 * count, std::move(res));
+                           });
+      },
+      [this, ino, required, give_back,
+       accept = std::move(accept)](Result<WriteGrant> res) mutable {
+        if (give_back) gave_back(ino, res.ok());
+        if (!res.ok()) {
+          accept(res.error());
           return;
         }
-        FileSystem* fs = fs_;
-        const ClientId me = id_;
-        // On a confirmed streak, allocate the ramp window ahead of the
-        // write so the next `batch` writes skip the allocation RPC.
-        const std::size_t count =
-            static_cast<std::size_t>(b1 - b0 + 1 + batch);
-        // The creator's first allocation past an unwritten block 0 hands
-        // the create grant's block back, so it reads as a hole; one
-        // give-back in flight at a time, and close retries a failed one.
-        const bool give_back =
-            create_grants_.count(ino) > 0 && giving_back_.count(ino) == 0;
-        if (give_back) giving_back_[ino];
-        meta_call<BlockMapChunk>(
-            fs_->shard_of(ino), kMetaPayload,
-            [fs, ino, b0, count, new_size, me,
-             give_back](Rpc::ReplyFn<BlockMapChunk> reply) {
-              reply(16 * count, fs->op_allocate(ino, b0, count, new_size, me,
-                                                give_back));
-            },
-            [this, ino, b0, count, batch, give_back,
-             proceed = std::move(proceed)](Result<BlockMapChunk> res) mutable {
-              if (give_back) gave_back(ino, res.ok());
-              if (!res.ok()) {
-                proceed(res.error());
-                return;
-              }
-              install_chunk(ino, *res);
-              if (batch > 0) {
-                std::uint64_t& hi = alloc_ahead_hi_[ino];
-                hi = std::max(hi, b0 + count);
-              }
-              proceed(Status{});
-            });
+        const bool widened =
+            res->range.lo < required.lo || res->range.hi > required.hi;
+        held_.record(ino, res->range, LockMode::rw, widened);
+        install_chunk(ino, res->map);
+        // The batch joins the referenced run it touches, else replaces it.
+        const BlockRange batch{res->map.first_block,
+                               res->map.first_block + res->map.count};
+        BlockRange& run = referenced_[ino];
+        run = run.hi < batch.lo || batch.hi < run.lo || run.lo == run.hi
+                  ? batch
+                  : BlockRange{std::min(run.lo, batch.lo),
+                               std::max(run.hi, batch.hi)};
+        accept(Status{});
       });
 }
 
@@ -1273,6 +1272,9 @@ void Client::close(Fh fh, std::function<void(Status)> done) {
   const OpenFile* f = file(fh);
   const bool give_back = f != nullptr && create_grants_.count(f->ino) > 0;
   sync(fh, give_back, [this, fh, done = std::move(done)](Status st) {
+    // A later open writes under a fresh grant: the referenced run is
+    // kept only while the file is open.
+    if (const OpenFile* f = file(fh)) referenced_.erase(f->ino);
     open_.erase(fh);
     done(st);
   });
@@ -1280,6 +1282,10 @@ void Client::close(Fh fh, std::function<void(Status)> done) {
 
 void Client::gave_back(InodeNum ino, bool ok) {
   if (ok) create_grants_.erase(ino);
+  if (auto r = referenced_.find(ino);
+      r != referenced_.end() && r->second.lo == 0) {
+    referenced_.erase(r);
+  }
   // Block 0 may be a hole now (even after a failure: the reply may be
   // what was lost); the next access refetches it.
   if (auto it = block_map_.find(ino); it != block_map_.end()) {
@@ -1387,8 +1393,8 @@ void Client::forget_inode(InodeNum ino) {
   held_.forget(ino);
   block_map_.erase(ino);
   pool_.invalidate(ino, 0, ~0ULL);
-  alloc_ahead_hi_.erase(ino);
   create_grants_.erase(ino);
+  referenced_.erase(ino);
 }
 
 void Client::rename(const std::string& from, const std::string& to,
@@ -1508,8 +1514,8 @@ void Client::discard_cached_state(bool reset_breakers) {
   held_.clear();
   block_map_.clear();
   ++map_forgets_;
-  alloc_ahead_hi_.clear();
   create_grants_.clear();
+  referenced_.clear();
   fill_inflight_ = 0;
   if (reset_breakers) breaker_.clear();
   // Writers stalled on the dirty cap and fsync/revoke waiters can
@@ -1557,6 +1563,13 @@ bool Client::handle_revoke(InodeNum ino, TokenRange range,
     if (auto fit = block_map_.find(ino); fit != block_map_.end()) {
       fit->second.forget(lo_blk, hi_blk);
       if (fit->second.empty()) block_map_.erase(fit);
+    }
+    // The next holder may place blocks here; our next write there
+    // must be granted again.
+    if (auto r = referenced_.find(ino); r != referenced_.end() &&
+                                        r->second.lo < hi_blk &&
+                                        lo_blk < r->second.hi) {
+      referenced_.erase(r);
     }
     held_.trim(ino, range);
     done();

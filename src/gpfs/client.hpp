@@ -4,7 +4,10 @@
 //   * a pagepool block cache with LRU eviction
 //   * sequential-read detection and block readahead
 //   * buffered writes with write-behind (WriteBehind, writebehind.hpp;
-//     the dirty cap stalls writers) and commit marks (CommitMarks)
+//     the dirty cap stalls writers) and commit marks (CommitMarks); a
+//     write's rw token and block allocation come in one write grant
+//     (FileSystem::op_write_grant), a confirmed stream's for a whole
+//     batch at once
 //   * a token cache (HeldTokens, token.hpp) — byte ranges this node
 //     may cache — kept coherent by the manager's revoke protocol
 //   * a block-map cache in column extents (BlockMapCache, blockmap.hpp),
@@ -208,7 +211,7 @@ class Client {
     OpenFlags flags;
     Bytes size = 0;  // client's view; refresh_size() re-fetches
     ReadaheadRamp ra;  // sequential-read prefetch ramp
-    ReadaheadRamp wb;  // sequential-write batch ramp (token/alloc window)
+    ReadaheadRamp wb;  // sequential-write detector (write grant batch)
   };
 
   /// One read call's blocks [b0, b1], the map and readahead window up
@@ -228,10 +231,11 @@ class Client {
   void read_attempt(const ReadPlan& p, bool retry,
                     std::function<void(Result<Bytes>)> done);
 
-  /// Acquire `required` (a cache hit short-circuits); `desired` ⊇
-  /// `required` is the batch window handed to the manager for clipping.
+  /// Acquire an ro token on `required` (a cache hit short-circuits);
+  /// `desired` ⊇ `required` is the window handed to the manager for
+  /// clipping. Writes take their rw token with a write grant instead.
   void ensure_token(InodeNum ino, TokenRange required, TokenRange desired,
-                    LockMode mode, std::function<void(Status)> done);
+                    std::function<void(Status)> done);
 
   // block map cache helpers. Entries carry the full placement (0 copies
   // = hole, 1 for an unreplicated block), so the read path can pick the
@@ -345,8 +349,8 @@ class Client {
   /// fsync's body; `give_back` forces the commit RPC and has it free the
   /// create grant's unwritten block 0.
   void sync(Fh fh, bool give_back, std::function<void(Status)> done);
-  /// After an unlink: drop the dead inode's tokens, map, pages and
-  /// allocate-ahead mark, unless write-behind still holds its pages.
+  /// After an unlink: drop the dead inode's tokens, map and pages,
+  /// unless write-behind still holds its pages.
   void forget_inode(InodeNum ino);
 
   OpenFile* file(Fh fh);
@@ -384,14 +388,15 @@ class Client {
   CommitMarks marks_;  // inodes written since their last commit
   std::uint64_t unlink_seq_ = 0;  // request ids for op_unlink
 
-  // allocation high-water mark from write-streak batching, per inode:
-  // blocks below it were allocated ahead, so a later write skips the
-  // allocation RPC entirely
-  std::unordered_map<InodeNum, std::uint64_t> alloc_ahead_hi_;
   // inodes this client created with a block-0 grant, has not written
   // at block 0 and still holds that token on without a break: their
   // first write (or close) decides whether block 0 is kept
   std::unordered_set<InodeNum> create_grants_;
+  // per inode, the run of blocks this client's latest write grants
+  // referenced (a create grant's block 0 included). Only a write inside
+  // it may skip the manager: a placement mapped for a read may carry
+  // another client's uncommitted allocation, which only a grant retires.
+  std::unordered_map<InodeNum, BlockRange> referenced_;
   // inodes with a give-back in flight, and the block-0 writes waiting
   // for its answer (they must not write to the block it may free)
   std::unordered_map<InodeNum, std::vector<sim::Callback>> giving_back_;
@@ -411,7 +416,7 @@ class Client {
   std::uint64_t coal_blocks_ = 0;      // blocks carried by coalesced requests
   std::uint64_t coal_requests_ = 0;    // coalesced (multi-block) requests
   std::uint64_t coal_splits_ = 0;      // coalesced requests split on failure
-  std::uint64_t meta_rpcs_saved_ = 0;  // token/alloc RPCs skipped by batching
+  std::uint64_t meta_rpcs_saved_ = 0;  // manager RPCs skipped by batching
   std::uint64_t fenced_writes_ = 0;    // writes rejected by epoch fencing
   std::uint64_t recovery_probes_ = 0;  // fast-cadence recovery retries
   // Ops that saw the recovering gate: 10ms bins out to 20s.

@@ -358,18 +358,28 @@ Result<BlockMapChunk> FileSystem::op_block_map(InodeNum ino,
   return std::move(map).finish(count);
 }
 
-Result<BlockMapChunk> FileSystem::op_allocate(InodeNum ino,
-                                              std::uint64_t first_block,
-                                              std::size_t count,
+void FileSystem::op_write_grant(
+    ClientId client, InodeNum ino, TokenRange range, TokenRange desired,
+    Bytes size_hint, bool give_back,
+    std::function<void(Result<WriteGrant>)> done) {
+  op_token_acquire(client, ino, range, desired, LockMode::rw,
+                   [this, client, ino, desired, size_hint, give_back,
+                    done = std::move(done)](Result<TokenRange> granted) {
+                     if (!granted.ok()) {
+                       done(granted.error());
+                       return;
+                     }
+                     done(allocate_batch(client, ino, *granted, desired,
+                                         size_hint, give_back));
+                   });
+}
+
+Result<WriteGrant> FileSystem::allocate_batch(ClientId client, InodeNum ino,
+                                              TokenRange granted,
+                                              TokenRange desired,
                                               Bytes size_hint,
-                                              ClientId client,
                                               bool give_back) {
-  const std::uint32_t s = shard_of(ino);
-  MetaJournal& jrnl = shards_[s].journal;
-  if (shards_[s].recovering) {
-    return err(Errc::unavailable, "manager takeover in progress");
-  }
-  lease_touch(client);
+  // A revoke round may have outlasted the client's lease or the file.
   if (lease_.expelled(client)) {
     return err(Errc::stale, "client expelled: rejoin required");
   }
@@ -377,9 +387,13 @@ Result<BlockMapChunk> FileSystem::op_allocate(InodeNum ino,
     return err(Errc::read_only, cfg_.name);
   }
   if (ns_.inode(ino) == nullptr) return err(Errc::not_found, "stale inode");
+  MetaJournal& jrnl = shards_[shard_of(ino)].journal;
   if (give_back) give_back_block0(client, ino);
-  BlockMapEncoder map(first_block, nsds_.size());
-  for (std::uint64_t bi = first_block; bi < first_block + count; ++bi) {
+  const Bytes bs = cfg_.block_size;
+  const std::uint64_t first = desired.lo / bs;
+  const std::uint64_t end = ceil_div(desired.hi, bs);
+  BlockMapEncoder map(first, nsds_.size());
+  for (std::uint64_t bi = first; bi < end; ++bi) {
     BlockPlacement p = ns_.placement(ino, bi);
     if (p.copies > 0) {
       // A concurrent writer beat us, and this caller now references the
@@ -394,7 +408,7 @@ Result<BlockMapChunk> FileSystem::op_allocate(InodeNum ino,
   }
   MGFS_ASSERT(ns_.extend_size(ino, size_hint, sim_.now()).ok(),
               "extend_size failed");
-  return std::move(map).finish(count);
+  return WriteGrant{granted, std::move(map).finish(end - first)};
 }
 
 Result<BlockPlacement> FileSystem::allocate_block(InodeNum ino,

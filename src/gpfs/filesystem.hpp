@@ -51,6 +51,13 @@ struct OpenResult {
   std::optional<BlockMapChunk> grant;
 };
 
+/// Answer to a write grant: the rw token range granted and the block
+/// map of the write's batch, every block placed.
+struct WriteGrant {
+  TokenRange range;
+  BlockMapChunk map;
+};
+
 /// Result of an fsck-style consistency scan (tests / chaos bench).
 struct FsckReport {
   std::uint64_t referenced_blocks = 0;  // primaries (copy 0) in block maps
@@ -288,22 +295,25 @@ class FileSystem {
   Result<BlockMapChunk> op_block_map(InodeNum ino, std::uint64_t first_block,
                                      std::size_t count, ClientId client) const;
 
-  /// Allocate any missing blocks in [first_block, first_block+count) of
-  /// `ino`, striped from the file's stripe origin, and record the
-  /// file size as at least `size_hint`. Requires write access. Replies
-  /// with the range's block map. `give_back`: the creator has not
-  /// written block 0 of the file it created, so the block its create
-  /// grant allocated is freed again first and block 0 reads as a hole
-  /// (a no-op once that grant's token was revoked or the block
-  /// committed).
-  Result<BlockMapChunk> op_allocate(InodeNum ino, std::uint64_t first_block,
-                                    std::size_t count, Bytes size_hint,
-                                    ClientId client, bool give_back = false);
+  /// The write path's one manager op, charged once: op_token_acquire
+  /// of an rw token on `range` with batch window `desired`, then the
+  /// batch — every block `desired` touches — placed:
+  /// holes are allocated (striped from the file's stripe origin and
+  /// journaled), and blocks already placed are referenced, so whoever
+  /// logged them no longer undoes them on expel. Records the file size
+  /// as at least `size_hint` and answers with the granted range and the
+  /// batch's map. `give_back`: the creator has not written block 0 of
+  /// the file it created, so the block its create grant allocated is
+  /// freed again first and block 0 reads as a hole (a no-op once that
+  /// grant's token was revoked or the block committed).
+  void op_write_grant(ClientId client, InodeNum ino, TokenRange range,
+                      TokenRange desired, Bytes size_hint, bool give_back,
+                      std::function<void(Result<WriteGrant>)> done);
 
   /// fsync: record the durable size. This is also the journal commit
   /// point — the client's allocate-ahead records under the committed
   /// size are retired and no longer undone on expel. `give_back` as for
-  /// op_allocate, before the commit: a creator closing a file whose
+  /// op_write_grant, before the commit: a creator closing a file whose
   /// block 0 it never wrote.
   Status op_extend_size(InodeNum ino, Bytes size, ClientId client,
                         bool give_back = false);
@@ -427,6 +437,11 @@ class FileSystem {
   /// Undo one journaled install; false when the copy was re-placed
   /// since (or its inode is gone) and there is nothing of it to undo.
   bool undo(const JournalRecord& r);
+  /// op_write_grant once its token is granted: reference or allocate
+  /// the batch's blocks and answer with their map.
+  Result<WriteGrant> allocate_batch(ClientId client, InodeNum ino,
+                                    TokenRange granted, TokenRange desired,
+                                    Bytes size_hint, bool give_back);
   /// Place every copy of the hole (ino, bi) for `client`, each copy
   /// journaled before the install. no_space when no NSD has room.
   Result<BlockPlacement> allocate_block(InodeNum ino, std::uint64_t bi,

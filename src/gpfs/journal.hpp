@@ -6,17 +6,21 @@
 // bring metadata back to a consistent state without a full fsck.
 //
 // We journal the one multi-step metadata mutation a client drives
-// incrementally: block allocation. `op_allocate` installs every copy of
-// a block ahead of the data landing on disk (allocate-ahead), and a
-// client that dies before committing leaves those installs dangling —
-// the block map references storage that holds no committed data. Each
+// incrementally: block allocation. A write grant (`op_write_grant`)
+// installs every copy of each block of the write's batch ahead of the
+// data landing on disk (allocate-ahead), and a client that dies before
+// committing leaves those installs dangling — the block map references
+// storage that holds no committed data. Each
 // copy is logged (an alloc record for the primary, a replica record for
 // each further copy) before `Namespace::set_placement` installs the
 // block. The commit point is `op_extend_size`, which a client sends on
 // an fsync or close of an inode it has written since its last commit;
 // it retires records up to the committed size. On expel, the surviving
 // manager walks the dead client's uncommitted tail newest-first and
-// undoes each install.
+// undoes each install. A write grant that references a block another
+// client placed retires that client's records for it (`commit_block`);
+// a client writes a block only under an rw token whose grant referenced
+// it, so no expel frees a block a survivor wrote.
 //
 // Create / unlink / truncate execute atomically inside one manager op,
 // so they need no undo — `note_sync_op` only counts them, matching how

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <unordered_map>
 #include <vector>
 
@@ -42,6 +41,12 @@ struct PageKeyHash {
 class PagePool {
  public:
   PagePool(Bytes capacity, Bytes page_size);
+  // The LRU links point into the map's nodes, which a move keeps and a
+  // copy would not.
+  PagePool(const PagePool&) = delete;
+  PagePool& operator=(const PagePool&) = delete;
+  PagePool(PagePool&&) = default;
+  PagePool& operator=(PagePool&&) = default;
 
   Bytes capacity() const { return capacity_; }
   Bytes page_size() const { return page_size_; }
@@ -96,19 +101,31 @@ class PagePool {
   }
 
  private:
-  struct Entry {
-    PageKey key;
+  // One node per page: the map's own nodes are threaded into the LRU
+  // list (front = most recent), half the allocations of a std::list
+  // beside a map of iterators.
+  struct Page;
+  using Slot = std::pair<const PageKey, Page>;
+  struct Page {
+    Slot* newer = nullptr;
+    Slot* older = nullptr;
     bool dirty = false;
   };
-  using LruList = std::list<Entry>;
 
   bool make_room();
+  /// Insert a new page at the LRU front.
+  void insert_front(PageKey k, bool dirty);
+  void link_front(Slot* s);
+  void unlink(Slot* s);
+  /// Unlink and drop `s`, returning the next older page.
+  Slot* erase(Slot* s);
 
   Bytes capacity_;
   Bytes page_size_;
   std::size_t max_pages_;
-  LruList lru_;  // front = most recent
-  std::unordered_map<PageKey, LruList::iterator, PageKeyHash> pages_;
+  std::unordered_map<PageKey, Page, PageKeyHash> pages_;
+  Slot* front_ = nullptr;
+  Slot* back_ = nullptr;
   std::size_t dirty_count_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t hits_ = 0;

@@ -95,6 +95,7 @@ class Session {
       v.epoch = epoch;
       ++takeovers_;
     }
+    if (!(v.node == node)) v.heard_at = -1.0;
     v.node = node;
   }
   /// Before a metadata retry: re-read `shard`'s manager from `fs`,
@@ -119,6 +120,16 @@ class Session {
   }
   void accuse(std::uint32_t shard) const {
     if (watch_) watch_(shard);
+  }
+  /// `shard`'s manager at `node` answered an RPC at `now`.
+  void heard(std::uint32_t shard, net::NodeId node, double now) {
+    if (mgr_[shard].node == node) mgr_[shard].heard_at = now;
+  }
+  /// Has `shard`'s manager answered nothing since `sent`? Only then does
+  /// an RPC sent at `sent` that failed accuse it: a manager that answered
+  /// since is alive, and the call is slow (a grant waiting out a revoke).
+  bool silent_since(std::uint32_t shard, double sent) const {
+    return mgr_[shard].heard_at < sent;
   }
 
   std::uint64_t renewals() const { return renewals_; }
@@ -149,6 +160,7 @@ class Session {
   struct MgrView {
     net::NodeId node{};
     std::uint64_t epoch = 0;
+    double heard_at = -1.0;  // last answer from `node`
   };
   std::vector<MgrView> mgr_;  // one per metadata shard
   std::function<void(std::uint32_t)> watch_;

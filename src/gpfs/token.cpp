@@ -74,7 +74,12 @@ void TokenManager::insert_sorted(Table& t, const Holding& h) {
   t.any_hi.insert(t.any_hi.begin() + pos, 0);
   t.rw_hi.insert(t.rw_hi.begin() + pos, 0);
   refresh_prefix(t, pos);
-  ++t.clients[h.client];
+  if (auto it = client_slot(t, h.client);
+      it != t.clients.end() && it->first == h.client) {
+    ++it->second;
+  } else {
+    t.clients.emplace(it, h.client, 1);
+  }
   ++total_;
 }
 
@@ -84,7 +89,7 @@ void TokenManager::erase_at(Table& t, std::size_t idx) {
   t.any_hi.erase(t.any_hi.begin() + idx);
   t.rw_hi.erase(t.rw_hi.begin() + idx);
   refresh_prefix(t, idx);
-  auto it = t.clients.find(c);
+  auto it = find_client(t, c);
   if (--it->second == 0) t.clients.erase(it);
   --total_;
 }
@@ -174,7 +179,7 @@ TokenDecision TokenManager::request(ClientId client, InodeNum ino,
   // inode, grant [0, inf) so the common exclusive case stays local.
   const bool others =
       !t.clients.empty() &&
-      !(t.clients.size() == 1 && t.clients.count(client) > 0);
+      !(t.clients.size() == 1 && t.clients.front().first == client);
 
   // Otherwise grant the desired range clipped back to what no other
   // client's incompatible holding touches. Every extra byte must be
@@ -291,7 +296,7 @@ void TokenManager::release(ClientId client, InodeNum ino, TokenRange range) {
   auto it = by_inode_.find(ino);
   if (it == by_inode_.end()) return;
   Table& t = it->second;
-  if (t.clients.count(client) == 0) return;
+  if (find_client(t, client) == t.clients.end()) return;
   const auto [first, last] = overlap_window(t, range.lo, range.hi);
   for (std::size_t i = last; i-- > first;) {
     const Holding h = t.hs[i];
@@ -312,7 +317,7 @@ void TokenManager::release(ClientId client, InodeNum ino, TokenRange range) {
   // against survivors (e.g. a revoke that exactly met an existing
   // fragment boundary); merge them so long-lived streaming clients
   // don't accumulate fragmented holdings.
-  const auto cit = t.clients.find(client);
+  const auto cit = find_client(t, client);
   if (cit != t.clients.end() && cit->second >= 2) {
     const Bytes qlo = range.lo > 0 ? range.lo - 1 : 0;
     const Bytes qhi = range.hi < kWholeFile ? range.hi + 1 : kWholeFile;
@@ -336,7 +341,7 @@ void TokenManager::release(ClientId client, InodeNum ino, TokenRange range) {
 void TokenManager::release_all(ClientId client) {
   for (auto it = by_inode_.begin(); it != by_inode_.end();) {
     Table& t = it->second;
-    auto cit = t.clients.find(client);
+    auto cit = find_client(t, client);
     if (cit == t.clients.end()) {
       ++it;
       continue;

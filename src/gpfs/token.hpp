@@ -28,6 +28,7 @@
 // one client's cache of the grants it holds.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -154,7 +155,9 @@ class TokenManager {
     std::vector<Holding> hs;
     std::vector<Bytes> any_hi;  // any_hi[i] = max(hs[0..i].range.hi)
     std::vector<Bytes> rw_hi;   // same, rw holdings only (0 if none)
-    std::unordered_map<ClientId, std::uint32_t> clients;  // holdings per
+    // Holdings per client, sorted by client. Most inodes have one
+    // holder, so a flat vector: a hash map cost ~200 bytes more each.
+    std::vector<std::pair<ClientId, std::uint32_t>> clients;
   };
 
   // [first, last) index window of holdings possibly overlapping
@@ -163,6 +166,17 @@ class TokenManager {
   static std::pair<std::size_t, std::size_t> overlap_window(
       const Table& t, Bytes lo, Bytes hi);
 
+  /// Where `c`'s entry is or would go: `t.clients` is sorted by client.
+  static auto client_slot(Table& t, ClientId c) {
+    return std::lower_bound(
+        t.clients.begin(), t.clients.end(), c,
+        [](const auto& e, ClientId v) { return e.first < v; });
+  }
+  /// `c`'s entry in `t.clients`, else end().
+  static auto find_client(Table& t, ClientId c) {
+    auto it = client_slot(t, c);
+    return it != t.clients.end() && it->first == c ? it : t.clients.end();
+  }
   void insert_sorted(Table& t, const Holding& h);
   void erase_at(Table& t, std::size_t idx);
   // In-place edit keeping range.lo (sorted position unchanged).

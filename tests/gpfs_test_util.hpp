@@ -113,4 +113,14 @@ struct MiniCluster {
   }
 };
 
+/// Manager RPCs so far: every cluster RPC that is not an NSD request
+/// the two servers (hosts[0], hosts[1]) served.
+inline std::uint64_t manager_rpcs(MiniCluster& mc) {
+  std::uint64_t nsd = 0;
+  for (std::size_t h : {0, 1}) {
+    nsd += mc.cluster->server_on(mc.site.hosts[h])->requests_served();
+  }
+  return mc.cluster->rpc().calls() - nsd;
+}
+
 }  // namespace mgfs::gpfs::testutil

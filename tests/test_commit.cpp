@@ -3,7 +3,8 @@
 // commit. A clean fsync or close completes locally; a write that began
 // after an fsync started, or an fsync whose commit failed, leaves the
 // inode marked so the next fsync/close still commits. Manager RPCs are
-// counted with Cluster::rpc().calls() (NSD data requests are not in it).
+// Cluster::rpc().calls() less the NSD requests the servers served
+// (testutil::manager_rpcs): NSD reads and writes are RPCs too.
 #include <gtest/gtest.h>
 
 #include "gpfs_test_util.hpp"
@@ -12,11 +13,8 @@ namespace mgfs::gpfs {
 namespace {
 
 using testutil::kAlice;
+using testutil::manager_rpcs;
 using testutil::MiniCluster;
-
-std::uint64_t manager_rpcs(MiniCluster& mc) {
-  return mc.cluster->rpc().calls();
-}
 
 TEST(Commit, CloseAfterFsyncSendsNoManagerRpc) {
   MiniCluster mc;

@@ -38,7 +38,7 @@ TEST(Concurrency, DisjointWritersShareOneFile) {
                                     LockMode::rw));
   EXPECT_TRUE(mc.fs->shard_tokens(0).holds(b->id(), ino, {8 * MiB, 16 * MiB},
                                     LockMode::rw));
-  // Every block allocated exactly once despite racing op_allocate calls.
+  // Every block allocated exactly once despite racing write grants.
   const Inode* n = mc.fs->ns().inode(ino);
   std::set<std::pair<std::uint32_t, std::uint64_t>> seen;
   for (const auto& blk : n->blocks) {

@@ -19,16 +19,8 @@ namespace mgfs::gpfs {
 namespace {
 
 using testutil::kAlice;
+using testutil::manager_rpcs;
 using testutil::MiniCluster;
-
-/// Cluster RPCs less the NSD data requests the servers served.
-std::uint64_t manager_rpcs(MiniCluster& mc) {
-  std::uint64_t nsd = 0;
-  for (std::size_t h : {0, 1}) {
-    nsd += mc.cluster->server_on(mc.site.hosts[h])->requests_served();
-  }
-  return mc.cluster->rpc().calls() - nsd;
-}
 
 ClusterConfig fast_cfg(std::uint32_t shards = 1) {
   ClusterConfig cfg;

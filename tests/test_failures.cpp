@@ -287,6 +287,67 @@ TEST(Failures, BlackholedManagerTimesOutInsteadOfHanging) {
   EXPECT_TRUE(mc.stat(c, "/").ok());
 }
 
+TEST(Failures, ExpelOfAllocatorKeepsABlockAnotherClientWrote) {
+  // Block 0 of /f is allocated by its creator's create grant and never
+  // committed by it. Another client that maps the block for a read and
+  // then writes it must reference it through its write grant: an expel
+  // of the allocator then undoes nothing that client wrote.
+  MiniCluster mc;
+  Client* a = mc.mount_on(2);
+  Client* b = mc.mount_on(3);
+  Client* g = mc.mount_on(4);
+  auto fa = mc.open(a, "/f", kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(fa.ok());
+  auto fb = mc.open(b, "/f", kAlice, OpenFlags::rw());
+  ASSERT_TRUE(fb.ok());
+  ASSERT_TRUE(mc.write(b, *fb, 1 * MiB, 1 * MiB).ok());
+  ASSERT_TRUE(mc.fsync(b, *fb).ok());
+  auto fg = mc.open(g, "/f", kAlice, OpenFlags::rw());
+  ASSERT_TRUE(fg.ok());
+  ASSERT_TRUE(mc.read(g, *fg, 0, 1 * MiB).ok());
+  ASSERT_TRUE(mc.write(g, *fg, 0, 1 * MiB).ok());
+  ASSERT_TRUE(mc.close(g, *fg).ok());
+
+  mc.fs->expel_client(a->id(), "test");
+  const InodeNum ino = *mc.fs->ns().resolve("/f");
+  EXPECT_EQ(mc.fs->ns().placement(ino, 0).copies, 1);
+  EXPECT_TRUE(mc.fs->fsck().clean());
+}
+
+TEST(Failures, ExpelOfAllocatorKeepsABlockWrittenUnderAWholeFileToken) {
+  // As above, but the extender has unmounted, so the writer's grant
+  // elsewhere in the file is widened to the whole file and its token
+  // covers block 0 without that grant having referenced it. The write
+  // to block 0 must still go through a grant of its own.
+  MiniCluster mc;
+  Client* a = mc.mount_on(2);
+  Client* b = mc.mount_on(3);
+  Client* g = mc.mount_on(4);
+  auto fa = mc.open(a, "/f", kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(fa.ok());
+  auto fb = mc.open(b, "/f", kAlice, OpenFlags::rw());
+  ASSERT_TRUE(fb.ok());
+  ASSERT_TRUE(mc.write(b, *fb, 1 * MiB, 1 * MiB).ok());
+  ASSERT_TRUE(mc.close(b, *fb).ok());
+  mc.cluster->unmount(b);
+  auto fg = mc.open(g, "/f", kAlice, OpenFlags::rw());
+  ASSERT_TRUE(fg.ok());
+  ASSERT_TRUE(mc.read(g, *fg, 0, 1 * MiB).ok());
+  ASSERT_TRUE(mc.write(g, *fg, 5 * MiB, 1 * MiB).ok());
+  const InodeNum ino = *mc.fs->ns().resolve("/f");
+  ASSERT_TRUE(mc.fs->shard_tokens(0).holds(g->id(), ino,
+                                           TokenRange{0, kWholeFile},
+                                           LockMode::rw));
+  const std::uint64_t before = testutil::manager_rpcs(mc);
+  ASSERT_TRUE(mc.write(g, *fg, 0, 1 * MiB).ok());
+  EXPECT_EQ(testutil::manager_rpcs(mc) - before, 1u);  // its grant
+  ASSERT_TRUE(mc.close(g, *fg).ok());
+
+  mc.fs->expel_client(a->id(), "test");
+  EXPECT_EQ(mc.fs->ns().placement(ino, 0).copies, 1);
+  EXPECT_TRUE(mc.fs->fsck().clean());
+}
+
 TEST(Failures, FailSlowPrimaryTripsBreakerAndFailsOver) {
   // The primary NSD server turns fail-slow (gray: accepts work, serves
   // it absurdly late). Deadlines convert that into timeouts, the

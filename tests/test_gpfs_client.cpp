@@ -7,6 +7,7 @@ namespace {
 
 using testutil::kAlice;
 using testutil::kBob;
+using testutil::manager_rpcs;
 using testutil::MiniCluster;
 
 TEST(GpfsClient, CreateWriteFsyncStat) {
@@ -332,10 +333,7 @@ TEST(GpfsClient, RandomReaderFetchesMapOnce) {
   ASSERT_TRUE(fb.ok());
   // Cold read, the sole client: a whole-file ro grant and map chunk 0.
   ASSERT_TRUE(mc.read(b, *fb, 10 * kBs, 16 * KiB).ok());
-  auto manager_rpcs = [&] {
-    return mc.cluster->rpc().calls() - nsd_requests(mc);
-  };
-  const std::uint64_t before = manager_rpcs();
+  const std::uint64_t before = manager_rpcs(mc);
   const std::uint64_t grants = mc.fs->tokens_granted();
   // Every read below is a seek after a seek: a random reader. Its first
   // miss maps the rest of the file in one RPC; the reads that follow
@@ -344,7 +342,7 @@ TEST(GpfsClient, RandomReaderFetchesMapOnce) {
     ASSERT_TRUE(mc.read(b, *fb, blk * kBs, 16 * KiB).ok()) << blk;
   }
   EXPECT_EQ(mc.fs->tokens_granted(), grants);
-  EXPECT_EQ(manager_rpcs() - before, 1u);
+  EXPECT_EQ(manager_rpcs(mc) - before, 1u);
   EXPECT_EQ(b->bytes_read_remote(), 7 * kBs);
 }
 
@@ -370,9 +368,9 @@ TEST(GpfsClient, RandomReaderMapsOnlyItsTokenRanges) {
   // Nor did those random misses map the data blocks between them: a
   // read of block 200 sends its token ask, the revoke of the writer's
   // block, and then the map fetch.
-  const std::uint64_t rpcs = mc.cluster->rpc().calls() - nsd_requests(mc);
+  const std::uint64_t rpcs = manager_rpcs(mc);
   ASSERT_TRUE(mc.read(r, *fr, 200 * kBs, kBs).ok());
-  EXPECT_EQ(mc.cluster->rpc().calls() - nsd_requests(mc) - rpcs, 3u);
+  EXPECT_EQ(manager_rpcs(mc) - rpcs, 3u);
 
   const std::uint64_t revocations = mc.fs->revocations();
   ASSERT_TRUE(mc.write(w, *fw, 155 * kBs, kBs).ok());

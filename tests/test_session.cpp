@@ -25,6 +25,21 @@ TEST(Session, AdmitsRefusesAnOlderEpochAndCountsIt) {
   EXPECT_EQ(s.manager_epoch(0), 3u);  // admitting adopts nothing
 }
 
+TEST(Session, OnlyAManagerSilentSinceTheSendIsAccused) {
+  MiniCluster mc;
+  Session s;
+  s.seed(*mc.fs);
+  const net::NodeId mgr = s.manager(0);
+  EXPECT_TRUE(s.silent_since(0, 0.0));  // never heard from
+  s.heard(0, mgr, 2.0);
+  EXPECT_FALSE(s.silent_since(0, 1.0));  // answered after that send
+  EXPECT_TRUE(s.silent_since(0, 3.0));
+  s.heard(0, mc.site.hosts[3], 4.0);  // not the believed manager
+  EXPECT_TRUE(s.silent_since(0, 3.0));
+  s.adopt(0, mc.site.hosts[3], s.manager_epoch(0) + 1);
+  EXPECT_TRUE(s.silent_since(0, 1.0));  // a new node starts unheard
+}
+
 TEST(Session, AdoptCountsATakeoverOnlyWhenTheEpochAdvances) {
   MiniCluster mc;
   Session s;
