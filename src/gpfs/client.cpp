@@ -85,18 +85,13 @@ void Client::meta_call(std::uint32_t shard, Bytes req_payload,
           done(std::move(res));
           return;
         }
-        // The manager did not answer: report it so the cluster's
-        // suspicion machinery can elect a successor if the node is dead.
-        // Two freshness guards, or recovery eats its own tail: no report
-        // while a rebuild is in flight (the successor is alive and
-        // refusing on purpose — at probe cadence a handful of clients
-        // would reach the strike quorum within milliseconds and depose
-        // every new manager mid-rebuild), and no report when the role
-        // has already moved off the node this RPC was aimed at (a
-        // timeout against the deposed manager is stale evidence, not an
-        // accusation against its successor).
-        const bool was_recovering = mounted() && fs_->shard_recovering(shard);
-        if (!was_recovering && fs_->manager_node(shard) == target &&
+        // The manager did not answer: report it, so the cluster can elect
+        // a successor if the node is dead (it ignores reports while the
+        // shard rebuilds). Only a mounted client reports, only against
+        // the node this RPC was aimed at (a deposed manager's timeout is
+        // no evidence against its successor), and only if that node has
+        // answered nothing since the send (a slow grant is not a death).
+        if (mounted() && fs_->manager_node(shard) == target &&
             session_.silent_since(shard, sent)) {
           session_.accuse(shard);
         }
@@ -172,8 +167,7 @@ void Client::unbind() {
   held_.clear();
   block_map_.clear();
   wb_.clear();
-  create_grants_.clear();
-  referenced_.clear();
+  drop_all_grants();
   marks_.clear();
 }
 
@@ -735,13 +729,10 @@ void Client::open(const std::string& path, const Principal& who,
           return;
         }
         if (res->grant) {
-          // The create grant: block 0 is ours to write with no write
-          // grant.
-          held_.record(res->ino, TokenRange{0, block_size()}, LockMode::rw,
-                       /*widened=*/false);
-          install_chunk(res->ino, *res->grant);
-          create_grants_.insert(res->ino);
-          referenced_[res->ino] = BlockRange{0, 1};
+          // The create grant: block 0 is ours to write with no further
+          // write grant.
+          install_grant(res->ino, res->grant->range, *res->grant);
+          grants_[res->ino].create = true;
         }
         const Fh fh = next_fh_++;
         OpenFile f;
@@ -937,17 +928,17 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
   const std::uint64_t b0 = offset / bs;
   const std::uint64_t b1 = (offset + len - 1) / bs;
   const InodeNum ino = f->ino;
-  if (b0 == 0) {
+  if (auto g = grants_.find(ino); b0 == 0 && g != grants_.end()) {
     // A give-back of block 0 is in flight: write once it is answered,
     // when block 0 is unmapped here and gets allocated afresh.
-    if (auto g = giving_back_.find(ino); g != giving_back_.end()) {
-      g->second.push_back([this, fh, offset, len, done]() mutable {
+    if (g->second.parked) {
+      g->second.parked->push_back([this, fh, offset, len, done]() mutable {
         write(fh, offset, len, std::move(done));
       });
       return;
     }
     // Written by its creator: the create grant's block 0 is kept.
-    create_grants_.erase(ino);
+    g->second.create = false;
   }
   const Bytes old_size = f->size;
   const Bytes new_size = std::max(f->size, offset + len);
@@ -1025,9 +1016,9 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
   // referenced and with each block placed, the write asks the manager
   // nothing.
   const HeldTokens::Held* h = held_.covers(ino, required, LockMode::rw);
-  const auto ref = referenced_.find(ino);
-  bool placed = h != nullptr && ref != referenced_.end() &&
-                ref->second.lo <= b0 && b1 < ref->second.hi;
+  const auto g = grants_.find(ino);
+  bool placed = h != nullptr && g != grants_.end() &&
+                g->second.referenced.lo <= b0 && b1 < g->second.referenced.hi;
   for (std::uint64_t bi = b0; bi <= b1 && placed; ++bi) {
     const std::optional<BlockPlacement> e = map_entry(ino, bi);
     placed = e.has_value() && e->copies > 0;
@@ -1041,11 +1032,9 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
   }
   // Anything else costs one write grant: token and allocation together.
   // The creator's first grant past an unwritten block 0 hands the create
-  // grant's block back, so it reads as a hole; one give-back in flight
-  // at a time, and close retries a failed one.
-  const bool give_back =
-      create_grants_.count(ino) > 0 && giving_back_.count(ino) == 0;
-  if (give_back) giving_back_[ino];
+  // grant's block back, so it reads as a hole; close retries a failed
+  // one.
+  const bool give_back = send_give_back(ino);
   FileSystem* fs = fs_;
   const ClientId me = id_;
   const std::uint64_t count = ceil_div(desired.hi, bs) - desired.lo / bs;
@@ -1065,20 +1054,60 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
           accept(res.error());
           return;
         }
-        const bool widened =
-            res->range.lo < required.lo || res->range.hi > required.hi;
-        held_.record(ino, res->range, LockMode::rw, widened);
-        install_chunk(ino, res->map);
-        // The batch joins the referenced run it touches, else replaces it.
-        const BlockRange batch{res->map.first_block,
-                               res->map.first_block + res->map.count};
-        BlockRange& run = referenced_[ino];
-        run = run.hi < batch.lo || batch.hi < run.lo || run.lo == run.hi
-                  ? batch
-                  : BlockRange{std::min(run.lo, batch.lo),
-                               std::max(run.hi, batch.hi)};
+        install_grant(ino, required, *res);
         accept(Status{});
       });
+}
+
+void Client::install_grant(InodeNum ino, TokenRange required,
+                           const WriteGrant& g) {
+  const bool widened = g.range.lo < required.lo || g.range.hi > required.hi;
+  held_.record(ino, g.range, LockMode::rw, widened);
+  install_chunk(ino, g.map);
+  // The batch joins the referenced run it touches, else replaces it.
+  const BlockRange batch{g.map.first_block, g.map.first_block + g.map.count};
+  BlockRange& run = grants_[ino].referenced;
+  run = run.hi < batch.lo || batch.hi < run.lo || run.lo == run.hi
+            ? batch
+            : BlockRange{std::min(run.lo, batch.lo),
+                         std::max(run.hi, batch.hi)};
+}
+
+bool Client::send_give_back(InodeNum ino) {
+  const auto g = grants_.find(ino);
+  if (g == grants_.end() || !g->second.create || g->second.parked) {
+    return false;
+  }
+  g->second.parked.emplace();
+  return true;
+}
+
+void Client::gave_back(InodeNum ino, bool ok) {
+  // Block 0 may be a hole now (even after a failure: the reply may be
+  // what was lost); the next access refetches it.
+  if (auto it = block_map_.find(ino); it != block_map_.end()) {
+    it->second.forget(0, 1);
+  }
+  const auto g = grants_.find(ino);
+  if (g == grants_.end()) return;
+  GrantState& st = g->second;
+  if (ok) st.create = false;
+  if (st.referenced.lo == 0) st.referenced = BlockRange{};
+  for (sim::Callback& w : st.parked.value()) simulator().defer(std::move(w));
+  st.parked.reset();
+  if (!st.create && st.referenced.lo == st.referenced.hi) grants_.erase(g);
+}
+
+void Client::drop_grants(InodeNum ino) {
+  if (auto g = grants_.find(ino); g != grants_.end() && g->second.drop()) {
+    grants_.erase(g);
+  }
+}
+
+void Client::drop_all_grants() {
+  for (auto g = grants_.begin(); g != grants_.end();) {
+    g = g->second.drop() ? grants_.erase(g) : std::next(g);
+  }
 }
 
 void Client::pump_flush() {
@@ -1213,10 +1242,10 @@ void Client::flush_inode(InodeNum ino, sim::Callback done) {
 }
 
 void Client::fsync(Fh fh, std::function<void(Status)> done) {
-  sync(fh, false, std::move(done));
+  sync(fh, /*closing=*/false, std::move(done));
 }
 
-void Client::sync(Fh fh, bool give_back, std::function<void(Status)> done) {
+void Client::sync(Fh fh, bool closing, std::function<void(Status)> done) {
   OpenFile* f = file(fh);
   if (f == nullptr) {
     done(Status(Errc::invalid_argument, "bad file handle"));
@@ -1227,12 +1256,15 @@ void Client::sync(Fh fh, bool give_back, std::function<void(Status)> done) {
   // Stamp of the newest write this fsync covers; 0 = nothing written
   // since the last commit.
   const std::uint64_t seq = marks_.pending(ino);
-  flush_inode(ino, [this, ino, size, seq, give_back,
+  flush_inode(ino, [this, ino, size, seq, closing,
                     done = std::move(done)]() mutable {
     if (!mounted()) {
       done(Status{});
       return;
     }
+    // A close decides here, after its flush, whether its commit gives
+    // block 0 back: a block-0 write that landed meanwhile keeps it.
+    const bool give_back = closing && send_give_back(ino);
     if (seq == 0 && !give_back) {
       // The manager already holds everything this inode has to commit.
       // Complete from the event loop: callers' loops are not re-entrant.
@@ -1247,10 +1279,8 @@ void Client::sync(Fh fh, bool give_back, std::function<void(Status)> done) {
           return fs->op_extend_size(ino, size, me, give_back);
         },
         [this, ino, size, seq, give_back, done = std::move(done)](Status st) {
-          if (st.ok()) {
-            marks_.settle(ino, seq, size);
-            if (give_back) gave_back(ino, true);
-          }
+          if (st.ok()) marks_.settle(ino, seq, size);
+          if (give_back) gave_back(ino, st.ok());
           done(st);
         });
   });
@@ -1267,34 +1297,16 @@ void Client::flush_all(sim::Callback done) {
 }
 
 void Client::close(Fh fh, std::function<void(Status)> done) {
-  // Created here and block 0 never written: the close's commit hands
-  // the create grant's block back, or it would stay allocated unwritten.
-  const OpenFile* f = file(fh);
-  const bool give_back = f != nullptr && create_grants_.count(f->ino) > 0;
-  sync(fh, give_back, [this, fh, done = std::move(done)](Status st) {
-    // A later open writes under a fresh grant: the referenced run is
-    // kept only while the file is open.
-    if (const OpenFile* f = file(fh)) referenced_.erase(f->ino);
+  // Created here and block 0 still unwritten after the flush: the
+  // close's commit hands the create grant's block back, or it would
+  // stay allocated unwritten.
+  sync(fh, /*closing=*/true, [this, fh, done = std::move(done)](Status st) {
+    // A later open writes under fresh grants: the record is kept only
+    // while the file is open.
+    if (const OpenFile* f = file(fh)) drop_grants(f->ino);
     open_.erase(fh);
     done(st);
   });
-}
-
-void Client::gave_back(InodeNum ino, bool ok) {
-  if (ok) create_grants_.erase(ino);
-  if (auto r = referenced_.find(ino);
-      r != referenced_.end() && r->second.lo == 0) {
-    referenced_.erase(r);
-  }
-  // Block 0 may be a hole now (even after a failure: the reply may be
-  // what was lost); the next access refetches it.
-  if (auto it = block_map_.find(ino); it != block_map_.end()) {
-    it->second.forget(0, 1);
-  }
-  auto g = giving_back_.find(ino);
-  if (g == giving_back_.end()) return;
-  for (sim::Callback& w : g->second) simulator().defer(std::move(w));
-  giving_back_.erase(g);
 }
 
 void Client::refresh_size(Fh fh, std::function<void(Result<Bytes>)> done) {
@@ -1393,8 +1405,7 @@ void Client::forget_inode(InodeNum ino) {
   held_.forget(ino);
   block_map_.erase(ino);
   pool_.invalidate(ino, 0, ~0ULL);
-  create_grants_.erase(ino);
-  referenced_.erase(ino);
+  drop_grants(ino);
 }
 
 void Client::rename(const std::string& from, const std::string& to,
@@ -1514,8 +1525,7 @@ void Client::discard_cached_state(bool reset_breakers) {
   held_.clear();
   block_map_.clear();
   ++map_forgets_;
-  create_grants_.clear();
-  referenced_.clear();
+  drop_all_grants();
   fill_inflight_ = 0;
   if (reset_breakers) breaker_.clear();
   // Writers stalled on the dirty cap and fsync/revoke waiters can
@@ -1547,9 +1557,6 @@ bool Client::handle_revoke(InodeNum ino, TokenRange range,
   // adopt its view before flushing, or the dirty pages this revoke
   // forces out would carry the old manager epoch and be fenced.
   session_.adopt(shard, fs_->manager_node(shard), mgr_epoch);
-  // Once another client may see block 0, a create grant's block is no
-  // longer ours to give back.
-  if (range.lo < block_size()) create_grants_.erase(ino);
   flush_inode(ino, [this, ino, range, done = std::move(done)] {
     const Bytes bs = block_size();
     const std::uint64_t lo_blk = range.lo / bs;
@@ -1564,12 +1571,12 @@ bool Client::handle_revoke(InodeNum ino, TokenRange range,
       fit->second.forget(lo_blk, hi_blk);
       if (fit->second.empty()) block_map_.erase(fit);
     }
-    // The next holder may place blocks here; our next write there
-    // must be granted again.
-    if (auto r = referenced_.find(ino); r != referenced_.end() &&
-                                        r->second.lo < hi_blk &&
-                                        lo_blk < r->second.hi) {
-      referenced_.erase(r);
+    // The next holder may place blocks here, and see block 0: our next
+    // write there must be granted again, and a create grant's block is
+    // no longer ours to give back.
+    if (auto g = grants_.find(ino);
+        g != grants_.end() && g->second.touched_by(lo_blk, hi_blk)) {
+      drop_grants(ino);
     }
     held_.trim(ino, range);
     done();
@@ -1600,9 +1607,7 @@ Result<ManagerAssertReply> Client::assert_tokens(net::NodeId mgr_node,
   };
   const std::unordered_map<InodeNum, TokenRange> dirty_span =
       wb_.dirty_spans(bs, of_shard);
-  reply.dirty_bytes = pool_.dirty_bytes();
-  for (const auto& [ino, span] : dirty_span) reply.dirty_inodes.push_back(ino);
-  std::sort(reply.dirty_inodes.begin(), reply.dirty_inodes.end());
+  reply.dirty_inodes = dirty_span.size();
   // Assert only what this client still owes: rw tokens clamped to the
   // covering span of their unflushed pages. The speculative width a
   // token gained from desired-window batching died with the old
@@ -1621,8 +1626,12 @@ Result<ManagerAssertReply> Client::assert_tokens(net::NodeId mgr_node,
   // token and inside its inode's dirty span, so its clip retains it).
   for (const auto& [ino, r] : clamp.dropped) {
     // A create grant whose token is not reasserted is not ours to give
-    // back any more.
-    if (r.lo < bs) create_grants_.erase(ino);
+    // back any more. The referenced run stays with the reasserted
+    // tokens: the journal outlives the manager.
+    if (auto g = grants_.find(ino);
+        r.lo < bs && g != grants_.end() && g->second.create) {
+      drop_grants(ino);
+    }
     // Interior blocks only: a block straddling a kept-range edge is
     // still partly under token, and a partially-dirtied page must not
     // be dropped with unflushed bytes aboard.

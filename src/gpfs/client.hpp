@@ -30,7 +30,6 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/histogram.hpp"
@@ -58,15 +57,14 @@ using Fh = int;  // file handle
 /// A client's answer to the manager-takeover rebuild query — one
 /// batched reassert_all reply carrying its full membership state: the
 /// lease epoch it believes is current, every token it holds, and a
-/// dirty-journal summary (write-behind bytes still unflushed and the
-/// inodes they belong to). The successor reconstructs its volatile
-/// token/lease tables from these with O(clients) RPCs, not O(grants);
-/// the dirty summary sizes the redrive the overlap window must absorb.
+/// dirty-journal summary (how many inodes hold unflushed pages). The
+/// successor reconstructs its volatile token/lease tables from these
+/// with O(clients) RPCs, not O(grants); the dirty summary sizes the
+/// redrive the overlap window must absorb.
 struct ManagerAssertReply {
   std::uint64_t lease_epoch = 0;
   std::vector<TokenAssertion> tokens;
-  Bytes dirty_bytes = 0;                // unflushed write-behind payload
-  std::vector<InodeNum> dirty_inodes;   // distinct inodes owning it, sorted
+  std::size_t dirty_inodes = 0;  // inodes with unflushed write-behind
 };
 
 class Client {
@@ -113,8 +111,9 @@ class Client {
   /// at the manager — only when the inode was written since its last
   /// commit; a clean fsync completes locally (still asynchronously).
   void fsync(Fh fh, std::function<void(Status)> done);
-  /// fsync, then drop the handle. The file's creator that never wrote
-  /// its block 0 commits anyway, handing the create grant's block back.
+  /// fsync, then drop the handle. A file whose create grant's block 0
+  /// is still unwritten once the flush is done commits anyway, handing
+  /// the block back.
   void close(Fh fh, std::function<void(Status)> done);
   /// Flush every dirty page of every file (unmount preparation).
   void flush_all(sim::Callback done);
@@ -342,13 +341,29 @@ class Client {
   /// Retry loop for the rejoin RPC (backoff; superseded by incarnation).
   void attempt_rejoin(int attempt);
   void discard_cached_state(bool reset_breakers);
+  /// fsync's body. `closing`: after the flush, the commit also gives
+  /// back the create grant's block 0 if it is still unwritten.
+  void sync(Fh fh, bool closing, std::function<void(Status)> done);
+
+  // write grants: what they leave behind per inode (GrantState)
+  /// Install a write grant answering a write of `required`: its token
+  /// (widened if it exceeds `required`), its map chunk, and its batch
+  /// merged into the referenced run.
+  void install_grant(InodeNum ino, TokenRange required, const WriteGrant& g);
+  /// The one gate every give-back of block 0 goes through: true, with
+  /// the give-back marked in flight, when `ino`'s create grant is live
+  /// and no give-back is in flight — the caller's RPC then carries it
+  /// and its answer must reach gave_back.
+  bool send_give_back(InodeNum ino);
   /// A give-back of `ino`'s block 0 was answered: forget its cached
-  /// placement, the grant too if it succeeded (`ok`), and release the
-  /// block-0 writes that waited on it.
+  /// placement, the create grant too if it succeeded (`ok`), and release
+  /// the block-0 writes that waited on it.
   void gave_back(InodeNum ino, bool ok);
-  /// fsync's body; `give_back` forces the commit RPC and has it free the
-  /// create grant's unwritten block 0.
-  void sync(Fh fh, bool give_back, std::function<void(Status)> done);
+  /// Drop `ino`'s write-grant record. A give-back in flight, and the
+  /// block-0 writes it parked, stay until its answer.
+  void drop_grants(InodeNum ino);
+  /// drop_grants of every inode (lease lapse, crash, unmount).
+  void drop_all_grants();
   /// After an unlink: drop the dead inode's tokens, map and pages,
   /// unless write-behind still holds its pages.
   void forget_inode(InodeNum ino);
@@ -388,18 +403,35 @@ class Client {
   CommitMarks marks_;  // inodes written since their last commit
   std::uint64_t unlink_seq_ = 0;  // request ids for op_unlink
 
-  // inodes this client created with a block-0 grant, has not written
-  // at block 0 and still holds that token on without a break: their
-  // first write (or close) decides whether block 0 is kept
-  std::unordered_set<InodeNum> create_grants_;
-  // per inode, the run of blocks this client's latest write grants
-  // referenced (a create grant's block 0 included). Only a write inside
-  // it may skip the manager: a placement mapped for a read may carry
-  // another client's uncommitted allocation, which only a grant retires.
-  std::unordered_map<InodeNum, BlockRange> referenced_;
-  // inodes with a give-back in flight, and the block-0 writes waiting
-  // for its answer (they must not write to the block it may free)
-  std::unordered_map<InodeNum, std::vector<sim::Callback>> giving_back_;
+  /// What this client's write grants on one inode leave behind.
+  struct GrantState {
+    /// The run of blocks its latest grants referenced (a create grant's
+    /// block 0 included). Only a write inside it may skip the manager: a
+    /// placement mapped for a read may carry another client's
+    /// uncommitted allocation, which only a grant retires.
+    BlockRange referenced;
+    /// Created here with a block-0 grant, block 0 not written and its
+    /// token unbroken since: the first grant past block 0, or the
+    /// close, gives the block back.
+    bool create = false;
+    /// Set while a give-back of block 0 is in flight: the block-0 writes
+    /// waiting for its answer (they must not write to the block it may
+    /// free).
+    std::optional<std::vector<sim::Callback>> parked;
+
+    /// Does losing the token over blocks [lo, hi) end this record?
+    bool touched_by(std::uint64_t lo, std::uint64_t hi) const {
+      return (create && lo == 0) || (referenced.lo < hi && lo < referenced.hi);
+    }
+    /// Forget the run and the create grant; true unless a give-back is
+    /// still in flight.
+    bool drop() {
+      referenced = BlockRange{};
+      create = false;
+      return !parked;
+    }
+  };
+  std::unordered_map<InodeNum, GrantState> grants_;
 
   WriteBehind wb_{pool_};
   NsdBreaker breaker_;  // NSD server health, keyed by serving node

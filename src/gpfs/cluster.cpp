@@ -67,8 +67,7 @@ NsdServer& Cluster::add_nsd_server(net::NodeId node) {
              .emplace(node.v, std::make_unique<NsdServer>(
                                   sim_, node,
                                   cfg_.name + ".nsd" +
-                                      std::to_string(servers_.size()),
-                                  cfg_.nsd_cpu_per_request))
+                                      std::to_string(servers_.size())))
              .first;
     // Two-epoch fence: a write is only admitted if the sending client's
     // lease epoch is still the current grant on its file system AND the
@@ -733,7 +732,7 @@ bool Cluster::takeover_manager(FileSystem& fs, std::uint32_t shard) {
           auto r = it->second.client->assert_tokens(mgr, epoch, shard);
           const Bytes payload =
               64 + (r.ok() ? 16 * static_cast<Bytes>(r->tokens.size()) +
-                                 8 * static_cast<Bytes>(r->dirty_inodes.size())
+                                 8 * static_cast<Bytes>(r->dirty_inodes)
                            : 0);
           reply(payload, std::move(r));
         },

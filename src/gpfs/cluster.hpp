@@ -39,7 +39,6 @@ struct ClusterConfig {
   auth::CipherList cipher = auth::CipherList::authonly;
   net::TcpConfig tcp{};          // connection pool config (window etc.)
   ClientConfig client{};         // defaults for mounted clients
-  sim::Time nsd_cpu_per_request = 30e-6;
   /// Disk-lease membership knobs, copied into each FsConfig (tests and
   /// the chaos bench shrink them to provoke expels quickly).
   double lease_duration = 60.0;

@@ -49,26 +49,11 @@ const Nsd& FileSystem::nsd(std::uint32_t id) const {
   return nsds_[id];
 }
 
-net::NodeId FileSystem::manager_node(std::uint32_t shard) const {
-  MGFS_ASSERT(shard < shards_.size(), "bad shard");
-  return shards_[shard].manager_node;
-}
-
-std::uint64_t FileSystem::manager_epoch(std::uint32_t shard) const {
-  MGFS_ASSERT(shard < shards_.size(), "bad shard");
-  return shards_[shard].manager_epoch;
-}
-
 bool FileSystem::recovering() const {
   for (const MetaShard& s : shards_) {
     if (s.recovering) return true;
   }
   return false;
-}
-
-bool FileSystem::shard_recovering(std::uint32_t shard) const {
-  MGFS_ASSERT(shard < shards_.size(), "bad shard");
-  return shards_[shard].recovering;
 }
 
 std::uint32_t FileSystem::shard_of(InodeNum ino) const {
@@ -200,13 +185,11 @@ Result<OpenResult> FileSystem::op_open(const std::string& path,
     if (!ino.ok()) return ino.error();
     shards_[shard_of(*ino)].journal.note_sync_op(client, JournalOp::create,
                                                  *ino);
-    const std::uint8_t copies =
-        flags.replicas != 0 ? flags.replicas : cfg_.default_replicas;
-    if (copies > 1) {
+    if (flags.replicas > 1) {
       MGFS_ASSERT(
           ns_.set_replication(
                  *ino, static_cast<std::uint8_t>(std::min<std::uint32_t>(
-                           copies, kMaxReplicas)))
+                           flags.replicas, kMaxReplicas)))
               .ok(),
           "set_replication at create failed");
     }
@@ -235,13 +218,13 @@ Result<OpenResult> FileSystem::op_open(const std::string& path,
     jrnl.note_sync_op(client, JournalOp::truncate, *ino);
     st = ns_.stat(*ino);
   }
-  OpenResult out{*ino, st->size, flags.write, std::nullopt};
+  OpenResult out{*ino, st->size, std::nullopt};
   if (created && flags.write) out.grant = grant_first_block(client, *ino);
   return out;
 }
 
-std::optional<BlockMapChunk> FileSystem::grant_first_block(ClientId client,
-                                                           InodeNum ino) {
+std::optional<WriteGrant> FileSystem::grant_first_block(ClientId client,
+                                                        InodeNum ino) {
   // A fresh inode has no other holder to conflict with.
   const std::uint32_t s = shard_of(ino);
   TokenManager& tokens = shards_[s].tokens;
@@ -249,15 +232,14 @@ std::optional<BlockMapChunk> FileSystem::grant_first_block(ClientId client,
       !tokens.holdings(ino).empty()) {
     return std::nullopt;
   }
-  const Result<BlockPlacement> p = allocate_block(ino, 0, client);
-  if (!p.ok()) return std::nullopt;
   // Exactly block 0, never widened to the whole file: a shared file's
   // other writers would otherwise start by revoking it.
-  tokens.install(client, ino, LockMode::rw, TokenRange{0, cfg_.block_size});
+  const TokenRange block0{0, cfg_.block_size};
+  Result<WriteGrant> g = allocate_batch(client, ino, block0, block0, 0, false);
+  if (!g.ok()) return std::nullopt;
+  tokens.install(client, ino, LockMode::rw, block0);
   note_grant(s, client, ino);
-  BlockMapEncoder map(0, nsds_.size());
-  map.add(0, *p);
-  return std::move(map).finish(1);
+  return std::move(*g);
 }
 
 std::optional<ClientId> FileSystem::block0_returnable_by(InodeNum ino) const {
@@ -448,32 +430,36 @@ Result<BlockPlacement> FileSystem::allocate_block(InodeNum ino,
   return p;
 }
 
-Status FileSystem::op_extend_size(InodeNum ino, Bytes size, ClientId client,
-                                  bool give_back) {
-  MetaJournal& jrnl = shards_[shard_of(ino)].journal;
-  if (shards_[shard_of(ino)].recovering) {
+Status FileSystem::admit_own_writes(ClientId client, bool rebuilding) {
+  if (rebuilding) {
     // Overlap window: a client that already reasserted has a live lease
-    // entry again, and its fsync commits only *its own* pre-crash
-    // allocations — no shared table the half-built rebuild could
-    // corrupt. Serving it here lets an overlapped write's fsync finish
-    // while stragglers are still being queried. Everyone else (unknown,
-    // must-rejoin, expelled) stays parked behind the gate: unavailable,
-    // never stale, because their fate is not decided until the rebuild
-    // ends.
-    if (!lease_.renew(client, sim_.now())) {
-      return Status(Errc::unavailable, "manager takeover in progress");
-    }
-    if (give_back) give_back_block0(client, ino);
-    jrnl.commit_allocs(client, ino, ceil_div(size, cfg_.block_size));
-    return ns_.extend_size(ino, size, sim_.now());
+    // entry again, and what it reports concerns only *its own*
+    // pre-crash writes — no shared table the half-built rebuild could
+    // corrupt. Everyone else (unknown, must-rejoin, expelled) stays
+    // parked behind the gate: unavailable, never stale, because their
+    // fate is not decided until the rebuild ends.
+    return lease_.renew(client, sim_.now())
+               ? Status{}
+               : Status(Errc::unavailable, "manager takeover in progress");
   }
   lease_touch(client);
-  if (lease_.expelled(client)) {
-    return Status(Errc::stale, "client expelled: rejoin required");
+  return lease_.expelled(client)
+             ? Status(Errc::stale, "client expelled: rejoin required")
+             : Status{};
+}
+
+Status FileSystem::op_extend_size(InodeNum ino, Bytes size, ClientId client,
+                                  bool give_back) {
+  const std::uint32_t s = shard_of(ino);
+  // Served in the overlap window too: an overlapped write's fsync
+  // finishes while stragglers are still being queried.
+  if (Status st = admit_own_writes(client, shards_[s].recovering); !st.ok()) {
+    return st;
   }
   // fsync commit point: allocations under the durable size are real.
   if (give_back) give_back_block0(client, ino);
-  jrnl.commit_allocs(client, ino, ceil_div(size, cfg_.block_size));
+  shards_[s].journal.commit_allocs(client, ino,
+                                   ceil_div(size, cfg_.block_size));
   return ns_.extend_size(ino, size, sim_.now());
 }
 
@@ -509,9 +495,8 @@ void FileSystem::token_retry(ClientId client, InodeNum ino, TokenRange range,
     // drains the waiter list (attempts not consumed — nothing was
     // tried). Resuming at rebuild completion, not after a fixed full
     // recovery window, is most of the takeover_to_first_grant_s win.
-    const std::uint32_t park = shards_[s].recovering ? s : 0;
-    park_for_recovery(park, [this, client, ino, range, desired, mode, attempts,
-                             done = std::move(done)]() mutable {
+    park_for_recovery(s, [this, client, ino, range, desired, mode, attempts,
+                          done = std::move(done)]() mutable {
       token_retry(client, ino, range, desired, mode, attempts,
                   std::move(done));
     });
@@ -617,14 +602,13 @@ void FileSystem::await_expel(ClientId holder, InodeNum ino,
                              TokenRange overlap, sim::Callback done) {
   const double now = sim_.now();
   const std::uint32_t s = shard_of(ino);
-  if (shards_[s].recovering || shards_[0].recovering) {
+  if (!grants_open(s)) {
     // Hold the expel clock during a takeover rebuild: the lease table
     // (shard 0) or this inode's token table is being repopulated and
     // the holder may be about to reassert. Resume the moment the
     // rebuild finishes, not a full window later.
-    const std::uint32_t park = shards_[s].recovering ? s : 0;
-    park_for_recovery(park, [this, holder, ino, overlap,
-                             done = std::move(done)]() mutable {
+    park_for_recovery(s, [this, holder, ino, overlap,
+                          done = std::move(done)]() mutable {
       await_expel(holder, ino, overlap, std::move(done));
     });
     return;
@@ -818,6 +802,7 @@ void FileSystem::finish_takeover(std::uint32_t shard) {
 }
 
 void FileSystem::park_for_recovery(std::uint32_t shard, sim::Callback resume) {
+  if (!shards_[shard].recovering) shard = 0;  // the lease home rebuilds
   auto once = std::make_shared<sim::Callback>(std::move(resume));
   auto fire = [once]() {
     if (*once) {
@@ -866,8 +851,10 @@ void FileSystem::expel_client(ClientId client, const char* why) {
                                 << why << ")");
   // Expulsion is global: the lease is node liveness, so every shard's
   // journal slice is replayed and every shard's tokens reclaimed.
-  replay_journal(client);
-  for (MetaShard& sh : shards_) sh.tokens.release_all(client);
+  for (std::uint32_t t = 0; t < shards_.size(); ++t) {
+    replay_journal_slice(t, client);
+    shards_[t].tokens.release_all(client);
+  }
   if (expel_listener_) expel_listener_(client);
 }
 
@@ -879,12 +866,6 @@ void FileSystem::sweep_leases() {
     expel_client(c, "lease expired past recovery wait");
   }
   sweeping_ = false;
-}
-
-void FileSystem::replay_journal(ClientId client) {
-  for (std::uint32_t t = 0; t < shards_.size(); ++t) {
-    replay_journal_slice(t, client);
-  }
 }
 
 void FileSystem::replay_journal_slice(std::uint32_t shard, ClientId client) {
@@ -969,41 +950,6 @@ FsckReport FileSystem::fsck() const {
   return rep;
 }
 
-std::uint64_t FileSystem::manager_takeovers() const {
-  std::uint64_t n = 0;
-  for (const MetaShard& sh : shards_) n += sh.takeovers;
-  return n;
-}
-
-std::uint64_t FileSystem::shard_takeovers(std::uint32_t shard) const {
-  MGFS_ASSERT(shard < shards_.size(), "bad shard");
-  return shards_[shard].takeovers;
-}
-
-std::uint64_t FileSystem::assertions_rebuilt() const {
-  std::uint64_t n = 0;
-  for (const MetaShard& sh : shards_) n += sh.assertions_rebuilt;
-  return n;
-}
-
-std::uint64_t FileSystem::stale_manager_fenced() const {
-  std::uint64_t n = 0;
-  for (const MetaShard& sh : shards_) n += sh.stale_mgr_fenced;
-  return n;
-}
-
-std::uint64_t FileSystem::rebuild_rpcs() const {
-  std::uint64_t n = 0;
-  for (const MetaShard& sh : shards_) n += sh.rebuild_rpcs;
-  return n;
-}
-
-std::uint64_t FileSystem::overlap_writes_admitted() const {
-  std::uint64_t n = 0;
-  for (const MetaShard& sh : shards_) n += sh.overlap_admits;
-  return n;
-}
-
 std::string FileSystem::stats() const {
   std::ostringstream os;
   os << cfg_.name << ": _tok_ " << tokens_granted_ << " _rvk_ "
@@ -1047,7 +993,7 @@ void FileSystem::op_client_gone(ClientId client) {
   // replay — drop them with the lease, across every shard it touched.
   for (MetaShard& sh : shards_) {
     sh.tokens.release_all(client);
-    sh.journal.drop_client(client);
+    sh.journal.take_uncommitted(client);
   }
   lease_.deregister(client);
 }
@@ -1063,18 +1009,11 @@ Status FileSystem::set_replication(const std::string& path,
 
 Status FileSystem::op_replica_divergence(ClientId client, InodeNum ino,
                                          std::uint64_t bi, std::uint8_t copy) {
-  if (shards_[shard_of(ino)].recovering || shards_[0].recovering) {
-    // Same overlap rule as op_extend_size: a reasserted writer whose
-    // flush just diverted to a replica must be able to record the
-    // divergence mid-rebuild; unknown clients retry.
-    if (!lease_.renew(client, sim_.now())) {
-      return Status(Errc::unavailable, "manager takeover in progress");
-    }
-  } else {
-    lease_touch(client);
-    if (lease_.expelled(client)) {
-      return Status(Errc::stale, "client expelled: rejoin required");
-    }
+  // A reasserted writer whose flush just diverted to a replica must be
+  // able to record the divergence mid-rebuild.
+  if (Status st = admit_own_writes(client, !grants_open(shard_of(ino)));
+      !st.ok()) {
+    return st;
   }
   BlockPlacement p = ns_.placement(ino, bi);
   if (p.copies <= 1) {

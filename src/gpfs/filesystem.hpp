@@ -40,22 +40,21 @@
 
 namespace mgfs::gpfs {
 
-struct OpenResult {
-  InodeNum ino = 0;
-  Bytes size = 0;
-  bool writable = false;
-  /// A create for write also hands the creator an rw token on exactly
-  /// block 0 and block 0's placement (DESIGN.md §5.1), so its first
-  /// write needs no further manager round trip. Empty when the manager
-  /// could not grant (takeover in progress, file system full).
-  std::optional<BlockMapChunk> grant;
-};
-
 /// Answer to a write grant: the rw token range granted and the block
 /// map of the write's batch, every block placed.
 struct WriteGrant {
   TokenRange range;
   BlockMapChunk map;
+};
+
+struct OpenResult {
+  InodeNum ino = 0;
+  Bytes size = 0;
+  /// A create for write also hands the creator a write grant over
+  /// exactly block 0 (DESIGN.md §5.1), so its first write needs no
+  /// further manager round trip. Empty when the manager could not grant
+  /// (takeover in progress, file system full).
+  std::optional<WriteGrant> grant;
 };
 
 /// Result of an fsck-style consistency scan (tests / chaos bench).
@@ -104,7 +103,9 @@ class FileSystem {
   const FsConfig& config() const { return cfg_; }
   const std::string& name() const { return cfg_.name; }
   /// Manager node of `shard` (shard 0 is the lease home).
-  net::NodeId manager_node(std::uint32_t shard) const;
+  net::NodeId manager_node(std::uint32_t shard) const {
+    return at(shard).manager_node;
+  }
   Bytes block_size() const { return cfg_.block_size; }
   std::size_t nsd_count() const { return nsds_.size(); }
   const Nsd& nsd(std::uint32_t id) const;
@@ -196,19 +197,23 @@ class FileSystem {
   // --- manager failover (DESIGN.md §6: elect -> rebuild -> fence -> resume)
   // Each shard fails over independently: its own epoch, its own
   // recovering flag, its own rebuilt token table. Shard 0's takeover
-  // additionally rebuilds the (global) lease plane. All entry points
-  // default to shard 0, the single manager of an unsharded fs.
+  // additionally rebuilds the (global) lease plane. Every entry point
+  // names its shard; an unsharded fs has only shard 0.
   /// Manager incarnation number of `shard`. Starts at 1; bumped by
   /// every takeover of that shard. Carried on manager-bound RPCs and
   /// NSD write gates so a deposed manager's grants and a partitioned
   /// client's writes under them are rejected as stale.
-  std::uint64_t manager_epoch(std::uint32_t shard) const;
+  std::uint64_t manager_epoch(std::uint32_t shard) const {
+    return at(shard).manager_epoch;
+  }
   /// Is any shard's takeover rebuild in progress? Metadata ops answer
   /// retryable `unavailable` and NSD write gates answer `retry` for the
   /// affected shard's domain, so clients pause-and-redrive instead of
   /// failing.
   bool recovering() const;
-  bool shard_recovering(std::uint32_t shard) const;
+  bool shard_recovering(std::uint32_t shard) const {
+    return at(shard).recovering;
+  }
   /// The successor assumes `shard`'s manager role: bump the shard's
   /// epoch, move the role to `successor`, and wipe the shard's volatile
   /// token table (it died with the old manager node). Shard 0 also
@@ -236,12 +241,20 @@ class FileSystem {
   /// the lease sweep that was held off during the rebuild.
   void finish_takeover(std::uint32_t shard);
   /// Takeovers across all shards.
-  std::uint64_t manager_takeovers() const;
-  std::uint64_t shard_takeovers(std::uint32_t shard) const;
+  std::uint64_t manager_takeovers() const {
+    return sum_shards(&MetaShard::takeovers);
+  }
+  std::uint64_t shard_takeovers(std::uint32_t shard) const {
+    return at(shard).takeovers;
+  }
   /// Simulated time the last takeover's rebuild finished; < 0 if never.
   double last_takeover_at() const { return last_takeover_at_; }
-  std::uint64_t assertions_rebuilt() const;
-  std::uint64_t stale_manager_fenced() const;
+  std::uint64_t assertions_rebuilt() const {
+    return sum_shards(&MetaShard::assertions_rebuilt);
+  }
+  std::uint64_t stale_manager_fenced() const {
+    return sum_shards(&MetaShard::stale_mgr_fenced);
+  }
 
   // --- recovery-latency accounting (DESIGN.md §6, latency budget) -------
   /// Count one per-client reassertion RPC issued by a takeover rebuild
@@ -250,10 +263,14 @@ class FileSystem {
   void note_rebuild_rpc(std::uint32_t shard) {
     ++shards_[shard].rebuild_rpcs;
   }
-  std::uint64_t rebuild_rpcs() const;
+  std::uint64_t rebuild_rpcs() const {
+    return sum_shards(&MetaShard::rebuild_rpcs);
+  }
   /// Writes admitted through the NSD gate *during* a takeover rebuild
   /// because their sender had already reasserted (the overlap window).
-  std::uint64_t overlap_writes_admitted() const;
+  std::uint64_t overlap_writes_admitted() const {
+    return sum_shards(&MetaShard::overlap_admits);
+  }
   /// Suspects expelled early on probe-quorum confirmation instead of
   /// waiting out duration + recovery_wait.
   std::uint64_t early_expels() const { return lease_.confirms(); }
@@ -398,6 +415,17 @@ class FileSystem {
     /// serialization point the shard_sweep bench scales against.
     std::unique_ptr<sim::SerialResource> cpu;
   };
+  /// `shard`'s state, bounds-checked.
+  const MetaShard& at(std::uint32_t shard) const {
+    MGFS_ASSERT(shard < shards_.size(), "bad shard");
+    return shards_[shard];
+  }
+  /// A per-shard counter summed over every shard.
+  std::uint64_t sum_shards(std::uint64_t MetaShard::*counter) const {
+    std::uint64_t n = 0;
+    for (const MetaShard& sh : shards_) n += sh.*counter;
+    return n;
+  }
 
   void token_retry(ClientId client, InodeNum ino, TokenRange range,
                    TokenRange desired, LockMode mode, int attempts,
@@ -416,9 +444,10 @@ class FileSystem {
   /// normal window.
   void probe_then_await(ClientId holder, InodeNum ino, TokenRange overlap,
                         sim::Callback done);
-  /// Park `resume` until finish_takeover(shard) drains the waiter list
-  /// (with a full-recovery-window timer as a safety net if the rebuild
-  /// dies).
+  /// Park `resume` until the rebuild that closes `shard`'s grants (its
+  /// own, else the lease home's) drains the waiter list in
+  /// finish_takeover (with a full-recovery-window timer as a safety net
+  /// if the rebuild dies).
   void park_for_recovery(std::uint32_t shard, sim::Callback resume);
   /// Stamp `shard`'s first post-takeover service point (write admit or
   /// token grant) for takeover_to_first_grant_s.
@@ -430,15 +459,19 @@ class FileSystem {
   void note_grant(std::uint32_t shard, ClientId client, InodeNum ino);
   /// Piggybacked renewal + lazy sweep at manager-op entry.
   void lease_touch(ClientId client);
-  /// Replay (undo) `client`'s uncommitted records in every journal
-  /// slice — expel is a cluster-level decision, domain by domain.
-  void replay_journal(ClientId client);
+  /// Admit a client's report on its own writes (a commit, a replica
+  /// divergence): while `rebuilding`, only a client the takeover already
+  /// readmitted (else unavailable); otherwise any client not expelled
+  /// (else stale).
+  Status admit_own_writes(ClientId client, bool rebuilding);
+  /// Replay (undo) `client`'s uncommitted records in one journal slice.
   void replay_journal_slice(std::uint32_t shard, ClientId client);
   /// Undo one journaled install; false when the copy was re-placed
   /// since (or its inode is gone) and there is nothing of it to undo.
   bool undo(const JournalRecord& r);
-  /// op_write_grant once its token is granted: reference or allocate
-  /// the batch's blocks and answer with their map.
+  /// A write grant once its token is granted (op_write_grant's, and
+  /// the create grant's): reference or allocate the batch's blocks and
+  /// answer with their map.
   Result<WriteGrant> allocate_batch(ClientId client, InodeNum ino,
                                     TokenRange granted, TokenRange desired,
                                     Bytes size_hint, bool give_back);
@@ -446,11 +479,11 @@ class FileSystem {
   /// journaled before the install. no_space when no NSD has room.
   Result<BlockPlacement> allocate_block(InodeNum ino, std::uint64_t bi,
                                         ClientId client);
-  /// The create grant: an rw token on block 0 of the fresh `ino` and
-  /// block 0 allocated, under the conditions op_token_acquire grants
-  /// under; nullopt when they do not hold.
-  std::optional<BlockMapChunk> grant_first_block(ClientId client,
-                                                 InodeNum ino);
+  /// The create grant: a write grant over exactly block 0 of the fresh
+  /// `ino`, under the conditions op_token_acquire grants under; nullopt
+  /// when they do not hold or block 0 cannot be allocated.
+  std::optional<WriteGrant> grant_first_block(ClientId client,
+                                              InodeNum ino);
   /// The client that may still give back block 0 of `ino`: it holds the
   /// rw token on [0, block_size) and block 0's uncommitted alloc record.
   std::optional<ClientId> block0_returnable_by(InodeNum ino) const;

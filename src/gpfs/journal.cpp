@@ -75,44 +75,40 @@ void MetaJournal::compact() {
   }
 }
 
-void MetaJournal::commit_allocs(ClientId c, InodeNum ino,
-                                std::uint64_t blocks) {
-  auto it = by_client_.find(c);
-  if (it == by_client_.end()) return;
+template <typename Index, typename Pred>
+void MetaJournal::kill_where(Index& index,
+                             const typename Index::key_type& key, Pred pred) {
+  auto it = index.find(key);
+  if (it == index.end()) return;
   std::vector<std::uint32_t>& list = it->second;
   std::size_t w = 0;
   for (const std::uint32_t idx : list) {
     const Slot& s = slab_[idx];
     if (!s.live) continue;  // retired via another index
-    if (s.rec.ino == ino && s.rec.block < blocks) {
+    if (pred(s.rec)) {
       kill(idx);
     } else {
       list[w++] = idx;
     }
   }
   list.resize(w);
-  if (list.empty()) by_client_.erase(it);
+  if (list.empty()) index.erase(it);
   maybe_compact();
+}
+
+void MetaJournal::commit_allocs(ClientId c, InodeNum ino,
+                                std::uint64_t blocks) {
+  kill_where(by_client_, c, [ino, blocks](const JournalRecord& r) {
+    return r.ino == ino && r.block < blocks;
+  });
 }
 
 void MetaJournal::commit_block(InodeNum ino, std::uint64_t bi,
                                ClientId except) {
-  auto it = by_block_.find(block_key(ino, bi));
-  if (it == by_block_.end()) return;
-  std::vector<std::uint32_t>& list = it->second;
-  std::size_t w = 0;
-  for (const std::uint32_t idx : list) {
-    const Slot& s = slab_[idx];
-    if (!s.live) continue;
-    if (s.rec.ino == ino && s.rec.block == bi && s.rec.client != except) {
-      kill(idx);
-    } else {
-      list[w++] = idx;
-    }
-  }
-  list.resize(w);
-  if (list.empty()) by_block_.erase(it);
-  maybe_compact();
+  kill_where(by_block_, block_key(ino, bi),
+             [ino, bi, except](const JournalRecord& r) {
+               return r.ino == ino && r.block == bi && r.client != except;
+             });
 }
 
 void MetaJournal::forget_inode(InodeNum ino) {
@@ -128,18 +124,11 @@ void MetaJournal::forget_inode(InodeNum ino) {
 std::vector<JournalRecord> MetaJournal::take_block(ClientId c, InodeNum ino,
                                                   std::uint64_t bi) {
   std::vector<JournalRecord> out;
-  auto it = by_block_.find(block_key(ino, bi));
-  if (it == by_block_.end()) return out;
-  for (const std::uint32_t idx : it->second) {
-    const Slot& s = slab_[idx];
-    if (!s.live || s.rec.client != c || s.rec.ino != ino ||
-        s.rec.block != bi) {
-      continue;
-    }
-    out.push_back(s.rec);
-    kill(idx);
-  }
-  maybe_compact();
+  kill_where(by_block_, block_key(ino, bi), [&](const JournalRecord& r) {
+    if (r.client != c || r.ino != ino || r.block != bi) return false;
+    out.push_back(r);
+    return true;
+  });
   std::reverse(out.begin(), out.end());
   return out;
 }
@@ -160,28 +149,13 @@ std::optional<ClientId> MetaJournal::allocator(InodeNum ino,
 
 std::vector<JournalRecord> MetaJournal::take_uncommitted(ClientId c) {
   std::vector<JournalRecord> out;
-  auto it = by_client_.find(c);
-  if (it == by_client_.end()) return out;
-  for (const std::uint32_t idx : it->second) {
-    if (!slab_[idx].live) continue;
-    out.push_back(slab_[idx].rec);
-    kill(idx);
-  }
-  by_client_.erase(it);
-  maybe_compact();
+  kill_where(by_client_, c, [&out](const JournalRecord& r) {
+    out.push_back(r);
+    return true;
+  });
   // Undo newest-first, the reverse of the order the installs happened.
   std::reverse(out.begin(), out.end());
   return out;
-}
-
-void MetaJournal::drop_client(ClientId c) {
-  auto it = by_client_.find(c);
-  if (it == by_client_.end()) return;
-  for (const std::uint32_t idx : it->second) {
-    if (slab_[idx].live) kill(idx);
-  }
-  by_client_.erase(it);
-  maybe_compact();
 }
 
 std::vector<ClientId> MetaJournal::clients_with_uncommitted() const {

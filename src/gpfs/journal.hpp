@@ -93,9 +93,6 @@ class MetaJournal {
   /// undo order for replay.
   std::vector<JournalRecord> take_uncommitted(ClientId c);
 
-  /// Drop a client's records without replay (clean unmount).
-  void drop_client(ClientId c);
-
   /// Clients with at least one uncommitted record, sorted — the manager
   /// takeover uses this to find journal tails whose owners never
   /// reasserted membership.
@@ -126,6 +123,11 @@ class MetaJournal {
   std::uint64_t log_record(ClientId c, JournalOp op, InodeNum ino,
                            std::uint64_t bi, BlockAddr addr);
   void kill(std::uint32_t idx);
+  /// Kill the live records of `index[key]` that `pred` selects, pruning
+  /// them (and entries retired via another index) from the list.
+  template <typename Index, typename Pred>
+  void kill_where(Index& index, const typename Index::key_type& key,
+                  Pred pred);
   void maybe_compact();
   void compact();
 

@@ -146,6 +146,19 @@ Result<InodeNum> Namespace::create(std::string_view path,
                                    double now, std::uint32_t modulus,
                                    std::uint32_t residue) {
   MGFS_ASSERT(residue < modulus, "inode residue out of range");
+  return add_entry(path, who, mode, now, FileType::regular, modulus, residue);
+}
+
+Result<InodeNum> Namespace::mkdir(std::string_view path, const Principal& who,
+                                  Mode mode, double now) {
+  return add_entry(path, who, mode, now, FileType::directory, 1, 0);
+}
+
+Result<InodeNum> Namespace::add_entry(std::string_view path,
+                                      const Principal& who, Mode mode,
+                                      double now, FileType type,
+                                      std::uint32_t modulus,
+                                      std::uint32_t residue) {
   auto w = walk_to_parent(path);
   if (!w.ok()) return w.error();
   Inode& parent = get(w->parent);
@@ -156,41 +169,19 @@ Result<InodeNum> Namespace::create(std::string_view path,
     return err(Errc::exists, std::string(path));
   }
   next_ino_ += 1 + (residue + modulus - (next_ino_ + 1) % modulus) % modulus;
-  Inode f;
-  f.ino = next_ino_;
-  f.type = FileType::regular;
-  f.owner_dn = who.dn;
-  f.mode = mode;
-  f.mtime = now;
-  parent.entries[w->leaf] = f.ino;
-  const InodeNum ino = f.ino;
-  inodes_.emplace(ino, std::move(f));
-  return ino;
-}
-
-Result<InodeNum> Namespace::mkdir(std::string_view path, const Principal& who,
-                                  Mode mode, double now) {
-  auto w = walk_to_parent(path);
-  if (!w.ok()) return w.error();
-  Inode& parent = get(w->parent);
-  if (!may_write(parent, who)) {
-    return err(Errc::permission_denied, "parent of " + std::string(path));
+  Inode n;
+  n.ino = next_ino_;
+  n.type = type;
+  n.owner_dn = who.dn;
+  n.mode = mode;
+  n.mtime = now;
+  if (type == FileType::directory) {
+    n.nlink = 2;
+    ++parent.nlink;
   }
-  if (parent.entries.count(w->leaf)) {
-    return err(Errc::exists, std::string(path));
-  }
-  Inode d;
-  d.ino = ++next_ino_;
-  d.type = FileType::directory;
-  d.owner_dn = who.dn;
-  d.mode = mode;
-  d.mtime = now;
-  d.nlink = 2;
-  parent.entries[w->leaf] = d.ino;
-  ++parent.nlink;
-  const InodeNum ino = d.ino;
-  inodes_.emplace(ino, std::move(d));
-  return ino;
+  parent.entries[w->leaf] = n.ino;
+  inodes_.emplace(next_ino_, std::move(n));
+  return next_ino_;
 }
 
 Result<std::vector<BlockAddr>> Namespace::unlink(std::string_view path,

@@ -139,6 +139,11 @@ class Namespace {
   Inode& get(InodeNum ino);
   const Inode& get(InodeNum ino) const;
   Result<Walk> walk_to_parent(std::string_view path) const;
+  /// create and mkdir: a new `type` inode under `path`'s parent,
+  /// numbered as create documents.
+  Result<InodeNum> add_entry(std::string_view path, const Principal& who,
+                             Mode mode, double now, FileType type,
+                             std::uint32_t modulus, std::uint32_t residue);
   static bool may_read(const Inode& n, const Principal& who);
   static bool may_write(const Inode& n, const Principal& who);
   BlockPlacement placement_of(const Inode& n, std::uint64_t bi) const;

@@ -5,13 +5,15 @@
 #include "common/fanin.hpp"
 
 namespace mgfs::gpfs {
+namespace {
 
-NsdServer::NsdServer(sim::Simulator& sim, net::NodeId node, std::string name,
-                     sim::Time cpu_per_request)
-    : sim_(sim),
-      node_(node),
-      name_(std::move(name)),
-      cpu_per_request_(cpu_per_request),
+/// Request-processing CPU per served request.
+constexpr sim::Time kCpuPerRequest = 30e-6;
+
+}  // namespace
+
+NsdServer::NsdServer(sim::Simulator& sim, net::NodeId node, std::string name)
+    : sim_(sim), node_(node), name_(std::move(name)),
       cpu_(sim, name_ + ".cpu") {}
 
 void NsdServer::set_slow_factor(double factor) {
@@ -27,13 +29,6 @@ NsdServer::GateDecision NsdServer::write_admitted(ClientId client,
   const GateDecision d = write_gate_(client, ino, lease_epoch, mgr_epoch);
   if (d == GateDecision::fence) ++fenced_;
   return d;
-}
-
-void NsdServer::handle(storage::BlockDevice& dev, Bytes offset, Bytes len,
-                       bool write, double cipher_s_per_byte,
-                       storage::IoCallback done) {
-  handle_vectored(dev, {IoExtent{offset, len}}, write, cipher_s_per_byte,
-                  std::move(done));
 }
 
 void NsdServer::handle_vectored(storage::BlockDevice& dev,
@@ -53,7 +48,7 @@ void NsdServer::handle_vectored(storage::BlockDevice& dev,
   Bytes total = 0;
   for (const IoExtent& e : extents) total += e.len;
   const sim::Time cpu =
-      (cpu_per_request_ + cipher_s_per_byte * static_cast<double>(total)) *
+      (kCpuPerRequest + cipher_s_per_byte * static_cast<double>(total)) *
       slow_factor_;
   cpu_.acquire(cpu, [this, &dev, extents = std::move(extents), write, total,
                      done = std::move(done)]() mutable {

@@ -46,22 +46,16 @@ struct Nsd {
 
 class NsdServer {
  public:
-  NsdServer(sim::Simulator& sim, net::NodeId node, std::string name,
-            sim::Time cpu_per_request = 30e-6);
+  NsdServer(sim::Simulator& sim, net::NodeId node, std::string name);
 
   net::NodeId node() const { return node_; }
   const std::string& name() const { return name_; }
 
-  /// Serve one I/O: request-processing CPU + per-byte cipher cost (0 for
-  /// AUTHONLY sessions) + the device transfer.
-  void handle(storage::BlockDevice& dev, Bytes offset, Bytes len, bool write,
-              double cipher_s_per_byte, storage::IoCallback done);
-
-  /// Vectored serve — one coalesced client request. A single
-  /// request-processing CPU charge covers the whole run (that is the
-  /// point of coalescing), cipher cost scales with the total bytes, and
-  /// each extent becomes one device transfer. Completes once, with the
-  /// first error, after every extent finishes.
+  /// Serve one client request: a single request-processing CPU charge
+  /// covers the whole run (that is the point of coalescing), per-byte
+  /// cipher cost (0 for AUTHONLY sessions) scales with the total bytes,
+  /// and each extent becomes one device transfer. Completes once, with
+  /// the first error, after every extent finishes.
   void handle_vectored(storage::BlockDevice& dev,
                        std::vector<IoExtent> extents, bool write,
                        double cipher_s_per_byte, storage::IoCallback done);
@@ -106,7 +100,6 @@ class NsdServer {
   sim::Simulator& sim_;
   net::NodeId node_;
   std::string name_;
-  sim::Time cpu_per_request_;
   double slow_factor_ = 1.0;
   sim::SerialResource cpu_;
   WriteGate write_gate_;

@@ -75,49 +75,23 @@ class ConnectionPool {
 
   /// Retire every pair touching `n` (either endpoint). Long-running
   /// multi-cluster sims call this when a node leaves for good so dead
-  /// pairs don't accumulate. Returns the number evicted. Walks pairs in
-  /// (src, dst) order — reset() can fail queued transfers synchronously,
-  /// so the callback order must match the old sorted-map pool.
+  /// pairs don't accumulate. Returns the number evicted.
   std::size_t evict_node(net::NodeId n) {
-    std::size_t count = 0;
-    for (std::size_t src = 0; src < rows_.size(); ++src) {
-      auto& row = rows_[src];
-      if (src == n.v) {
-        for (auto& slot : row) {
-          if (slot) {
-            retire(slot);
-            ++count;
-          }
-        }
-      } else if (n.v < row.size() && row[n.v]) {
-        retire(row[n.v]);
-        ++count;
-      }
-    }
-    return count;
+    return for_pairs_of(n, [this](std::unique_ptr<net::TcpConnection>& c) {
+      retire(c);
+      return true;
+    });
   }
 
   /// Reset (not evict) every broken connection touching `n` — the node
   /// restart path: the pairs are about to be reused, so clear the
   /// failed state instead of reallocating. Returns the number reset.
-  /// Same (src, dst) walk order as evict_node, for the same reason.
   std::size_t reset_node(net::NodeId n) {
-    std::size_t count = 0;
-    for (std::size_t src = 0; src < rows_.size(); ++src) {
-      auto& row = rows_[src];
-      if (src == n.v) {
-        for (auto& slot : row) {
-          if (slot && slot->broken()) {
-            slot->reset();
-            ++count;
-          }
-        }
-      } else if (n.v < row.size() && row[n.v] && row[n.v]->broken()) {
-        row[n.v]->reset();
-        ++count;
-      }
-    }
-    return count;
+    return for_pairs_of(n, [](std::unique_ptr<net::TcpConnection>& c) {
+      if (!c->broken()) return false;
+      c->reset();
+      return true;
+    });
   }
 
   net::Network& network() { return net_; }
@@ -134,6 +108,24 @@ class ConnectionPool {
     auto& row = rows_[src];
     if (dst >= row.size()) row.resize(dst + 1);
     return row[dst];
+  }
+
+  /// Run `fn` on every open pair touching `n`, counting those it acted
+  /// on. Walks pairs in (src, dst) order — reset() can fail queued
+  /// transfers synchronously, so the callback order must match the old
+  /// sorted-map pool.
+  template <typename Fn>
+  std::size_t for_pairs_of(net::NodeId n, Fn fn) {
+    std::size_t count = 0;
+    for (std::size_t src = 0; src < rows_.size(); ++src) {
+      auto& row = rows_[src];
+      if (src == n.v) {
+        for (auto& slot : row) count += slot && fn(slot);
+      } else if (n.v < row.size() && row[n.v]) {
+        count += fn(row[n.v]);
+      }
+    }
+    return count;
   }
 
   void retire(std::unique_ptr<net::TcpConnection>& slot) {

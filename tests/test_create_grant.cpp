@@ -283,6 +283,75 @@ TEST(CreateGrant, BlockZeroWriteWaitsForAGiveBackInFlight) {
   EXPECT_TRUE(mc.fs->fsck().clean());
 }
 
+/// A close's give-back and a block-0 write through another handle, in
+/// one tick: the give-back is in flight when the write arrives, so the
+/// write waits for its answer and allocates block 0 afresh instead of
+/// landing in the block the close frees.
+TEST(CreateGrant, CloseGiveBackHoldsABlockZeroWriteOnAnotherHandle) {
+  MiniCluster mc;
+  Client* c = mc.mount_on(2);
+  auto h1 = mc.open(c, "/f", kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(h1.ok());
+  auto h2 = mc.open(c, "/f", kAlice, OpenFlags::rw());
+  ASSERT_TRUE(h2.ok());
+  const InodeNum ino = *mc.fs->ns().resolve("/f");
+  std::optional<Status> closed;
+  std::optional<Result<Bytes>> wrote;
+  c->close(*h1, [&](Status st) { closed = st; });
+  c->write(*h2, 0, 16 * KiB, [&](Result<Bytes> r) { wrote = r; });
+  mc.sim.run();
+  ASSERT_TRUE(closed.has_value() && closed->ok());
+  ASSERT_TRUE(wrote.has_value() && wrote->ok());
+  ASSERT_TRUE(mc.fsync(c, *h2).ok());
+  EXPECT_EQ(mc.fs->ns().placement(ino, 0).copies, 1u);
+  EXPECT_EQ(mc.fs->ns().stat(ino)->size, 16 * KiB);
+  EXPECT_EQ(mc.fs->fsck().referenced_blocks, 1u);
+  EXPECT_TRUE(mc.fs->fsck().clean());
+}
+
+/// The close decides at send time, after its flush: a block-0 write
+/// that lands while the close waits out another block's write-behind
+/// keeps block 0, so the close's commit gives nothing back.
+TEST(CreateGrant, CloseSendsNoGiveBackAfterABlockZeroWriteLandsInItsFlush) {
+  ClusterConfig cfg;
+  cfg.client.retry.max_attempts = 1;
+  MiniCluster mc(6, 4, 1 * MiB, cfg);
+  Client* c = mc.mount_on(2);
+  auto h1 = mc.open(c, "/f", kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(h1.ok());
+  auto h2 = mc.open(c, "/f", kAlice, OpenFlags::rw());
+  ASSERT_TRUE(h2.ok());
+  const InodeNum ino = *mc.fs->ns().resolve("/f");
+  const BlockAddr granted = mc.fs->ns().placement(ino, 0).addr[0];
+
+  // The first write past block 0 carries the give-back and finds the
+  // manager down, so the create grant stays live. A second write, sent
+  // while that give-back is still in flight, carries none: its 16 MiB
+  // are in write-behind when it completes.
+  const net::NodeId mgr = mc.site.hosts[1];
+  std::optional<Status> closed;
+  std::optional<Result<Bytes>> first, head;
+  mc.net.set_node_up(mgr, false);
+  c->write(*h2, 1 * MiB, 16 * KiB, [&](Result<Bytes> r) { first = r; });
+  mc.net.set_node_up(mgr, true);
+  c->write(*h2, 4 * MiB, 16 * MiB, [&](Result<Bytes> r) {
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(first.has_value() && !first->ok());
+    ASSERT_GT(c->pool().dirty_bytes(), 0u);
+    // Close the creating handle; in the same tick, write block 0.
+    c->close(*h1, [&](Status st) { closed = st; });
+    c->write(*h2, 0, 16 * KiB, [&](Result<Bytes> w) { head = w; });
+  });
+  mc.sim.run();
+  ASSERT_TRUE(closed.has_value() && closed->ok());
+  ASSERT_TRUE(head.has_value() && head->ok());
+  ASSERT_TRUE(mc.fsync(c, *h2).ok());
+  const BlockPlacement p = mc.fs->ns().placement(ino, 0);
+  EXPECT_EQ(p.copies, 1u);
+  EXPECT_EQ(p.addr[0], granted);  // the create grant's block, kept
+  EXPECT_TRUE(mc.fs->fsck().clean());
+}
+
 /// A file created for write and closed unwritten keeps no block.
 TEST(CreateGrant, CloseOfAnUnwrittenCreateGivesBlockZeroBack) {
   MiniCluster mc;

@@ -287,6 +287,23 @@ TEST(Failures, BlackholedManagerTimesOutInsteadOfHanging) {
   EXPECT_TRUE(mc.stat(c, "/").ok());
 }
 
+/// A metadata RPC to a dead manager fails after its client was
+/// unmounted: the retry path must neither accuse the manager through a
+/// file system the client no longer has nor re-send, and the caller
+/// hears a failure.
+TEST(Failures, ManagerRpcFailingAfterUnmountIsHarmless) {
+  MiniCluster mc;
+  Client* c = mc.mount_on(2);
+  mc.net.set_node_up(mc.site.hosts[1], false);
+  std::optional<Result<StatInfo>> st;
+  c->stat("/", [&](Result<StatInfo> r) { st = std::move(r); });
+  mc.cluster->unmount(c);
+  mc.sim.run();
+  ASSERT_TRUE(st.has_value());
+  EXPECT_FALSE(st->ok());
+  EXPECT_EQ(mc.fs->manager_takeovers(), 0u);
+}
+
 TEST(Failures, ExpelOfAllocatorKeepsABlockAnotherClientWrote) {
   // Block 0 of /f is allocated by its creator's create grant and never
   // committed by it. Another client that maps the block for a read and
