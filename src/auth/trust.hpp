@@ -79,7 +79,6 @@ class TrustStore {
   /// Effective access of `cluster` to `fs` (none if unknown/ungranted).
   AccessMode access(const std::string& cluster, const std::string& fs) const;
 
-  std::size_t cluster_count() const { return clusters_.size(); }
   /// Admitted cluster names, sorted (for `mmauth show`).
   std::vector<std::string> cluster_names() const;
   /// (fs, mode) grants of one cluster, sorted by fs.
@@ -134,15 +133,6 @@ class HandshakeServer {
 
   /// Mutual proof: sign a client-issued challenge aimed at this server.
   std::uint64_t prove(const Challenge& ch) const;
-
-  std::size_t outstanding_challenges() const {
-    std::size_t n = 0;
-    for (const auto& [cluster, v] : outstanding_) {
-      (void)cluster;
-      n += v.size();
-    }
-    return n;
-  }
 
  private:
   std::string cluster_;

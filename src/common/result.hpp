@@ -133,7 +133,6 @@ class [[nodiscard]] Status {
   Status(Error e) : e_(std::move(e)) {}               // NOLINT(google-explicit-constructor)
   Status(Errc c, std::string detail = {}) : e_(Error{c, std::move(detail)}) {}
 
-  static Status ok_status() { return Status{}; }
   bool ok() const { return e_.code == Errc::ok; }
   explicit operator bool() const { return ok(); }
   const Error& error() const { return e_; }

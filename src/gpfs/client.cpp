@@ -31,6 +31,13 @@ constexpr Bytes kDataHeader = 64;
 /// Per-extent descriptor cost in a vectored NSD request header.
 constexpr Bytes kExtentDesc = 16;
 
+bool empty(BlockRange r) { return r.lo >= r.hi; }
+BlockRange hull(BlockRange a, BlockRange b) {
+  if (empty(a)) return b;
+  if (empty(b)) return a;
+  return BlockRange{std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
+}
+
 }  // namespace
 
 Client::Client(Rpc& rpc, net::NodeId node, ClientId id, ClientConfig cfg,
@@ -719,20 +726,23 @@ void Client::open(const std::string& path, const Principal& who,
   meta_call<OpenResult>(
       fs_->shard_of_path(path), kMetaPayload,
       [fs, path, who, flags, me](Rpc::ReplyFn<OpenResult> reply) {
-        Result<OpenResult> res = fs->op_open(path, who, flags, me);
-        const Bytes payload = res.ok() && res->grant ? 64 + 16 : 64;
-        reply(payload, std::move(res));
+        fs->op_open(path, who, flags, me, [reply](Result<OpenResult> res) {
+          const Bytes payload = res.ok() && res->grant ? 64 + 16 : 64;
+          reply(payload, std::move(res));
+        });
       },
       [this, who, flags, done = std::move(done)](Result<OpenResult> res) {
         if (!res.ok()) {
           done(res.error());
           return;
         }
+        // A truncating open freed the file's blocks under its whole-file
+        // token and gave that back: nothing cached of the file holds.
+        if (flags.truncate && flags.write) forget_inode(res->ino);
         if (res->grant) {
           // The create grant: block 0 is ours to write with no further
           // write grant.
           install_grant(res->ino, res->grant->range, *res->grant);
-          grants_[res->ino].create = true;
         }
         const Fh fh = next_fh_++;
         OpenFile f;
@@ -928,23 +938,12 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
   const std::uint64_t b0 = offset / bs;
   const std::uint64_t b1 = (offset + len - 1) / bs;
   const InodeNum ino = f->ino;
-  if (auto g = grants_.find(ino); b0 == 0 && g != grants_.end()) {
-    // A give-back of block 0 is in flight: write once it is answered,
-    // when block 0 is unmapped here and gets allocated afresh.
-    if (g->second.parked) {
-      g->second.parked->push_back([this, fh, offset, len, done]() mutable {
-        write(fh, offset, len, std::move(done));
-      });
-      return;
-    }
-    // Written by its creator: the create grant's block 0 is kept.
-    g->second.create = false;
-  }
   const Bytes old_size = f->size;
   const Bytes new_size = std::max(f->size, offset + len);
   // Marked before any token/allocate work, so a write that later fails
-  // still makes the next fsync commit (the conservative side).
-  marks_.mark(ino, offset + len);
+  // still makes the next fsync commit (the conservative side), and no
+  // commit frees a block it may yet write.
+  marks_.mark(ino, offset, offset + len);
 
   // Streaming-write detection: once the sequential pattern is confirmed
   // (two hits), the token and allocation cover the write's whole batch
@@ -1031,25 +1030,24 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
     return;
   }
   // Anything else costs one write grant: token and allocation together.
-  // The creator's first grant past an unwritten block 0 hands the create
-  // grant's block back, so it reads as a hole; close retries a failed
-  // one.
-  const bool give_back = send_give_back(ino);
   FileSystem* fs = fs_;
   const ClientId me = id_;
   const std::uint64_t count = ceil_div(desired.hi, bs) - desired.lo / bs;
+  ++grants_[ino].granting;
   meta_call<WriteGrant>(
       fs_->shard_of(ino), kMetaPayload,
-      [fs, me, ino, required, desired, new_size, give_back,
+      [fs, me, ino, required, desired, new_size,
        count](Rpc::ReplyFn<WriteGrant> reply) {
-        fs->op_write_grant(me, ino, required, desired, new_size, give_back,
+        fs->op_write_grant(me, ino, required, desired, new_size,
                            [reply, count](Result<WriteGrant> res) {
                              reply(64 + 16 * count, std::move(res));
                            });
       },
-      [this, ino, required, give_back,
+      [this, ino, required,
        accept = std::move(accept)](Result<WriteGrant> res) mutable {
-        if (give_back) gave_back(ino, res.ok());
+        if (auto g = grants_.find(ino); g != grants_.end()) {
+          --g->second.granting;
+        }
         if (!res.ok()) {
           accept(res.error());
           return;
@@ -1064,49 +1062,50 @@ void Client::install_grant(InodeNum ino, TokenRange required,
   const bool widened = g.range.lo < required.lo || g.range.hi > required.hi;
   held_.record(ino, g.range, LockMode::rw, widened);
   install_chunk(ino, g.map);
+  newest_grant_ = std::max(newest_grant_, g.id);
   // The batch joins the referenced run it touches, else replaces it.
   const BlockRange batch{g.map.first_block, g.map.first_block + g.map.count};
-  BlockRange& run = grants_[ino].referenced;
-  run = run.hi < batch.lo || batch.hi < run.lo || run.lo == run.hi
+  GrantState& st = grants_[ino];
+  BlockRange& run = st.referenced;
+  run = run.hi < batch.lo || batch.hi < run.lo || empty(run)
             ? batch
-            : BlockRange{std::min(run.lo, batch.lo),
-                         std::max(run.hi, batch.hi)};
+            : hull(run, batch);
+  st.fresh = hull(st.fresh, batch);
 }
 
-bool Client::send_give_back(InodeNum ino) {
-  const auto g = grants_.find(ino);
-  if (g == grants_.end() || !g->second.create || g->second.parked) {
-    return false;
+void Client::forget_unwritten(InodeNum ino, BlockRange frees,
+                              BlockRange written) {
+  auto fit = block_map_.find(ino);
+  if (fit == block_map_.end()) return;
+  BlockRange run{};
+  if (auto g = grants_.find(ino); g != grants_.end()) {
+    run = g->second.referenced;
   }
-  g->second.parked.emplace();
-  return true;
-}
-
-void Client::gave_back(InodeNum ino, bool ok) {
-  // Block 0 may be a hole now (even after a failure: the reply may be
-  // what was lost); the next access refetches it.
-  if (auto it = block_map_.find(ino); it != block_map_.end()) {
-    it->second.forget(0, 1);
+  auto forget = [&fit](std::uint64_t lo, std::uint64_t hi) {
+    if (lo < hi) fit->second.forget(lo, hi);
+  };
+  // `frees` but `written` is two pieces, each but `run` two more.
+  const BlockRange pieces[] = {
+      {frees.lo, std::min(frees.hi, written.lo)},
+      {std::max(frees.lo, written.hi), frees.hi}};
+  for (const BlockRange& p : pieces) {
+    forget(p.lo, std::min(p.hi, run.lo));
+    forget(std::max(p.lo, run.hi), p.hi);
   }
-  const auto g = grants_.find(ino);
-  if (g == grants_.end()) return;
-  GrantState& st = g->second;
-  if (ok) st.create = false;
-  if (st.referenced.lo == 0) st.referenced = BlockRange{};
-  for (sim::Callback& w : st.parked.value()) simulator().defer(std::move(w));
-  st.parked.reset();
-  if (!st.create && st.referenced.lo == st.referenced.hi) grants_.erase(g);
+  if (fit->second.empty()) block_map_.erase(fit);
 }
 
 void Client::drop_grants(InodeNum ino) {
-  if (auto g = grants_.find(ino); g != grants_.end() && g->second.drop()) {
-    grants_.erase(g);
+  if (auto g = grants_.find(ino); g != grants_.end()) {
+    g->second.referenced = BlockRange{};
+    if (g->second.idle()) grants_.erase(g);
   }
 }
 
 void Client::drop_all_grants() {
   for (auto g = grants_.begin(); g != grants_.end();) {
-    g = g->second.drop() ? grants_.erase(g) : std::next(g);
+    g->second.referenced = g->second.fresh = BlockRange{};
+    g = g->second.idle() ? grants_.erase(g) : std::next(g);
   }
 }
 
@@ -1242,10 +1241,6 @@ void Client::flush_inode(InodeNum ino, sim::Callback done) {
 }
 
 void Client::fsync(Fh fh, std::function<void(Status)> done) {
-  sync(fh, /*closing=*/false, std::move(done));
-}
-
-void Client::sync(Fh fh, bool closing, std::function<void(Status)> done) {
   OpenFile* f = file(fh);
   if (f == nullptr) {
     done(Status(Errc::invalid_argument, "bad file handle"));
@@ -1256,31 +1251,53 @@ void Client::sync(Fh fh, bool closing, std::function<void(Status)> done) {
   // Stamp of the newest write this fsync covers; 0 = nothing written
   // since the last commit.
   const std::uint64_t seq = marks_.pending(ino);
-  flush_inode(ino, [this, ino, size, seq, closing,
-                    done = std::move(done)]() mutable {
+  flush_inode(ino, [this, ino, size, seq, done = std::move(done)]() mutable {
     if (!mounted()) {
       done(Status{});
       return;
     }
-    // A close decides here, after its flush, whether its commit gives
-    // block 0 back: a block-0 write that landed meanwhile keeps it.
-    const bool give_back = closing && send_give_back(ino);
-    if (seq == 0 && !give_back) {
+    // The commit frees the blocks this client's grants placed since its
+    // last commit and it has not written since then (DESIGN.md §6),
+    // unless a grant in flight may reference them. They leave the
+    // referenced run and the map cache first, so a later write there is
+    // granted afresh.
+    const BlockRange written = marks_.written(ino, block_size());
+    const auto g = grants_.find(ino);
+    const bool settled = g != grants_.end() && g->second.granting == 0;
+    const bool frees = settled && !empty(g->second.fresh) &&
+                       (g->second.fresh.lo < written.lo ||
+                        g->second.fresh.hi > written.hi);
+    if (seq == 0 && !frees) {
       // The manager already holds everything this inode has to commit.
       // Complete from the event loop: callers' loops are not re-entrant.
       simulator().defer([done = std::move(done)] { done(Status{}); });
       return;
     }
+    const BlockRange sent =
+        settled ? std::exchange(g->second.fresh, BlockRange{}) : BlockRange{};
+    if (frees) {
+      BlockRange& run = g->second.referenced;  // only what was written
+      run.lo = std::max(run.lo, written.lo);
+      run.hi = std::max(run.lo, std::min(run.hi, written.hi));
+      forget_unwritten(ino, sent, written);
+    }
     FileSystem* fs = fs_;
     const ClientId me = id_;
+    const std::uint64_t grant = frees ? newest_grant_ : 0;
     meta_status(
         fs->shard_of(ino), 64, 64,
-        [fs, ino, size, me, give_back] {
-          return fs->op_extend_size(ino, size, me, give_back);
+        [fs, ino, size, me, written, grant] {
+          return fs->op_extend_size(ino, size, me, written, grant);
         },
-        [this, ino, size, seq, give_back, done = std::move(done)](Status st) {
+        [this, ino, size, seq, frees, sent, written,
+         done = std::move(done)](Status st) {
           if (st.ok()) marks_.settle(ino, seq, size);
-          if (give_back) gave_back(ino, st.ok());
+          // A map fetch may have crossed the commit.
+          if (frees) forget_unwritten(ino, sent, written);
+          if (!st.ok() && !empty(sent) && mounted()) {
+            GrantState& gs = grants_[ino];  // the next commit tries again
+            gs.fresh = hull(gs.fresh, sent);
+          }
           done(st);
         });
   });
@@ -1297,10 +1314,7 @@ void Client::flush_all(sim::Callback done) {
 }
 
 void Client::close(Fh fh, std::function<void(Status)> done) {
-  // Created here and block 0 still unwritten after the flush: the
-  // close's commit hands the create grant's block back, or it would
-  // stay allocated unwritten.
-  sync(fh, /*closing=*/true, [this, fh, done = std::move(done)](Status st) {
+  fsync(fh, [this, fh, done = std::move(done)](Status st) {
     // A later open writes under fresh grants: the record is kept only
     // while the file is open.
     if (const OpenFile* f = file(fh)) drop_grants(f->ino);
@@ -1571,11 +1585,11 @@ bool Client::handle_revoke(InodeNum ino, TokenRange range,
       fit->second.forget(lo_blk, hi_blk);
       if (fit->second.empty()) block_map_.erase(fit);
     }
-    // The next holder may place blocks here, and see block 0: our next
-    // write there must be granted again, and a create grant's block is
-    // no longer ours to give back.
+    // The next holder may place blocks here: our next write there must
+    // be granted again.
     if (auto g = grants_.find(ino);
-        g != grants_.end() && g->second.touched_by(lo_blk, hi_blk)) {
+        g != grants_.end() && g->second.referenced.lo < hi_blk &&
+        lo_blk < g->second.referenced.hi) {
       drop_grants(ino);
     }
     held_.trim(ino, range);
@@ -1625,14 +1639,8 @@ Result<ManagerAssertReply> Client::assert_tokens(net::NodeId mgr_node,
   // kept spans by construction (every dirty page sits under some rw
   // token and inside its inode's dirty span, so its clip retains it).
   for (const auto& [ino, r] : clamp.dropped) {
-    // A create grant whose token is not reasserted is not ours to give
-    // back any more. The referenced run stays with the reasserted
-    // tokens: the journal outlives the manager.
-    if (auto g = grants_.find(ino);
-        r.lo < bs && g != grants_.end() && g->second.create) {
-      drop_grants(ino);
-    }
-    // Interior blocks only: a block straddling a kept-range edge is
+    // The referenced run stays with the reasserted tokens: the journal
+    // outlives the manager. Interior blocks only: a block straddling a kept-range edge is
     // still partly under token, and a partially-dirtied page must not
     // be dropped with unflushed bytes aboard.
     const std::uint64_t lo_blk = ceil_div(r.lo, bs);

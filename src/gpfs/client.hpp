@@ -109,11 +109,11 @@ class Client {
              std::function<void(Result<Bytes>)> done);
   /// Flush the file's dirty pages, then commit its size and allocations
   /// at the manager — only when the inode was written since its last
-  /// commit; a clean fsync completes locally (still asynchronously).
+  /// commit, or this client's grants placed blocks there since then that
+  /// it has not written (the commit frees those); otherwise the fsync
+  /// completes locally (still asynchronously).
   void fsync(Fh fh, std::function<void(Status)> done);
-  /// fsync, then drop the handle. A file whose create grant's block 0
-  /// is still unwritten once the flush is done commits anyway, handing
-  /// the block back.
+  /// fsync, then drop the handle.
   void close(Fh fh, std::function<void(Status)> done);
   /// Flush every dirty page of every file (unmount preparation).
   void flush_all(sim::Callback done);
@@ -341,28 +341,21 @@ class Client {
   /// Retry loop for the rejoin RPC (backoff; superseded by incarnation).
   void attempt_rejoin(int attempt);
   void discard_cached_state(bool reset_breakers);
-  /// fsync's body. `closing`: after the flush, the commit also gives
-  /// back the create grant's block 0 if it is still unwritten.
-  void sync(Fh fh, bool closing, std::function<void(Status)> done);
 
   // write grants: what they leave behind per inode (GrantState)
   /// Install a write grant answering a write of `required`: its token
   /// (widened if it exceeds `required`), its map chunk, and its batch
-  /// merged into the referenced run.
+  /// merged into the referenced run and the fresh blocks.
   void install_grant(InodeNum ino, TokenRange required, const WriteGrant& g);
-  /// The one gate every give-back of block 0 goes through: true, with
-  /// the give-back marked in flight, when `ino`'s create grant is live
-  /// and no give-back is in flight — the caller's RPC then carries it
-  /// and its answer must reach gave_back.
-  bool send_give_back(InodeNum ino);
-  /// A give-back of `ino`'s block 0 was answered: forget its cached
-  /// placement, the create grant too if it succeeded (`ok`), and release
-  /// the block-0 writes that waited on it.
-  void gave_back(InodeNum ino, bool ok);
-  /// Drop `ino`'s write-grant record. A give-back in flight, and the
-  /// block-0 writes it parked, stay until its answer.
+  /// Forget the cached placements of the blocks in `frees` but
+  /// `written` that a commit may free, except where the referenced run
+  /// (since re-granted) lies.
+  void forget_unwritten(InodeNum ino, BlockRange frees, BlockRange written);
+  /// Drop `ino`'s referenced run; the record goes once nothing else is
+  /// left in it.
   void drop_grants(InodeNum ino);
-  /// drop_grants of every inode (lease lapse, crash, unmount).
+  /// Drop every inode's run and fresh blocks (lease lapse, crash,
+  /// unmount).
   void drop_all_grants();
   /// After an unlink: drop the dead inode's tokens, map and pages,
   /// unless write-behind still holds its pages.
@@ -410,28 +403,20 @@ class Client {
     /// placement mapped for a read may carry another client's
     /// uncommitted allocation, which only a grant retires.
     BlockRange referenced;
-    /// Created here with a block-0 grant, block 0 not written and its
-    /// token unbroken since: the first grant past block 0, or the
-    /// close, gives the block back.
-    bool create = false;
-    /// Set while a give-back of block 0 is in flight: the block-0 writes
-    /// waiting for its answer (they must not write to the block it may
-    /// free).
-    std::optional<std::vector<sim::Callback>> parked;
+    /// The hull of the blocks its grants referenced since the last
+    /// commit was sent: what the next commit may free.
+    BlockRange fresh;
+    /// Write grants in flight. A commit sent meanwhile frees nothing: it
+    /// may overtake a grant that references what it would free.
+    std::uint32_t granting = 0;
 
-    /// Does losing the token over blocks [lo, hi) end this record?
-    bool touched_by(std::uint64_t lo, std::uint64_t hi) const {
-      return (create && lo == 0) || (referenced.lo < hi && lo < referenced.hi);
-    }
-    /// Forget the run and the create grant; true unless a give-back is
-    /// still in flight.
-    bool drop() {
-      referenced = BlockRange{};
-      create = false;
-      return !parked;
+    bool idle() const {
+      return referenced.lo == referenced.hi && fresh.lo == fresh.hi &&
+             granting == 0;
     }
   };
   std::unordered_map<InodeNum, GrantState> grants_;
+  std::uint64_t newest_grant_ = 0;  // id of the newest grant installed
 
   WriteBehind wb_{pool_};
   NsdBreaker breaker_;  // NSD server health, keyed by serving node

@@ -153,9 +153,9 @@ AccessMode FileSystem::access_of(ClientId c) const {
   return access_fn_ ? access_fn_(c) : AccessMode::read_write;
 }
 
-Result<OpenResult> FileSystem::op_open(const std::string& path,
-                                       const Principal& who, OpenFlags flags,
-                                       ClientId client) {
+Result<OpenResult> FileSystem::open_file(const std::string& path,
+                                         const Principal& who,
+                                         OpenFlags flags, ClientId client) {
   if (shards_[shard_of_path(path)].recovering) {
     return err(Errc::unavailable, "manager takeover in progress");
   }
@@ -205,22 +205,77 @@ Result<OpenResult> FileSystem::op_open(const std::string& path,
   if (flags.write) {
     if (auto s = ns_.check_write(*ino, who); !s.ok()) return s.error();
   }
-  if (flags.truncate && flags.write) {
-    auto freed = ns_.truncate(path, who, 0);
-    if (!freed.ok()) return freed.error();
-    for (const BlockAddr& b : *freed) {
-      MGFS_ASSERT(alloc_.free_block(b).ok(), "truncate freed unknown block");
-    }
-    // The namespace-level free already reclaimed every block; pending
-    // alloc undos for this inode would double-free on replay.
-    MetaJournal& jrnl = shards_[shard_of(*ino)].journal;
-    jrnl.forget_inode(*ino);
-    jrnl.note_sync_op(client, JournalOp::truncate, *ino);
-    st = ns_.stat(*ino);
-  }
   OpenResult out{*ino, st->size, std::nullopt};
   if (created && flags.write) out.grant = grant_first_block(client, *ino);
   return out;
+}
+
+void FileSystem::op_open(const std::string& path, const Principal& who,
+                         OpenFlags flags, ClientId client,
+                         std::function<void(Result<OpenResult>)> done) {
+  // A file this open creates has nothing to truncate.
+  const bool truncate =
+      flags.truncate && flags.write && ns_.resolve(path).ok();
+  Result<OpenResult> res = open_file(path, who, flags, client);
+  if (!res.ok() || !truncate) {
+    done(std::move(res));
+    return;
+  }
+  // Truncation takes the inode's exclusive token first (GPFS): the
+  // truncator's own holdings are revoked here, everyone else's by the
+  // token request, so every cached page, map entry and referenced run
+  // of the file is flushed and dropped before a block is freed.
+  const InodeNum ino = res->ino;
+  std::vector<Holding> own;
+  for (const Holding& h : shards_[shard_of(ino)].tokens.holdings(ino)) {
+    if (h.client == client) own.push_back(h);
+  }
+  FanIn revoked(own.size() + 1, [this, path, who, client, ino,
+                                 done = std::move(done)]() mutable {
+    truncate_exclusive(path, who, client, ino, std::move(done));
+  });
+  for (const Holding& h : own) {
+    revoke_until_released(client, ino, h.range, revoked);
+  }
+  revoked();
+}
+
+void FileSystem::truncate_exclusive(
+    const std::string& path, const Principal& who, ClientId client,
+    InodeNum ino, std::function<void(Result<OpenResult>)> done) {
+  const TokenRange whole{0, kWholeFile};
+  op_token_acquire(
+      client, ino, whole, whole, LockMode::rw,
+      [this, path, who, client, ino, whole,
+       done = std::move(done)](Result<TokenRange> granted) {
+        if (!granted.ok()) {
+          done(granted.error());
+          return;
+        }
+        const std::uint32_t s = shard_of(ino);
+        // The token only fenced the free; the truncator writes on under
+        // fresh grants.
+        shards_[s].tokens.release(client, ino, whole);
+        auto resolved = ns_.resolve(path);
+        if (!resolved.ok() || *resolved != ino) {
+          done(err(Errc::not_found, path));  // unlinked or renamed meanwhile
+          return;
+        }
+        auto freed = ns_.truncate(path, who, 0);
+        if (!freed.ok()) {
+          done(freed.error());
+          return;
+        }
+        for (const BlockAddr& b : *freed) {
+          MGFS_ASSERT(alloc_.free_block(b).ok(),
+                      "truncate freed unknown block");
+        }
+        // The namespace-level free already reclaimed every block;
+        // pending alloc undos for this inode would double-free on replay.
+        shards_[s].journal.forget_inode(ino);
+        shards_[s].journal.note_sync_op(client, JournalOp::truncate, ino);
+        done(OpenResult{ino, ns_.stat(ino)->size, std::nullopt});
+      });
 }
 
 std::optional<WriteGrant> FileSystem::grant_first_block(ClientId client,
@@ -235,32 +290,11 @@ std::optional<WriteGrant> FileSystem::grant_first_block(ClientId client,
   // Exactly block 0, never widened to the whole file: a shared file's
   // other writers would otherwise start by revoking it.
   const TokenRange block0{0, cfg_.block_size};
-  Result<WriteGrant> g = allocate_batch(client, ino, block0, block0, 0, false);
+  Result<WriteGrant> g = allocate_batch(client, ino, block0, block0, 0);
   if (!g.ok()) return std::nullopt;
   tokens.install(client, ino, LockMode::rw, block0);
   note_grant(s, client, ino);
   return std::move(*g);
-}
-
-std::optional<ClientId> FileSystem::block0_returnable_by(InodeNum ino) const {
-  const std::uint32_t s = shard_of(ino);
-  const std::optional<ClientId> owner = shards_[s].journal.allocator(ino, 0);
-  if (!owner.has_value() ||
-      !shards_[s].tokens.holds(*owner, ino, TokenRange{0, cfg_.block_size},
-                               LockMode::rw)) {
-    return std::nullopt;
-  }
-  return owner;
-}
-
-void FileSystem::give_back_block0(ClientId client, InodeNum ino) {
-  // Only while the creator's block-0 token is intact: a revoke let
-  // another client reference (and commit) the block.
-  if (block0_returnable_by(ino) != client) return;
-  for (const JournalRecord& r :
-       shards_[shard_of(ino)].journal.take_block(client, ino, 0)) {
-    undo(r);
-  }
 }
 
 Result<StatInfo> FileSystem::op_stat(const std::string& path) {
@@ -328,39 +362,39 @@ Result<BlockMapChunk> FileSystem::op_block_map(InodeNum ino,
     return err(Errc::unavailable, "manager takeover in progress");
   }
   if (ns_.inode(ino) == nullptr) return err(Errc::not_found, "stale inode");
-  // Block 0 its creator may still hand back reads as a hole to everyone
-  // else: a client without a token there does not cache a hole, so it
-  // asks again once it holds one, and never keeps a freed placement.
-  const bool hide0 = first_block == 0 && count > 0 &&
-                     block0_returnable_by(ino).value_or(client) != client;
+  // A block another client's commit may still free reads as a hole: its
+  // allocator's rw token covers it, so this client holds no token there,
+  // caches no hole, and asks again once it holds one (by then the token
+  // broke and the block can no longer be freed).
+  const MetaJournal& jrnl = shards_[shard_of(ino)].journal;
   BlockMapEncoder map(first_block, nsds_.size());
   for (std::uint64_t bi = first_block; bi < first_block + count; ++bi) {
-    map.add(bi, bi == 0 && hide0 ? BlockPlacement{} : ns_.placement(ino, bi));
+    map.add(bi, jrnl.freeable_by_other(ino, bi, client)
+                    ? BlockPlacement{}
+                    : ns_.placement(ino, bi));
   }
   return std::move(map).finish(count);
 }
 
 void FileSystem::op_write_grant(
     ClientId client, InodeNum ino, TokenRange range, TokenRange desired,
-    Bytes size_hint, bool give_back,
-    std::function<void(Result<WriteGrant>)> done) {
+    Bytes size_hint, std::function<void(Result<WriteGrant>)> done) {
   op_token_acquire(client, ino, range, desired, LockMode::rw,
-                   [this, client, ino, desired, size_hint, give_back,
+                   [this, client, ino, desired, size_hint,
                     done = std::move(done)](Result<TokenRange> granted) {
                      if (!granted.ok()) {
                        done(granted.error());
                        return;
                      }
                      done(allocate_batch(client, ino, *granted, desired,
-                                         size_hint, give_back));
+                                         size_hint));
                    });
 }
 
 Result<WriteGrant> FileSystem::allocate_batch(ClientId client, InodeNum ino,
                                               TokenRange granted,
                                               TokenRange desired,
-                                              Bytes size_hint,
-                                              bool give_back) {
+                                              Bytes size_hint) {
   // A revoke round may have outlasted the client's lease or the file.
   if (lease_.expelled(client)) {
     return err(Errc::stale, "client expelled: rejoin required");
@@ -370,7 +404,7 @@ Result<WriteGrant> FileSystem::allocate_batch(ClientId client, InodeNum ino,
   }
   if (ns_.inode(ino) == nullptr) return err(Errc::not_found, "stale inode");
   MetaJournal& jrnl = shards_[shard_of(ino)].journal;
-  if (give_back) give_back_block0(client, ino);
+  const std::uint64_t id = ++last_grant_;
   const Bytes bs = cfg_.block_size;
   const std::uint64_t first = desired.lo / bs;
   const std::uint64_t end = ceil_div(desired.hi, bs);
@@ -379,23 +413,30 @@ Result<WriteGrant> FileSystem::allocate_batch(ClientId client, InodeNum ino,
     BlockPlacement p = ns_.placement(ino, bi);
     if (p.copies > 0) {
       // A concurrent writer beat us, and this caller now references the
-      // block: whoever logged its install must not undo it on expel.
-      jrnl.commit_block(ino, bi, client);
+      // block: whoever logged its install must not undo it on expel,
+      // and a commit this caller sent before it installs this grant
+      // must not free it.
+      jrnl.commit_block(ino, bi, client, id);
       map.add(bi, p);
       continue;
     }
-    const Result<BlockPlacement> placed = allocate_block(ino, bi, client);
+    // A block outside the granted token is pinned from the start: only
+    // a token the allocator holds keeps other clients away from it.
+    const bool covered = granted.overlaps(TokenRange{bi * bs, (bi + 1) * bs});
+    const Result<BlockPlacement> placed =
+        allocate_block(ino, bi, client, covered ? id : 0);
     if (!placed.ok()) return placed.error();
     map.add(bi, *placed);
   }
   MGFS_ASSERT(ns_.extend_size(ino, size_hint, sim_.now()).ok(),
               "extend_size failed");
-  return WriteGrant{granted, std::move(map).finish(end - first)};
+  return WriteGrant{granted, std::move(map).finish(end - first), id};
 }
 
 Result<BlockPlacement> FileSystem::allocate_block(InodeNum ino,
                                                   std::uint64_t bi,
-                                                  ClientId client) {
+                                                  ClientId client,
+                                                  std::uint64_t grant) {
   MetaJournal& jrnl = shards_[shard_of(ino)].journal;
   const auto want_copies = static_cast<std::uint8_t>(
       std::min<std::uint32_t>(ns_.inode(ino)->replication, kMaxReplicas));
@@ -415,14 +456,14 @@ Result<BlockPlacement> FileSystem::allocate_block(InodeNum ino,
   // of surviving as silent stale replicas. Further copies prefer a
   // site-distinct NSD; a full/down cluster degrades to fewer copies
   // rather than failing the write.
-  jrnl.log_alloc(client, ino, bi, *addr);
+  jrnl.log_alloc(client, ino, bi, *addr, grant);
   BlockPlacement p = BlockPlacement::single(*addr);
   for (std::uint8_t c = 1; c < want_copies; ++c) {
     const std::uint32_t target = pick_replica_nsd(preferred, p);
     if (target >= nsds_.size()) break;
     auto ra = alloc_.allocate_on(target);
     if (!ra.ok()) break;
-    jrnl.log_replica(client, ino, bi, *ra);
+    jrnl.log_replica(client, ino, bi, *ra, grant);
     p.add(*ra);
     ++replicas_allocated_;
   }
@@ -436,7 +477,7 @@ Status FileSystem::admit_own_writes(ClientId client, bool rebuilding) {
     // entry again, and what it reports concerns only *its own*
     // pre-crash writes — no shared table the half-built rebuild could
     // corrupt. Everyone else (unknown, must-rejoin, expelled) stays
-    // parked behind the gate: unavailable, never stale, because their
+    // held behind the gate: unavailable, never stale, because their
     // fate is not decided until the rebuild ends.
     return lease_.renew(client, sim_.now())
                ? Status{}
@@ -449,17 +490,20 @@ Status FileSystem::admit_own_writes(ClientId client, bool rebuilding) {
 }
 
 Status FileSystem::op_extend_size(InodeNum ino, Bytes size, ClientId client,
-                                  bool give_back) {
+                                  BlockRange written, std::uint64_t grant) {
   const std::uint32_t s = shard_of(ino);
   // Served in the overlap window too: an overlapped write's fsync
   // finishes while stragglers are still being queried.
   if (Status st = admit_own_writes(client, shards_[s].recovering); !st.ok()) {
     return st;
   }
-  // fsync commit point: allocations under the durable size are real.
-  if (give_back) give_back_block0(client, ino);
-  shards_[s].journal.commit_allocs(client, ino,
-                                   ceil_div(size, cfg_.block_size));
+  // Commit point: what the client allocated and never wrote is freed
+  // (it dropped those blocks before sending, and nobody else has seen
+  // them); allocations under the durable size are real.
+  for (const JournalRecord& r : shards_[s].journal.commit_allocs(
+           client, ino, ceil_div(size, cfg_.block_size), written, grant)) {
+    undo(r);
+  }
   return ns_.extend_size(ino, size, sim_.now());
 }
 
@@ -562,7 +606,7 @@ void FileSystem::revoke_until_released(ClientId holder, InodeNum ino,
            [this, holder, ino, overlap,
             done = std::move(done)](bool acked) mutable {
              if (acked) {
-               shards_[shard_of(ino)].tokens.release(holder, ino, overlap);
+               release_revoked(holder, ino, overlap);
                done();
                return;
              }
@@ -641,6 +685,17 @@ void FileSystem::await_expel(ClientId holder, InodeNum ino,
     }
     await_expel(holder, ino, overlap, std::move(done));
   });
+}
+
+void FileSystem::release_revoked(ClientId holder, InodeNum ino,
+                                 TokenRange overlap) {
+  MetaShard& sh = shards_[shard_of(ino)];
+  sh.tokens.release(holder, ino, overlap);
+  const Bytes bs = cfg_.block_size;
+  sh.journal.pin(holder, ino,
+                 BlockRange{overlap.lo / bs, overlap.hi == kWholeFile
+                                                 ? ~0ULL
+                                                 : ceil_div(overlap.hi, bs)});
 }
 
 std::uint64_t FileSystem::op_client_register(ClientId client) {
@@ -722,6 +777,7 @@ void FileSystem::begin_takeover(net::NodeId successor, std::uint32_t shard) {
   // lease table lives on shard 0 only — a data-shard takeover leaves
   // node liveness alone, which is why only its own domain stalls.
   sh.tokens.clear();
+  sh.journal.pin_all();  // no token survives to vouch for a free
   if (shard == 0) lease_.reset_for_takeover();
   MGFS_DEBUG("lease", cfg_.name << ": shard " << shard
                                 << " manager takeover, node " << successor.v
@@ -783,12 +839,12 @@ void FileSystem::finish_takeover(std::uint32_t shard) {
     }
   }
   sweep_leases();  // the expel clock was held during the rebuild
-  // Wake everything that parked behind this shard's recovering gate —
+  // Wake everything waiting behind this shard's recovering gate —
   // token retries and expel waits resume now, not a recovery window
   // later.
   std::vector<sim::Callback> waiters = std::move(sh.recovery_waiters);
   sh.recovery_waiters.clear();
-  // Staggered drain: waking every parked token retry and expel wait in
+  // Staggered drain: waking every waiting token retry and expel wait in
   // the same instant turns rebuild completion into a redrive stampede —
   // dozens of conflicting acquires collide, every one pays a revoke
   // round, and the post-takeover goodput dip outlasts the rebuild it

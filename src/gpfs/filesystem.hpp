@@ -41,10 +41,12 @@
 namespace mgfs::gpfs {
 
 /// Answer to a write grant: the rw token range granted and the block
-/// map of the write's batch, every block placed.
+/// map of the write's batch, every block placed. `id` grows with every
+/// grant; a commit names the newest its client installed.
 struct WriteGrant {
   TokenRange range;
   BlockMapChunk map;
+  std::uint64_t id = 0;
 };
 
 struct OpenResult {
@@ -287,8 +289,13 @@ class FileSystem {
   FsckReport fsck() const;
 
   // --- metadata operations (manager-side logic) ------------------------
-  Result<OpenResult> op_open(const std::string& path, const Principal& who,
-                             OpenFlags flags, ClientId client);
+  /// A truncating open of an existing file first takes its whole-file
+  /// rw token: every holder, `client` included, flushes and drops its
+  /// cached state of the file through the revoke path. The blocks are
+  /// then freed and the token given back.
+  void op_open(const std::string& path, const Principal& who,
+               OpenFlags flags, ClientId client,
+               std::function<void(Result<OpenResult>)> done);
   Result<StatInfo> op_stat(const std::string& path);
   Result<InodeNum> op_mkdir(const std::string& path, const Principal& who,
                             Mode mode);
@@ -306,9 +313,8 @@ class FileSystem {
                    const Principal& who);
 
   /// Fetch blocks [first_block, first_block + count) of a file's block
-  /// map for `client`'s cache, encoded in column extents. Block 0 that
-  /// its creator may still give back reads as a hole to any other
-  /// client.
+  /// map for `client`'s cache, encoded in column extents. A block
+  /// another client's commit may still free reads as a hole.
   Result<BlockMapChunk> op_block_map(InodeNum ino, std::uint64_t first_block,
                                      std::size_t count, ClientId client) const;
 
@@ -318,22 +324,21 @@ class FileSystem {
   /// holes are allocated (striped from the file's stripe origin and
   /// journaled), and blocks already placed are referenced, so whoever
   /// logged them no longer undoes them on expel. Records the file size
-  /// as at least `size_hint` and answers with the granted range and the
-  /// batch's map. `give_back`: the creator has not written block 0 of
-  /// the file it created, so the block its create grant allocated is
-  /// freed again first and block 0 reads as a hole (a no-op once that
-  /// grant's token was revoked or the block committed).
+  /// as at least `size_hint` and answers with the granted range, the
+  /// batch's map and the grant's id.
   void op_write_grant(ClientId client, InodeNum ino, TokenRange range,
-                      TokenRange desired, Bytes size_hint, bool give_back,
+                      TokenRange desired, Bytes size_hint,
                       std::function<void(Result<WriteGrant>)> done);
 
-  /// fsync: record the durable size. This is also the journal commit
-  /// point — the client's allocate-ahead records under the committed
-  /// size are retired and no longer undone on expel. `give_back` as for
-  /// op_write_grant, before the commit: a creator closing a file whose
-  /// block 0 it never wrote.
+  /// fsync and close: record the durable size. This is also the journal
+  /// commit point (DESIGN.md §6). The client's allocations outside
+  /// `written` (the blocks it wrote since its last commit) are freed
+  /// while its rw token over them is unbroken since the grant that made
+  /// them and no grant newer than `grant` (the newest it had installed)
+  /// referenced them; its other records under the committed size are
+  /// retired and no longer undone on expel. `grant` 0 frees nothing.
   Status op_extend_size(InodeNum ino, Bytes size, ClientId client,
-                        bool give_back = false);
+                        BlockRange written, std::uint64_t grant);
 
   // --- replication (DESIGN.md §6, replication model) --------------------
   // Every copy of a block is read through ns().placement(ino, bi).
@@ -464,31 +469,38 @@ class FileSystem {
   /// readmitted (else unavailable); otherwise any client not expelled
   /// (else stale).
   Status admit_own_writes(ClientId client, bool rebuilding);
+  /// Apply a revoke `holder` acknowledged: release the holding, and pin
+  /// its records under it (no commit of its frees them any more).
+  void release_revoked(ClientId holder, InodeNum ino, TokenRange overlap);
   /// Replay (undo) `client`'s uncommitted records in one journal slice.
   void replay_journal_slice(std::uint32_t shard, ClientId client);
   /// Undo one journaled install; false when the copy was re-placed
   /// since (or its inode is gone) and there is nothing of it to undo.
   bool undo(const JournalRecord& r);
   /// A write grant once its token is granted (op_write_grant's, and
-  /// the create grant's): reference or allocate the batch's blocks and
-  /// answer with their map.
+  /// the create grant's): reference or allocate the batch's blocks under
+  /// a fresh grant id and answer with their map.
   Result<WriteGrant> allocate_batch(ClientId client, InodeNum ino,
                                     TokenRange granted, TokenRange desired,
-                                    Bytes size_hint, bool give_back);
+                                    Bytes size_hint);
   /// Place every copy of the hole (ino, bi) for `client`, each copy
-  /// journaled before the install. no_space when no NSD has room.
+  /// journaled with `grant` before the install. no_space when no NSD
+  /// has room.
   Result<BlockPlacement> allocate_block(InodeNum ino, std::uint64_t bi,
-                                        ClientId client);
+                                        ClientId client, std::uint64_t grant);
   /// The create grant: a write grant over exactly block 0 of the fresh
   /// `ino`, under the conditions op_token_acquire grants under; nullopt
   /// when they do not hold or block 0 cannot be allocated.
   std::optional<WriteGrant> grant_first_block(ClientId client,
                                               InodeNum ino);
-  /// The client that may still give back block 0 of `ino`: it holds the
-  /// rw token on [0, block_size) and block 0's uncommitted alloc record.
-  std::optional<ClientId> block0_returnable_by(InodeNum ino) const;
-  /// Undo `client`'s allocation of block 0 if it may still give it back.
-  void give_back_block0(ClientId client, InodeNum ino);
+  /// op_open up to a truncation.
+  Result<OpenResult> open_file(const std::string& path, const Principal& who,
+                               OpenFlags flags, ClientId client);
+  /// A truncating open's second half, once `client`'s own holdings on
+  /// `ino` are revoked: the whole-file rw token, then the free.
+  void truncate_exclusive(const std::string& path, const Principal& who,
+                          ClientId client, InodeNum ino,
+                          std::function<void(Result<OpenResult>)> done);
   /// Auto-delegation bookkeeping on a token grant: after
   /// cfg_.auto_delegate_ops consecutive single-client acquires on an
   /// inode, move its metanode to the picker's preferred shard.
@@ -513,6 +525,7 @@ class FileSystem {
   MetanodePickFn metanode_pick_;
   bool sweeping_ = false;
   std::uint64_t tokens_granted_ = 0;
+  std::uint64_t last_grant_ = 0;  // id of the newest write grant
   std::uint64_t revocations_ = 0;
   std::uint64_t journal_replays_ = 0;
   std::uint64_t fenced_writes_ = 0;

@@ -15,17 +15,20 @@ std::uint64_t block_key(InodeNum ino, std::uint64_t bi) {
 }  // namespace
 
 std::uint64_t MetaJournal::log_alloc(ClientId c, InodeNum ino,
-                                     std::uint64_t bi, BlockAddr addr) {
-  return log_record(c, JournalOp::alloc, ino, bi, addr);
+                                     std::uint64_t bi, BlockAddr addr,
+                                     std::uint64_t grant) {
+  return log_record(c, JournalOp::alloc, ino, bi, addr, grant);
 }
 
 std::uint64_t MetaJournal::log_replica(ClientId c, InodeNum ino,
-                                       std::uint64_t bi, BlockAddr addr) {
-  return log_record(c, JournalOp::replica, ino, bi, addr);
+                                       std::uint64_t bi, BlockAddr addr,
+                                       std::uint64_t grant) {
+  return log_record(c, JournalOp::replica, ino, bi, addr, grant);
 }
 
 std::uint64_t MetaJournal::log_record(ClientId c, JournalOp op, InodeNum ino,
-                                      std::uint64_t bi, BlockAddr addr) {
+                                      std::uint64_t bi, BlockAddr addr,
+                                      std::uint64_t grant) {
   JournalRecord r;
   r.lsn = next_lsn_++;
   r.client = c;
@@ -33,6 +36,7 @@ std::uint64_t MetaJournal::log_record(ClientId c, JournalOp op, InodeNum ino,
   r.ino = ino;
   r.block = bi;
   r.addr = addr;
+  r.grant = grant;
   const auto idx = static_cast<std::uint32_t>(slab_.size());
   slab_.push_back(Slot{r, true});
   ++live_;
@@ -83,7 +87,7 @@ void MetaJournal::kill_where(Index& index,
   std::vector<std::uint32_t>& list = it->second;
   std::size_t w = 0;
   for (const std::uint32_t idx : list) {
-    const Slot& s = slab_[idx];
+    Slot& s = slab_[idx];
     if (!s.live) continue;  // retired via another index
     if (pred(s.rec)) {
       kill(idx);
@@ -96,19 +100,60 @@ void MetaJournal::kill_where(Index& index,
   maybe_compact();
 }
 
-void MetaJournal::commit_allocs(ClientId c, InodeNum ino,
-                                std::uint64_t blocks) {
-  kill_where(by_client_, c, [ino, blocks](const JournalRecord& r) {
-    return r.ino == ino && r.block < blocks;
+std::vector<JournalRecord> MetaJournal::commit_allocs(ClientId c,
+                                                      InodeNum ino,
+                                                      std::uint64_t blocks,
+                                                      BlockRange written,
+                                                      std::uint64_t grant) {
+  std::vector<JournalRecord> freed;
+  kill_where(by_client_, c, [&](const JournalRecord& r) {
+    if (r.ino != ino) return false;
+    if (r.grant != 0 && r.grant <= grant &&
+        (r.block < written.lo || r.block >= written.hi)) {
+      freed.push_back(r);
+      return true;
+    }
+    return r.block < blocks;
   });
+  std::reverse(freed.begin(), freed.end());
+  return freed;
 }
 
 void MetaJournal::commit_block(InodeNum ino, std::uint64_t bi,
-                               ClientId except) {
-  kill_where(by_block_, block_key(ino, bi),
-             [ino, bi, except](const JournalRecord& r) {
-               return r.ino == ino && r.block == bi && r.client != except;
-             });
+                               ClientId except, std::uint64_t grant) {
+  kill_where(by_block_, block_key(ino, bi), [&](JournalRecord& r) {
+    if (r.ino != ino || r.block != bi) return false;
+    if (r.client != except) return true;
+    if (r.grant != 0) r.grant = grant;
+    return false;
+  });
+}
+
+void MetaJournal::pin(ClientId c, InodeNum ino, BlockRange blocks) {
+  kill_where(by_client_, c, [&](JournalRecord& r) {
+    if (r.ino == ino && blocks.lo <= r.block && r.block < blocks.hi) {
+      r.grant = 0;
+    }
+    return false;
+  });
+}
+
+void MetaJournal::pin_all() {
+  for (Slot& s : slab_) s.rec.grant = 0;
+}
+
+bool MetaJournal::freeable_by_other(InodeNum ino, std::uint64_t bi,
+                                    ClientId c) const {
+  auto it = by_block_.find(block_key(ino, bi));
+  if (it == by_block_.end()) return false;
+  for (const std::uint32_t idx : it->second) {
+    const Slot& s = slab_[idx];
+    if (s.live && s.rec.ino == ino && s.rec.block == bi && s.rec.client != c &&
+        s.rec.grant != 0) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void MetaJournal::forget_inode(InodeNum ino) {
@@ -119,32 +164,6 @@ void MetaJournal::forget_inode(InodeNum ino) {
   }
   by_inode_.erase(it);
   maybe_compact();
-}
-
-std::vector<JournalRecord> MetaJournal::take_block(ClientId c, InodeNum ino,
-                                                  std::uint64_t bi) {
-  std::vector<JournalRecord> out;
-  kill_where(by_block_, block_key(ino, bi), [&](const JournalRecord& r) {
-    if (r.client != c || r.ino != ino || r.block != bi) return false;
-    out.push_back(r);
-    return true;
-  });
-  std::reverse(out.begin(), out.end());
-  return out;
-}
-
-std::optional<ClientId> MetaJournal::allocator(InodeNum ino,
-                                               std::uint64_t bi) const {
-  auto it = by_block_.find(block_key(ino, bi));
-  if (it == by_block_.end()) return std::nullopt;
-  for (const std::uint32_t idx : it->second) {
-    const Slot& s = slab_[idx];
-    if (s.live && s.rec.op == JournalOp::alloc && s.rec.ino == ino &&
-        s.rec.block == bi) {
-      return s.rec.client;
-    }
-  }
-  return std::nullopt;
 }
 
 std::vector<JournalRecord> MetaJournal::take_uncommitted(ClientId c) {

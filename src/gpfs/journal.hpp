@@ -14,13 +14,17 @@
 // copy is logged (an alloc record for the primary, a replica record for
 // each further copy) before `Namespace::set_placement` installs the
 // block. The commit point is `op_extend_size`, which a client sends on
-// an fsync or close of an inode it has written since its last commit;
-// it retires records up to the committed size. On expel, the surviving
-// manager walks the dead client's uncommitted tail newest-first and
-// undoes each install. A write grant that references a block another
-// client placed retires that client's records for it (`commit_block`);
-// a client writes a block only under an rw token whose grant referenced
-// it, so no expel frees a block a survivor wrote.
+// an fsync or close; it frees the committer's allocations it has not
+// written since its last commit (below), and retires its other records
+// up to the committed size. On expel, the surviving manager walks the
+// dead client's uncommitted tail newest-first and undoes each install.
+// A write grant that references a block another client placed retires
+// that client's records for it (`commit_block`); a client writes a
+// block only under an rw token whose grant referenced it, so no expel
+// frees a block a survivor wrote. Each record carries the id of the
+// newest grant of its client that referenced its block, 0 once that
+// client's rw token over the block broke: the block-free rule of
+// DESIGN.md §6.
 //
 // Create / unlink / truncate execute atomically inside one manager op,
 // so they need no undo — `note_sync_op` only counts them, matching how
@@ -28,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -46,6 +49,7 @@ struct JournalRecord {
   InodeNum ino = 0;
   std::uint64_t block = 0;  // block index within the inode
   BlockAddr addr;           // where the allocate placed it
+  std::uint64_t grant = 0;  // newest referencing grant; 0 = never freed
 };
 
 class MetaJournal {
@@ -53,7 +57,7 @@ class MetaJournal {
   /// WAL rule: call before Namespace::set_placement for the same install.
   /// Undoing it punches a hole, freeing every copy still attached.
   std::uint64_t log_alloc(ClientId c, InodeNum ino, std::uint64_t bi,
-                          BlockAddr addr);
+                          BlockAddr addr, std::uint64_t grant = 0);
 
   /// A further copy of (ino, bi) was placed at `addr`, ahead of the
   /// writer propagating data to it. Same commit points as allocs
@@ -62,32 +66,40 @@ class MetaJournal {
   /// writer's partially-propagated copies are undone, never left as
   /// silent stale replicas.
   std::uint64_t log_replica(ClientId c, InodeNum ino, std::uint64_t bi,
-                            BlockAddr addr);
+                            BlockAddr addr, std::uint64_t grant = 0);
 
   /// Count a single-op (atomic) metadata mutation; nothing to undo.
   void note_sync_op(ClientId c, JournalOp op, InodeNum ino);
 
-  /// Commit point (op_extend_size): retire `c`'s alloc records for
-  /// `ino` whose block index is below `blocks` (the committed block
-  /// count).
-  void commit_allocs(ClientId c, InodeNum ino, std::uint64_t blocks);
+  /// Commit point (op_extend_size) of `c`'s writes to `ino`, naming
+  /// `grant`, the newest grant `c` had installed: remove and return,
+  /// newest first, the records to undo — those outside `written` (the
+  /// blocks `c` wrote since its last commit) with a nonzero id no newer
+  /// than `grant` — and retire the rest whose block index is below
+  /// `blocks` (the committed block count).
+  std::vector<JournalRecord> commit_allocs(ClientId c, InodeNum ino,
+                                           std::uint64_t blocks,
+                                           BlockRange written = {},
+                                           std::uint64_t grant = 0);
 
-  /// A block changed hands (another writer re-allocated or now
-  /// references it): retire every record for (ino, bi) not owned by
-  /// `except` so replay never frees a block a survivor references.
-  void commit_block(InodeNum ino, std::uint64_t bi, ClientId except);
+  /// `except`'s grant `grant` references (ino, bi): retire every record
+  /// for it not owned by `except`, so replay never frees a block a
+  /// survivor references, and stamp `except`'s own records that a
+  /// commit may still free with `grant`.
+  void commit_block(InodeNum ino, std::uint64_t bi, ClientId except,
+                    std::uint64_t grant = 0);
+
+  /// `c`'s rw token over `blocks` of `ino` broke: no commit frees its
+  /// records there any more.
+  void pin(ClientId c, InodeNum ino, BlockRange blocks);
+  /// This slice's tokens died with its manager: pin every record.
+  void pin_all();
+  /// May a commit of a client other than `c` still free (ino, bi)?
+  bool freeable_by_other(InodeNum ino, std::uint64_t bi, ClientId c) const;
 
   /// The inode's block list was torn down at the namespace level
   /// (unlink / truncate freed the blocks): pending undos are moot.
   void forget_inode(InodeNum ino);
-
-  /// Remove and return `c`'s uncommitted records for (ino, bi), newest
-  /// first — a creator giving back the block its create grant placed.
-  std::vector<JournalRecord> take_block(ClientId c, InodeNum ino,
-                                        std::uint64_t bi);
-
-  /// The client whose uncommitted alloc record placed (ino, bi), if any.
-  std::optional<ClientId> allocator(InodeNum ino, std::uint64_t bi) const;
 
   /// Remove and return `c`'s uncommitted records, newest first — the
   /// undo order for replay.
@@ -121,10 +133,12 @@ class MetaJournal {
   };
 
   std::uint64_t log_record(ClientId c, JournalOp op, InodeNum ino,
-                           std::uint64_t bi, BlockAddr addr);
+                           std::uint64_t bi, BlockAddr addr,
+                           std::uint64_t grant);
   void kill(std::uint32_t idx);
   /// Kill the live records of `index[key]` that `pred` selects, pruning
-  /// them (and entries retired via another index) from the list.
+  /// them (and entries retired via another index) from the list. `pred`
+  /// may update the records it keeps.
   template <typename Index, typename Pred>
   void kill_where(Index& index, const typename Index::key_type& key,
                   Pred pred);

@@ -107,14 +107,17 @@ class WriteBehind {
 };
 
 /// Which inodes were written since their last successful commit
-/// (op_extend_size): an fsync or close of an unmarked inode sends no
-/// manager RPC. Marks outlive lease lapse and reboot, like open files.
+/// (op_extend_size), and where: an fsync or close of an unmarked inode
+/// sends no manager RPC unless it may free blocks, and a commit frees
+/// none of the blocks its marks span. Marks outlive lease lapse and
+/// reboot, like open files.
 class CommitMarks {
  public:
-  /// A write to `ino` ending at byte `end` begins.
-  void mark(InodeNum ino, Bytes end) {
+  /// A write to bytes [begin, end) of `ino` begins.
+  void mark(InodeNum ino, Bytes begin, Bytes end) {
     Mark& m = marks_[ino];
     m.seq = ++seq_;
+    m.lo = std::min(m.lo, begin);
     m.end = std::max(m.end, end);
   }
   /// Stamp of the newest write an fsync started now covers; 0 when
@@ -122,6 +125,13 @@ class CommitMarks {
   std::uint64_t pending(InodeNum ino) const {
     auto it = marks_.find(ino);
     return it == marks_.end() ? 0 : it->second.seq;
+  }
+  /// The blocks of size `bs` spanning every byte written to `ino` since
+  /// its last commit; {0, 0} when none.
+  BlockRange written(InodeNum ino, Bytes bs) const {
+    auto it = marks_.find(ino);
+    if (it == marks_.end()) return BlockRange{};
+    return BlockRange{it->second.lo / bs, ceil_div(it->second.end, bs)};
   }
   /// A commit of `size` bytes, covering writes up to stamp `seq`,
   /// succeeded. The mark clears unless a write began after the fsync
@@ -138,6 +148,7 @@ class CommitMarks {
  private:
   struct Mark {
     std::uint64_t seq = 0;  // stamp of the newest write
+    Bytes lo = ~Bytes{0};   // lowest byte written since the last commit
     Bytes end = 0;          // highest byte written since the last commit
   };
   std::unordered_map<InodeNum, Mark> marks_;

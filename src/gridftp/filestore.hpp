@@ -27,7 +27,6 @@ class FileStore {
   Bytes capacity() const { return dev_.capacity(); }
   Bytes used() const { return used_; }
   Bytes free_bytes() const { return capacity() - used_; }
-  std::size_t file_count() const { return files_.size(); }
 
   /// Reserve space for a file (no_space if it cannot fit).
   Result<Extent> add(const std::string& name, Bytes size);

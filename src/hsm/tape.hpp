@@ -51,7 +51,6 @@ class TapeLibrary {
   void lose_volume(std::uint32_t volume);
   bool volume_lost(std::uint32_t volume) const;
 
-  std::size_t drive_count() const { return drives_.size(); }
   std::uint32_t volumes_used() const { return write_volume_ + 1; }
   Bytes bytes_on_tape() const { return bytes_written_; }
   std::uint64_t mounts() const { return mounts_; }

@@ -48,7 +48,6 @@ class FcSwitch {
   void io(PortId initiator, PortId target, Bytes offset, Bytes len,
           bool write, storage::IoCallback done);
 
-  std::size_t port_count() const { return ports_.size(); }
   const std::string& wwn(PortId p) const;
   Bytes port_bytes(PortId p) const;
 

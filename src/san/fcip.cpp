@@ -19,7 +19,6 @@ Bytes FcipTunnel::wire_bytes(Bytes payload) const {
 void FcipTunnel::transmit(bool from_a, Bytes payload, sim::Callback delivered,
                           sim::Callback on_fail) {
   frames_ += std::max<Bytes>(1, ceil_div(payload, cfg_.frame_payload));
-  payload_bytes_ += payload;
   const net::NodeId src = from_a ? a_ : b_;
   const net::NodeId dst = from_a ? b_ : a_;
   net_.send(src, dst, wire_bytes(payload), std::move(delivered),

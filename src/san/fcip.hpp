@@ -40,17 +40,13 @@ class FcipTunnel {
   Bytes wire_bytes(Bytes payload) const;
 
   std::uint64_t frames_sent() const { return frames_; }
-  Bytes payload_bytes() const { return payload_bytes_; }
   const FcipConfig& config() const { return cfg_; }
-  net::NodeId side_a() const { return a_; }
-  net::NodeId side_b() const { return b_; }
 
  private:
   net::Network& net_;
   net::NodeId a_, b_;
   FcipConfig cfg_;
   std::uint64_t frames_ = 0;
-  Bytes payload_bytes_ = 0;
 };
 
 struct RemoteSanConfig {

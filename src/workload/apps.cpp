@@ -120,14 +120,11 @@ void SortApp::read_phase() {
     const Bytes off = read_done_ + phase_moved_;
     phase_moved_ += n;
     ++inflight_;
-    client_->read(in_fh_, off, n, [this, n](Result<Bytes> r) {
+    client_->read(in_fh_, off, n, [this](Result<Bytes> r) {
       --inflight_;
       if (!r.ok()) {
         finish(Status(r.error()));
         return;
-      }
-      if (read_meter_ != nullptr) {
-        read_meter_->note(client_->simulator().now(), n);
       }
       read_phase();
     });
@@ -152,14 +149,11 @@ void SortApp::write_phase() {
     const Bytes off = write_done_ + phase_moved_;
     phase_moved_ += n;
     ++inflight_;
-    client_->write(out_fh_, off, n, [this, n](Result<Bytes> r) {
+    client_->write(out_fh_, off, n, [this](Result<Bytes> r) {
       --inflight_;
       if (!r.ok()) {
         finish(Status(r.error()));
         return;
-      }
-      if (write_meter_ != nullptr) {
-        write_meter_->note(client_->simulator().now(), n);
       }
       write_phase();
     });

@@ -70,8 +70,6 @@ class SortApp {
   SortApp(gpfs::Client* client, std::string input, std::string output,
           gpfs::Principal who, SortConfig cfg);
 
-  void set_read_meter(RateMeter* m) { read_meter_ = m; }
-  void set_write_meter(RateMeter* m) { write_meter_ = m; }
   void run(std::function<void(const Status&)> done);
   Bytes bytes_read() const { return read_done_; }
   Bytes bytes_written() const { return write_done_; }
@@ -85,8 +83,6 @@ class SortApp {
   std::string input_, output_;
   gpfs::Principal who_;
   SortConfig cfg_;
-  RateMeter* read_meter_ = nullptr;
-  RateMeter* write_meter_ = nullptr;
   gpfs::Fh in_fh_ = -1, out_fh_ = -1;
   Bytes read_done_ = 0, write_done_ = 0;
   Bytes phase_moved_ = 0;

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "gpfs/cluster.hpp"
 #include "net/presets.hpp"
@@ -121,6 +122,26 @@ inline std::uint64_t manager_rpcs(MiniCluster& mc) {
     nsd += mc.cluster->server_on(mc.site.hosts[h])->requests_served();
   }
   return mc.cluster->rpc().calls() - nsd;
+}
+
+/// Bytes [offset, offset + bytes) of `path`, written and fsync'd by the
+/// test, are durable: the file's size covers them, and every block
+/// holding them has at least one copy, each allocated.
+inline void expect_durable(MiniCluster& mc, const std::string& path,
+                           Bytes bytes, Bytes offset = 0) {
+  auto ino = mc.fs->ns().resolve(path);
+  ASSERT_TRUE(ino.ok()) << path;
+  EXPECT_GE(mc.fs->ns().stat(*ino)->size, offset + bytes) << path;
+  const Bytes bs = mc.fs->block_size();
+  for (std::uint64_t bi = offset / bs; bi < ceil_div(offset + bytes, bs);
+       ++bi) {
+    const BlockPlacement p = mc.fs->ns().placement(*ino, bi);
+    EXPECT_GE(p.copies, 1u) << path << " block " << bi;
+    for (std::uint8_t c = 0; c < p.copies; ++c) {
+      EXPECT_TRUE(mc.fs->alloc().is_allocated(p.addr[c]))
+          << path << " block " << bi << " copy " << int{c};
+    }
+  }
 }
 
 }  // namespace mgfs::gpfs::testutil

@@ -3,9 +3,9 @@
 // placement, and the inode is numbered into its path's metadata shard,
 // so a small-file create cycle costs two manager round trips (the
 // create and the commit). Block 0 is journaled like any allocation: an
-// expel undoes it, a commit retires it, and a first write elsewhere
-// hands it back. An unlink drops every holding on the dead inode at the
-// manager and the unlinker's cached state of it.
+// expel undoes it, a commit that covers a write to it retires it, and a
+// commit that covers none frees it. An unlink drops every holding on
+// the dead inode at the manager and the unlinker's cached state of it.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -18,6 +18,7 @@
 namespace mgfs::gpfs {
 namespace {
 
+using testutil::expect_durable;
 using testutil::kAlice;
 using testutil::manager_rpcs;
 using testutil::MiniCluster;
@@ -53,6 +54,7 @@ TEST(CreateGrant, SmallFileCycleCostsTwoManagerRpcs) {
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->size, 16 * KiB);
   EXPECT_EQ(mc.fs->fsck().referenced_blocks, 1u);
+  expect_durable(mc, "/small", 16 * KiB);
 }
 
 TEST(CreateGrant, GrantIsExactlyBlockZero) {
@@ -127,6 +129,7 @@ TEST(CreateGrant, FirstWriteElsewhereGivesBlockZeroBack) {
   EXPECT_EQ(mc.fs->ns().placement(ino, 0).copies, 0u);
   EXPECT_EQ(mc.fs->alloc().total_free(), free0 - 1);
   EXPECT_TRUE(mc.fs->fsck().clean());
+  expect_durable(mc, "/f", 16 * KiB, 1 * MiB);
   // The creator forgot block 0's old placement too: reading it is a
   // hole, not a fetch of the freed block.
   auto rfh = mc.open(c, "/f", kAlice, OpenFlags::ro());
@@ -154,17 +157,19 @@ TEST(CreateGrant, SecondWriterRevokesTheGrant) {
   EXPECT_FALSE(holds_block0(mc, a, ino));
 
   // The creator's first write misses block 0, but the block is b's now:
-  // nothing is given back.
+  // the creator's commit frees nothing of it.
   ASSERT_TRUE(mc.write(a, *fa, 2 * MiB, 16 * KiB).ok());
   ASSERT_TRUE(mc.close(a, *fa).ok());
   ASSERT_TRUE(mc.close(b, *fb).ok());
   EXPECT_EQ(mc.fs->ns().placement(ino, 0).copies, 1u);
   EXPECT_TRUE(mc.fs->fsck().clean());
+  expect_durable(mc, "/f", 16 * KiB);
+  expect_durable(mc, "/f", 16 * KiB, 2 * MiB);
 }
 
 /// A reader revoked the creator's block-0 token and mapped the
-/// (allocated, unwritten) block: the creator's first write elsewhere
-/// must not free a block another client's cache refers to.
+/// (allocated, unwritten) block: the creator's commit must not free a
+/// block another client's cache refers to.
 TEST(CreateGrant, BlockZeroAnotherClientMappedIsKept) {
   MiniCluster mc;
   Client* a = mc.mount_on(2);
@@ -183,12 +188,14 @@ TEST(CreateGrant, BlockZeroAnotherClientMappedIsKept) {
   ASSERT_TRUE(mc.close(a, *fa).ok());
   EXPECT_EQ(mc.fs->ns().placement(ino, 0).copies, 1u);
   EXPECT_TRUE(mc.fs->fsck().clean());
+  expect_durable(mc, "/f", 16 * KiB, 5 * MiB);
+  expect_durable(mc, "/f", 16 * KiB, 2 * MiB);
 }
 
 /// Another client mapped the file around block 0 while the creator
 /// still held its grant: it was shown a hole there, so when the
-/// creator's first write elsewhere hands the block back, no cache
-/// anywhere still points at the freed block.
+/// creator's commit frees the block, no cache anywhere still points at
+/// the freed block.
 TEST(CreateGrant, BlockZeroIsHiddenWhileItMayBeGivenBack) {
   MiniCluster mc;
   Client* a = mc.mount_on(2);
@@ -205,14 +212,15 @@ TEST(CreateGrant, BlockZeroIsHiddenWhileItMayBeGivenBack) {
   ASSERT_TRUE(holds_block0(mc, a, ino));
 
   ASSERT_TRUE(mc.write(a, *fa, 2 * MiB, 16 * KiB).ok());
+  ASSERT_TRUE(mc.close(a, *fa).ok());
   EXPECT_EQ(mc.fs->ns().placement(ino, 0).copies, 0u);
 
   const Bytes before = b->bytes_read_remote();
   ASSERT_TRUE(mc.read(b, *fb, 0, 16 * KiB).ok());
   EXPECT_EQ(b->bytes_read_remote(), before);  // a hole: zeros, no fetch
-  ASSERT_TRUE(mc.close(a, *fa).ok());
   ASSERT_TRUE(mc.close(b, *fb).ok());
   EXPECT_TRUE(mc.fs->fsck().clean());
+  expect_durable(mc, "/f", 16 * KiB, 2 * MiB);
 }
 
 /// Once the creator's block-0 token is revoked, another client may map
@@ -249,25 +257,32 @@ TEST(CreateGrant, ARevokedGrantIsNeverGivenBack) {
   ASSERT_TRUE(mc.close(a, *fa).ok());
   EXPECT_EQ(mc.fs->ns().placement(ino, 0).copies, 1u);  // g's data
   EXPECT_TRUE(mc.fs->fsck().clean());
+  expect_durable(mc, "/f", 16 * KiB);
+  expect_durable(mc, "/f", 16 * KiB, 2 * MiB);
 }
 
-/// A write to block 0 issued while the creator's give-back is in flight
-/// waits for its answer and allocates block 0 afresh, instead of
-/// writing into the block being freed.
-TEST(CreateGrant, BlockZeroWriteWaitsForAGiveBackInFlight) {
+/// A block-0 write issued while the commit that frees the unwritten
+/// block 0 is in flight does not wait for it: the block left the
+/// referenced run before the commit was sent, so the write takes a
+/// fresh grant, which allocates the block anew.
+TEST(CreateGrant, BlockZeroWriteDuringAFreeingCommitIsGrantedAfresh) {
   MiniCluster mc;
   Client* c = mc.mount_on(2);
   auto fh = mc.open(c, "/f", kAlice, OpenFlags::create_rw());
   ASSERT_TRUE(fh.ok());
   const InodeNum ino = *mc.fs->ns().resolve("/f");
-  std::optional<Result<Bytes>> far, head;
-  c->write(*fh, 2 * MiB, 16 * KiB, [&](Result<Bytes> r) { far = r; });
+  ASSERT_TRUE(mc.write(c, *fh, 2 * MiB, 16 * KiB).ok());
+  std::optional<Status> synced;
+  std::optional<Result<Bytes>> head;
+  std::uint64_t rpcs = 0;
+  c->fsync(*fh, [&](Status st) { synced = st; });
   // Issue the block-0 write once the manager has freed the block, while
-  // the give-back's answer is still on its way back.
+  // the commit's answer is still on its way back.
   const double t0 = mc.sim.now();
   std::function<void()> poll = [&] {
     if (mc.fs->ns().placement(ino, 0).copies == 0) {
-      ASSERT_FALSE(far.has_value());
+      ASSERT_FALSE(synced.has_value());
+      rpcs = manager_rpcs(mc);
       c->write(*fh, 0, 16 * KiB, [&](Result<Bytes> r) { head = r; });
       return;
     }
@@ -275,17 +290,20 @@ TEST(CreateGrant, BlockZeroWriteWaitsForAGiveBackInFlight) {
   };
   mc.sim.after(0.0, poll);
   mc.sim.run();
-  ASSERT_TRUE(far.has_value() && far->ok());
+  ASSERT_TRUE(synced.has_value() && synced->ok());
   ASSERT_TRUE(head.has_value() && head->ok());
+  EXPECT_EQ(manager_rpcs(mc), rpcs + 1);  // the fresh grant
   ASSERT_TRUE(mc.close(c, *fh).ok());
   EXPECT_EQ(mc.fs->ns().placement(ino, 0).copies, 1u);
   EXPECT_EQ(mc.fs->fsck().referenced_blocks, 2u);
   EXPECT_TRUE(mc.fs->fsck().clean());
+  expect_durable(mc, "/f", 16 * KiB);
+  expect_durable(mc, "/f", 16 * KiB, 2 * MiB);
 }
 
-/// A close's give-back and a block-0 write through another handle, in
-/// one tick: the give-back is in flight when the write arrives, so the
-/// write waits for its answer and allocates block 0 afresh instead of
+/// A close's freeing commit and a block-0 write through another handle,
+/// in one tick: the commit is in flight when the write arrives, so the
+/// write takes a fresh grant and allocates block 0 afresh instead of
 /// landing in the block the close frees.
 TEST(CreateGrant, CloseGiveBackHoldsABlockZeroWriteOnAnotherHandle) {
   MiniCluster mc;
@@ -307,11 +325,12 @@ TEST(CreateGrant, CloseGiveBackHoldsABlockZeroWriteOnAnotherHandle) {
   EXPECT_EQ(mc.fs->ns().stat(ino)->size, 16 * KiB);
   EXPECT_EQ(mc.fs->fsck().referenced_blocks, 1u);
   EXPECT_TRUE(mc.fs->fsck().clean());
+  expect_durable(mc, "/f", 16 * KiB);
 }
 
 /// The close decides at send time, after its flush: a block-0 write
 /// that lands while the close waits out another block's write-behind
-/// keeps block 0, so the close's commit gives nothing back.
+/// keeps block 0, so the close's commit frees nothing.
 TEST(CreateGrant, CloseSendsNoGiveBackAfterABlockZeroWriteLandsInItsFlush) {
   ClusterConfig cfg;
   cfg.client.retry.max_attempts = 1;
@@ -324,10 +343,8 @@ TEST(CreateGrant, CloseSendsNoGiveBackAfterABlockZeroWriteLandsInItsFlush) {
   const InodeNum ino = *mc.fs->ns().resolve("/f");
   const BlockAddr granted = mc.fs->ns().placement(ino, 0).addr[0];
 
-  // The first write past block 0 carries the give-back and finds the
-  // manager down, so the create grant stays live. A second write, sent
-  // while that give-back is still in flight, carries none: its 16 MiB
-  // are in write-behind when it completes.
+  // The first write past block 0 finds the manager down. A second
+  // write's 16 MiB are in write-behind when it completes.
   const net::NodeId mgr = mc.site.hosts[1];
   std::optional<Status> closed;
   std::optional<Result<Bytes>> first, head;
@@ -350,6 +367,8 @@ TEST(CreateGrant, CloseSendsNoGiveBackAfterABlockZeroWriteLandsInItsFlush) {
   EXPECT_EQ(p.copies, 1u);
   EXPECT_EQ(p.addr[0], granted);  // the create grant's block, kept
   EXPECT_TRUE(mc.fs->fsck().clean());
+  expect_durable(mc, "/f", 16 * KiB);
+  expect_durable(mc, "/f", 16 * MiB, 4 * MiB);
 }
 
 /// A file created for write and closed unwritten keeps no block.
@@ -371,7 +390,7 @@ TEST(CreateGrant, CloseOfAnUnwrittenCreateGivesBlockZeroBack) {
 }
 
 /// The creator's first write misses block 0 and fails before its
-/// allocation RPC: the give-back is not lost, the close carries it.
+/// allocation RPC: the close's commit still frees the unwritten block.
 TEST(CreateGrant, FailedFirstWriteLeavesTheGiveBackToClose) {
   ClusterConfig cfg;
   cfg.client.retry.max_attempts = 1;
@@ -419,6 +438,7 @@ TEST(CreateGrant, TakeoverReassertsTheGrant) {
   mc.sim.run();
   EXPECT_EQ(mc.fs->ns().placement(ino, 0).copies, 1u);
   EXPECT_TRUE(mc.fs->fsck().clean());
+  expect_durable(mc, "/f", 16 * KiB);
 }
 
 /// The grant write landed before the manager died; its commit is served
@@ -470,6 +490,7 @@ TEST(CreateGrant, OverlapWindowCommitsALandedGrantWrite) {
   EXPECT_EQ(mc.fs->ns().stat(ino)->size, 16 * KiB);
   EXPECT_EQ(mc.fs->ns().placement(ino, 0).copies, 1u);
   EXPECT_EQ(mc.fs->shard_journal(0).uncommitted_count(writer->id()), 0u);
+  expect_durable(mc, "/f", 16 * KiB);
 }
 
 TEST(CreateGrant, UnlinkDropsTheDeadInodesState) {

@@ -329,6 +329,7 @@ TEST(Failures, ExpelOfAllocatorKeepsABlockAnotherClientWrote) {
   const InodeNum ino = *mc.fs->ns().resolve("/f");
   EXPECT_EQ(mc.fs->ns().placement(ino, 0).copies, 1);
   EXPECT_TRUE(mc.fs->fsck().clean());
+  testutil::expect_durable(mc, "/f", 2 * MiB);
 }
 
 TEST(Failures, ExpelOfAllocatorKeepsABlockWrittenUnderAWholeFileToken) {
@@ -363,6 +364,8 @@ TEST(Failures, ExpelOfAllocatorKeepsABlockWrittenUnderAWholeFileToken) {
   mc.fs->expel_client(a->id(), "test");
   EXPECT_EQ(mc.fs->ns().placement(ino, 0).copies, 1);
   EXPECT_TRUE(mc.fs->fsck().clean());
+  testutil::expect_durable(mc, "/f", 2 * MiB);
+  testutil::expect_durable(mc, "/f", 1 * MiB, 5 * MiB);
 }
 
 TEST(Failures, FailSlowPrimaryTripsBreakerAndFailsOver) {

@@ -23,7 +23,7 @@ constexpr Bytes kBs = 1 * MiB;
 Result<WriteGrant> grant(MiniCluster& mc, ClientId client, InodeNum ino) {
   std::optional<Result<WriteGrant>> out;
   mc.fs->op_write_grant(client, ino, TokenRange{0, kBs},
-                        TokenRange{0, 16 * kBs}, kBs, false,
+                        TokenRange{0, 16 * kBs}, kBs,
                         [&](Result<WriteGrant> r) { out = std::move(r); });
   mc.sim.run();
   EXPECT_TRUE(out.has_value()) << "grant never answered";
@@ -65,7 +65,7 @@ TEST(WriteGrant, RefusedGrantAllocatesNothing) {
   ASSERT_TRUE(mc.fs->shard_recovering(0));
   std::optional<Result<WriteGrant>> mid;
   mc.fs->op_write_grant(c->id(), ino, TokenRange{0, kBs},
-                        TokenRange{0, 16 * kBs}, kBs, false,
+                        TokenRange{0, 16 * kBs}, kBs,
                         [&](Result<WriteGrant> r) { mid = std::move(r); });
   ASSERT_TRUE(mid.has_value());
   EXPECT_EQ(mid->code(), Errc::unavailable);

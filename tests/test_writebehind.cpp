@@ -156,20 +156,32 @@ TEST(WriteBehind, RepeatedAnchorFailureDivorcesOnlyWithAnotherCleanCopy) {
 TEST(CommitMarks, LaterWriteOrWritePastSizeKeepsTheMark) {
   CommitMarks marks;
   EXPECT_EQ(marks.pending(1), 0u);
-  marks.mark(1, 4 * KiB);
+  marks.mark(1, 0, 4 * KiB);
   const std::uint64_t seq = marks.pending(1);
   EXPECT_GT(seq, 0u);
-  marks.mark(1, 4 * KiB);  // begins after the fsync took `seq`
+  marks.mark(1, 0, 4 * KiB);  // begins after the fsync took `seq`
   marks.settle(1, seq, 4 * KiB);
   EXPECT_NE(marks.pending(1), 0u);
   marks.settle(1, marks.pending(1), 4 * KiB);
   EXPECT_EQ(marks.pending(1), 0u);
 
-  marks.mark(2, 8 * KiB);  // past the size the commit carries
+  marks.mark(2, 0, 8 * KiB);  // past the size the commit carries
   marks.settle(2, marks.pending(2), 4 * KiB);
   EXPECT_NE(marks.pending(2), 0u);
   marks.settle(2, marks.pending(2), 8 * KiB);
   EXPECT_EQ(marks.pending(2), 0u);
+}
+
+TEST(CommitMarks, WrittenSpansTheLowestToTheHighestByteSinceTheCommit) {
+  CommitMarks marks;
+  EXPECT_EQ(marks.written(1, 4 * KiB).hi, 0u);  // nothing written
+  marks.mark(1, 9 * KiB, 10 * KiB);
+  marks.mark(1, 20 * KiB, 21 * KiB);
+  const BlockRange w = marks.written(1, 4 * KiB);
+  EXPECT_EQ(w.lo, 2u);
+  EXPECT_EQ(w.hi, 6u);
+  marks.settle(1, marks.pending(1), 21 * KiB);
+  EXPECT_EQ(marks.written(1, 4 * KiB).hi, 0u);
 }
 
 }  // namespace
