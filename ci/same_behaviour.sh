@@ -15,11 +15,35 @@
 # `git archive` into a temporary directory (removed on exit), so the
 # working tree and the repository's worktree list stay as they are.
 #
-# Usage: ci/same_behaviour.sh <rev> [N]   (N seeds, default 10)
+# A change that moves some outputs on purpose lists them with --moves:
+# each listed bench, example, chaos_soak run (`chaos_soak.<scenario>`)
+# or perfbench workload is still diffed, but its differences are
+# printed as expected moves and do not fail the gate. Any difference in
+# an output that is not listed still exits 1.
+#
+# Usage: ci/same_behaviour.sh <rev> [N] [--moves <name,...>]
+#        (N seeds, default 10)
 set -euo pipefail
 
-rev="${1:?usage: ci/same_behaviour.sh <rev> [seeds]}"
-seeds="${2:-10}"
+usage="usage: ci/same_behaviour.sh <rev> [seeds] [--moves <name,...>]"
+moves=""
+args=()
+while [[ $# -gt 0 ]]; do
+  case "$1" in
+    --moves)
+      moves="${2:?$usage}"
+      shift 2
+      ;;
+    *)
+      args+=("$1")
+      shift
+      ;;
+  esac
+done
+rev="${args[0]:?$usage}"
+seeds="${args[1]:-10}"
+# Is output $1 on the --moves list?
+listed() { [[ ",$moves," == *",$1,"* ]]; }
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 work="$(mktemp -d "${TMPDIR:-/tmp}/same_behaviour.XXXXXX")"
 trap 'rm -rf "$work"' EXIT
@@ -81,13 +105,19 @@ status=0
 for f in "$work"/base-out/*.txt; do
   name="$(basename "$f")"
   if ! cmp -s "$f" "$work/head-out/$name"; then
-    echo "same_behaviour: stdout differs: ${name%.txt}"
+    if listed "${name%.txt}"; then
+      echo "same_behaviour: expected move: stdout of ${name%.txt}"
+    else
+      echo "same_behaviour: stdout differs: ${name%.txt}"
+      status=1
+    fi
     diff "$f" "$work/head-out/$name" | head -n 20 || true
-    status=1
+  elif listed "${name%.txt}"; then
+    echo "same_behaviour: listed move did not move: ${name%.txt}"
   fi
 done
 
-python3 - "$work/base-out" "$work/head-out" <<'EOF' || status=1
+python3 - "$work/base-out" "$work/head-out" "$moves" <<'EOF' || status=1
 import glob, json, os, sys
 
 # Read off the host's clock: they differ between any two runs.
@@ -95,17 +125,24 @@ HOST = {"host_s", "sim_events_per_s", "setup_s", "peak_rss_MB",
         "sim.host_ns_per_event", "gpfs.client.call_host_s",
         "auth.mount_host_s", "trace.overhead_frac"}
 base_dir, head_dir = sys.argv[1], sys.argv[2]
+moves = set(filter(None, sys.argv[3].split(",")))
 bad = 0
 for path in sorted(glob.glob(os.path.join(base_dir, "perf.*.json"))):
     name = os.path.basename(path)[len("perf."):-len(".json")]
+    # name is <workload>.<seed>.trace<0|1>
+    listed = name.split(".")[0] in moves
+    tag = "expected move: " if listed else ""
     with open(path) as f:
         base = json.load(f)
     with open(os.path.join(head_dir, os.path.basename(path))) as f:
         head = json.load(f)
+    diffs = []
     for key in ("correct", "attempted", "failed"):
         if base[key] != head[key]:
-            print(f"same_behaviour: {name}: {key} {base[key]} -> {head[key]}")
-            bad = 1
+            diffs.append(f"{key} {base[key]} -> {head[key]}")
+    if base["correct"] and not head["correct"]:
+        print(f"same_behaviour: {name}: no longer correct")
+        bad = 1
     bm, hm = base["metrics"], head["metrics"]
     for key in sorted(set(bm) | set(hm)):
         if key in HOST:
@@ -113,12 +150,19 @@ for path in sorted(glob.glob(os.path.join(base_dir, "perf.*.json"))):
         b = bm.get(key, {}).get("value")
         h = hm.get(key, {}).get("value")
         if b != h:
-            print(f"same_behaviour: {name}: {key} {b} -> {h}")
-            bad = 1
+            diffs.append(f"{key} {b} -> {h}")
+    for d in diffs:
+        print(f"same_behaviour: {tag}{name}: {d}")
+    if diffs and not listed:
+        bad = 1
 sys.exit(bad)
 EOF
 
 if [[ "$status" -eq 0 ]]; then
-  echo "same_behaviour: identical to $rev (seeds 1..$seeds)"
+  if [[ -n "$moves" ]]; then
+    echo "same_behaviour: identical to $rev (seeds 1..$seeds) but for the listed moves: $moves"
+  else
+    echo "same_behaviour: identical to $rev (seeds 1..$seeds)"
+  fi
 fi
 exit "$status"

@@ -38,6 +38,44 @@ BlockRange hull(BlockRange a, BlockRange b) {
   return BlockRange{std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
 }
 
+/// The device byte extents a run moves: its block extents, or for a
+/// piece of a split fill, that piece's bytes of its block.
+std::vector<IoExtent> io_extents(const NsdRun& run, Bytes bs) {
+  const BlockFetch& f = run.items.front();
+  const Bytes base = f.addr.block * bs;
+  switch (f.piece) {
+    case FillPiece::whole:
+      break;
+    case FillPiece::head:
+      return {IoExtent{base + f.lo, f.hi - f.lo}};
+    case FillPiece::rest: {
+      std::vector<IoExtent> rest;
+      if (f.lo > 0) rest.push_back(IoExtent{base, f.lo});
+      if (f.hi < bs) rest.push_back(IoExtent{base + f.hi, bs - f.hi});
+      return rest;
+    }
+  }
+  std::vector<IoExtent> extents;
+  extents.reserve(run.extents.size());
+  for (const NsdExtent& e : run.extents) {
+    extents.push_back(IoExtent{e.block * bs, e.count * bs});
+  }
+  return extents;
+}
+
+/// Bytes fetch `f` moves out of its block of `bs` bytes.
+Bytes piece_bytes(const BlockFetch& f, Bytes bs) {
+  switch (f.piece) {
+    case FillPiece::whole:
+      break;
+    case FillPiece::head:
+      return f.hi - f.lo;
+    case FillPiece::rest:
+      return bs - (f.hi - f.lo);
+  }
+  return bs;
+}
+
 }  // namespace
 
 Client::Client(Rpc& rpc, net::NodeId node, ClientId id, ClientConfig cfg,
@@ -382,18 +420,14 @@ void Client::nsd_run_attempt(NsdRun run, bool write,
                              int attempt, RunDone done) {
   const Nsd& nsd = fs_->nsd(run.nsd);
   const net::NodeId target = targets[ti];
-  const Bytes bs = block_size();
-  const Bytes total = run.items.size() * bs;
+  std::vector<IoExtent> extents = io_extents(run, block_size());
+  Bytes total = 0;
+  for (const IoExtent& e : extents) total += e.len;
   // One wire request for the whole run: the extent descriptors ride in
   // the header, the data rides in whichever direction the I/O goes.
-  const Bytes req = kDataHeader + kExtentDesc * run.extents.size() +
-                    (write ? total : 0);
+  const Bytes req =
+      kDataHeader + kExtentDesc * extents.size() + (write ? total : 0);
   storage::BlockDevice* dev = nsd.device;
-  std::vector<IoExtent> extents;
-  extents.reserve(run.extents.size());
-  for (const NsdExtent& e : run.extents) {
-    extents.push_back(IoExtent{e.block * bs, e.count * bs});
-  }
   ServerLookup servers = servers_;
   const double cipher = cipher_;
 
@@ -572,10 +606,7 @@ void Client::issue_fills(std::vector<BlockFetch> fetch) {
     nsd_io_run(std::move(run), false, 0,
                [this](const NsdRun& r, const Status& st) {
                  if (!st.ok() && redirect_failed_fills(r, st)) return;
-                 for (const BlockFetch& f : r.items) {
-                   if (st.ok() && f.copy != 0) ++replica_reads_;
-                   finish_fill(f.key, st, f.speculative);
-                 }
+                 for (const BlockFetch& f : r.items) finish_fill(f, st);
                });
   }
 }
@@ -592,9 +623,11 @@ bool Client::redirect_failed_fills(const NsdRun& r, const Status& st) {
       const BlockPlacement& pl = *entry;
       const std::uint8_t c = pick_copy(pl, f.tried);
       if (c < pl.copies) {
-        redirect.push_back(
-            BlockFetch{f.key, pl.addr[c], f.speculative, c,
-                       static_cast<std::uint8_t>(f.tried | (1u << c))});
+        BlockFetch next = f;
+        next.addr = pl.addr[c];
+        next.copy = c;
+        next.tried = static_cast<std::uint8_t>(f.tried | (1u << c));
+        redirect.push_back(next);
         continue;
       }
     }
@@ -613,41 +646,64 @@ bool Client::redirect_failed_fills(const NsdRun& r, const Status& st) {
       fill_inflight_ = fill_inflight_ >= bs ? fill_inflight_ - bs : 0;
     }
   }
-  for (const BlockFetch& f : dead) finish_fill(f.key, st, f.speculative);
+  for (const BlockFetch& f : dead) finish_fill(f, st);
   issue_fills(std::move(redirect));
   return true;
 }
 
-void Client::finish_fill(const PageKey& key, const Status& st,
-                         bool speculative) {
+void Client::finish_fill(const BlockFetch& f, const Status& st) {
   const Bytes bs = pool_.page_size();  // == block size; safe when unmounted
-  if (speculative) {
+  if (f.speculative) {
     fill_inflight_ = fill_inflight_ >= bs ? fill_inflight_ - bs : 0;
   }
-  if (st.ok()) {
-    bytes_read_remote_ += bs;
-    // Install only if we still may cache this range (a revoke may have
-    // raced with the fill).
-    const TokenRange r{key.block * bs, (key.block + 1) * bs};
-    if (held_.covers(key.ino, r, LockMode::ro) != nullptr) {
-      pool_.insert_clean(key);
+  if (st.ok()) bytes_read_remote_ += piece_bytes(f, bs);
+  auto it = fills_.find(f.key);
+  if (it == fills_.end()) return;
+  Fill& fill = it->second;
+  if (!st.ok() && fill.st.ok()) fill.st = st;
+  if (st.ok() && f.copy != 0) fill.replica = true;
+  std::function<void(Status)> head;
+  if (f.piece == FillPiece::head) head = std::move(fill.head);
+  if (--fill.pieces > 0) {
+    if (head) head(st);
+    return;
+  }
+  Fill done = std::move(fills_.extract(it).mapped());
+  if (done.st.ok()) {
+    if (done.replica) ++replica_reads_;
+    // Install only if we still may cache this range: a revoke may have
+    // raced with the fill, and one that landed while the fill was out
+    // (even if the token came back since) leaves pieces read before it.
+    const TokenRange r{f.key.block * bs, (f.key.block + 1) * bs};
+    if (!done.forgotten && held_.covers(f.key.ino, r, LockMode::ro)) {
+      pool_.insert_clean(f.key);
     }
   }
-  auto node = fill_waiters_.extract(key);
-  if (node.empty()) return;
-  for (auto& cb : node.mapped()) cb(st);
+  if (head) head(st);
+  for (auto& cb : done.waiters) cb(done.st);
 }
 
 bool Client::plan_fill(const PageKey& key, bool speculative,
-                       std::vector<BlockFetch>& fetch) {
+                       std::vector<BlockFetch>& fetch, Bytes lo, Bytes hi) {
   const std::optional<BlockPlacement> entry = map_entry(key.ino, key.block);
   if (!entry.has_value() || entry->copies == 0) return false;
   const BlockPlacement& pl = *entry;
   std::uint8_t c = pick_copy(pl, 0);
   if (c >= pl.copies) c = 0;
-  fill_waiters_[key];
-  fetch.push_back(BlockFetch{key, pl.addr[c], speculative, c,
-                             static_cast<std::uint8_t>(1u << c)});
+  BlockFetch f{key, pl.addr[c], speculative, c,
+               static_cast<std::uint8_t>(1u << c)};
+  Fill& fill = fills_[key];
+  if (lo >= hi) {
+    fetch.push_back(f);
+    return true;
+  }
+  f.lo = lo;
+  f.hi = hi;
+  f.piece = FillPiece::head;
+  fetch.push_back(f);
+  f.piece = FillPiece::rest;
+  fetch.push_back(f);
+  fill.pieces = 2;
   return true;
 }
 
@@ -658,7 +714,7 @@ void Client::plan_readahead(InodeNum ino, std::uint64_t first,
   for (std::uint64_t bi = first; bi <= last; ++bi) {
     if (fill_inflight_ + fetch.size() * bs >= kMaxInflightFill) break;
     const PageKey key{ino, bi};
-    if (pool_.contains(key) || fill_waiters_.count(key) > 0) continue;
+    if (pool_.contains(key) || fills_.count(key) > 0) continue;
     const TokenRange r{bi * bs, (bi + 1) * bs};
     if (held_.covers(ino, r, LockMode::ro) == nullptr) continue;
     if (plan_fill(key, /*speculative=*/true, fetch)) ++ra_issued_;
@@ -691,9 +747,9 @@ void Client::ensure_block_present(InodeNum ino, std::uint64_t bi,
     done(Status{});
     return;
   }
-  auto wit = fill_waiters_.find(key);
-  if (wit != fill_waiters_.end()) {
-    wit->second.push_back(std::move(done));
+  auto wit = fills_.find(key);
+  if (wit != fills_.end()) {
+    wit->second.waiters.push_back(std::move(done));
     return;
   }
   MGFS_ASSERT(map_entry(ino, bi).has_value(),
@@ -703,7 +759,7 @@ void Client::ensure_block_present(InodeNum ino, std::uint64_t bi,
     done(Status{});  // hole: zeros, nothing to fetch
     return;
   }
-  fill_waiters_[key].push_back(std::move(done));
+  fills_[key].waiters.push_back(std::move(done));
   issue_fills(std::move(fetch));
 }
 
@@ -820,6 +876,7 @@ void Client::read(Fh fh, Bytes offset, Bytes len,
   p.b1 = b1;
   p.map_hi = map_hi;
   p.random_end = f->ra.random() ? last_file_block + 1 : 0;
+  p.size = f->size;
   read_attempt(p, /*retry=*/false, std::move(done));
 }
 
@@ -857,7 +914,7 @@ void Client::read_attempt(const ReadPlan& p, bool retry,
               std::vector<BlockRange> whole;
               for (std::uint64_t bi = b0; bi <= b1 && !stale; ++bi) {
                 const PageKey key{ino, bi};
-                if (pool_.contains(key) || fill_waiters_.count(key) > 0 ||
+                if (pool_.contains(key) || fills_.count(key) > 0 ||
                     map_entry(ino, bi).has_value()) {
                   continue;
                 }
@@ -878,16 +935,34 @@ void Client::read_attempt(const ReadPlan& p, bool retry,
               }
               // Plan the demand blocks: cache hits are done, blocks with
               // a fill already in flight are joined, the rest are fetched.
-              std::vector<std::uint64_t> wait;
+              // A cold block of which this call wants only part of the
+              // bytes inside the file is split: its head, the demanded
+              // extent, is what the call waits for; the rest follows
+              // behind so the whole block is still cached, and a later
+              // read of it joins that fill.
+              std::vector<std::pair<std::uint64_t, bool>> wait;  // split?
               std::vector<BlockFetch> fetch;
               for (std::uint64_t bi = b0; bi <= b1; ++bi) {
                 const PageKey key{ino, bi};
                 if (pool_.lookup(key)) continue;
-                if (fill_waiters_.count(key) > 0 ||
-                    plan_fill(key, /*speculative=*/false, fetch)) {
-                  wait.push_back(bi);
+                if (fills_.count(key) > 0) {
+                  wait.emplace_back(bi, false);
+                  continue;
+                }
+                const Bytes base = bi * bs;
+                const Bytes lo = std::max(p.required.lo, base) - base;
+                const Bytes hi = std::min(p.required.hi, base + bs) - base;
+                const bool split = lo > 0 || hi < std::min(bs, p.size - base);
+                if (plan_fill(key, /*speculative=*/false, fetch,
+                              split ? lo : 0, split ? hi : 0)) {
+                  wait.emplace_back(bi, split);
                 }
               }
+              // The rest pieces go out behind every demanded byte.
+              std::stable_partition(
+                  fetch.begin(), fetch.end(), [](const BlockFetch& f) {
+                    return f.piece != FillPiece::rest;
+                  });
               // Readahead rides in the same runs as the demand blocks, so
               // a demand fill and its same-NSD successors become one wire
               // request. Only readahead is subject to the fill budget.
@@ -910,8 +985,13 @@ void Client::read_attempt(const ReadPlan& p, bool retry,
                         });
               // Register waiters before issuing: a breaker fast-fail can
               // complete synchronously.
-              for (std::uint64_t bi : wait) {
-                fill_waiters_[PageKey{ino, bi}].push_back(fan);
+              for (const auto& [bi, split] : wait) {
+                Fill& fill = fills_[PageKey{ino, bi}];
+                if (split) {
+                  fill.head = fan;
+                } else {
+                  fill.waiters.push_back(fan);
+                }
               }
               issue_fills(std::move(fetch));
             });
@@ -1539,6 +1619,7 @@ void Client::discard_cached_state(bool reset_breakers) {
   held_.clear();
   block_map_.clear();
   ++map_forgets_;
+  for (auto& [key, fill] : fills_) fill.forgotten = true;
   drop_all_grants();
   fill_inflight_ = 0;
   if (reset_breakers) breaker_.clear();
@@ -1577,6 +1658,11 @@ bool Client::handle_revoke(InodeNum ino, TokenRange range,
     const std::uint64_t hi_blk =
         range.hi == kWholeFile ? ~0ULL : ceil_div(range.hi, bs);
     pool_.invalidate(ino, lo_blk, hi_blk);
+    for (auto& [key, fill] : fills_) {
+      if (key.ino == ino && lo_blk <= key.block && key.block < hi_blk) {
+        fill.forgotten = true;
+      }
+    }
     // Drop the cached block map for the revoked range too: the writer
     // this revoke hands the bytes to may mark replicas divergent, and a
     // later read here must re-fetch the placement to see that.

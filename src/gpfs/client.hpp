@@ -3,6 +3,8 @@
 // The client implements the performance-critical half of GPFS:
 //   * a pagepool block cache with LRU eviction
 //   * sequential-read detection and block readahead
+//   * split demand fills: a miss on part of a cold block fetches the
+//     demanded extent first and the rest of the block behind it
 //   * buffered writes with write-behind (WriteBehind, writebehind.hpp;
 //     the dirty cap stalls writers) and commit marks (CommitMarks); a
 //     write's rw token and block allocation come in one write grant
@@ -223,6 +225,7 @@ class Client {
     std::uint64_t b1 = 0;
     std::uint64_t map_hi = 0;
     std::uint64_t random_end = 0;  // see ensure_map
+    Bytes size = 0;                // file size the read was clipped to
   };
   /// Take the token and block map for `p`, then fill its blocks. An
   /// attempt whose token or map a revoke or takeover dropped while it
@@ -285,17 +288,23 @@ class Client {
   void ensure_block_present(InodeNum ino, std::uint64_t bi,
                             std::function<void(Status)> done);
   /// Queue a fill of `key` from its best copy onto `fetch` and reserve
-  /// its waiter slot (the dedup point for later reads). False, with
-  /// nothing queued, when the block is unmapped or a hole.
+  /// its entry in fills_ (the dedup point for later reads). A demanded
+  /// extent [lo, hi) of the block (lo < hi) splits the fill into a head
+  /// and a rest piece, both from that copy. False, with nothing queued,
+  /// when the block is unmapped or a hole.
   bool plan_fill(const PageKey& key, bool speculative,
-                 std::vector<BlockFetch>& fetch);
+                 std::vector<BlockFetch>& fetch, Bytes lo = 0, Bytes hi = 0);
   /// Queue readahead fills of blocks [first, last] that are mapped, under
   /// a held token and not cached or in flight, until the speculative
   /// fill budget (counting what `fetch` already holds) runs out.
   void plan_readahead(InodeNum ino, std::uint64_t first, std::uint64_t last,
                       std::vector<BlockFetch>& fetch);
   void issue_fills(std::vector<BlockFetch> fetch);
-  void finish_fill(const PageKey& key, const Status& st, bool speculative);
+  /// A fetch landed (or failed terminally). A split fill's head runs the
+  /// demand read; once every piece is in, the block is cached (unless a
+  /// piece failed, or a revoke or cache discard hit it meanwhile) and
+  /// the fill's waiters run.
+  void finish_fill(const BlockFetch& f, const Status& st);
   /// A read run failed terminally: re-issue every item that still has an
   /// untried, non-divergent replica copy against that copy (counting one
   /// replica failover), and fail the rest. Returns false when nothing
@@ -386,11 +395,19 @@ class Client {
   // find its blocks unmapped and must start over.
   std::uint64_t map_forgets_ = 0;
 
-  // in-flight read fills: waiters per page (an entry with no waiters
-  // marks a fire-and-forget readahead fill in flight — the dedup point)
-  std::unordered_map<PageKey, std::vector<std::function<void(Status)>>,
-                     PageKeyHash>
-      fill_waiters_;
+  /// One block fill in flight: the dedup point for later reads of it.
+  struct Fill {
+    /// Run once the whole block is in (none for a fire-and-forget
+    /// readahead fill).
+    std::vector<std::function<void(Status)>> waiters;
+    /// A split fill's demand read, run when the head lands.
+    std::function<void(Status)> head;
+    std::uint8_t pieces = 1;  // fetches still out
+    Status st;                // first failure of any piece
+    bool forgotten = false;   // a revoke or discard hit the block
+    bool replica = false;     // a piece came from a non-primary copy
+  };
+  std::unordered_map<PageKey, Fill, PageKeyHash> fills_;
   Bytes fill_inflight_ = 0;  // speculative fill bytes in flight
 
   CommitMarks marks_;  // inodes written since their last commit

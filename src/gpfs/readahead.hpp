@@ -128,6 +128,13 @@ class ReadaheadRamp {
   std::uint64_t stride_ = 0;      // confirmed gap (0 = none)
 };
 
+/// Which bytes of its block a fetch moves. A demand miss on a strict
+/// sub-range of a cold block is split in two (Client::read_attempt): the
+/// head carries only the demanded extent, so the waiting read completes
+/// when it lands, and the rest carries the block without it, so the
+/// whole block is still cached.
+enum class FillPiece : std::uint8_t { whole, head, rest };
+
 /// One block to move: the pagepool slot and its on-disk address.
 struct BlockFetch {
   PageKey key;
@@ -142,6 +149,12 @@ struct BlockFetch {
   // of erroring.
   std::uint8_t copy = 0;
   std::uint8_t tried = 0;
+  // The piece of a split fill, and the demanded extent [lo, hi) as byte
+  // offsets in the block: the head moves those bytes, the rest the one
+  // or two extents around them.
+  FillPiece piece = FillPiece::whole;
+  Bytes lo = 0;
+  Bytes hi = 0;
 };
 
 /// Device-contiguous piece of a run, in device-block units.
@@ -152,7 +165,8 @@ struct NsdExtent {
 
 /// One wire request: a set of blocks on a single NSD, merged into
 /// device extents. `items` keeps the per-block identity so a failed run
-/// can be split back into single-block retries.
+/// can be split back into single-block retries. A piece of a split fill
+/// travels alone, its extent the whole block it narrows.
 struct NsdRun {
   std::uint32_t nsd = 0;
   std::vector<BlockFetch> items;
@@ -164,15 +178,18 @@ inline constexpr std::size_t kCoalesceBlocks = 8;
 
 /// Group fetches into per-NSD runs of at most `max_per_run` blocks,
 /// preserving first-seen NSD order (determinism), then merge
-/// device-adjacent blocks within each run into extents.
+/// device-adjacent blocks within each run into extents. A piece of a
+/// split fill gets a run of its own.
 inline std::vector<NsdRun> build_nsd_runs(std::vector<BlockFetch> fetches,
                                           std::size_t max_per_run) {
   if (max_per_run == 0) max_per_run = 1;
   std::vector<NsdRun> runs;
   for (const BlockFetch& f : fetches) {
     NsdRun* run = nullptr;
-    for (auto rit = runs.rbegin(); rit != runs.rend(); ++rit) {
-      if (rit->nsd == f.addr.nsd && rit->items.size() < max_per_run) {
+    for (auto rit = runs.rbegin();
+         rit != runs.rend() && f.piece == FillPiece::whole; ++rit) {
+      if (rit->nsd == f.addr.nsd && rit->items.size() < max_per_run &&
+          rit->items.front().piece == FillPiece::whole) {
         run = &*rit;
         break;
       }
