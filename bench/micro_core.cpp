@@ -85,7 +85,7 @@ void BM_TokenRequestRelease(benchmark::State& state) {
   for (auto _ : state) {
     const gpfs::ClientId c = static_cast<gpfs::ClientId>(i % clients);
     const Bytes lo = (i * 1024) % (1 << 30);
-    auto d = tm.request(c, /*ino=*/i % 64, {lo, lo + 1024},
+    auto d = tm.request(c, /*ino=*/i % 64, {lo, lo + 1024}, {lo, lo + 1024},
                         gpfs::LockMode::ro);
     benchmark::DoNotOptimize(d);
     if (i % 4 == 3) tm.release(c, i % 64, {lo, lo + 1024});
@@ -105,8 +105,8 @@ void BM_TokenManyHolders(benchmark::State& state) {
   gpfs::TokenManager tm;
   // Pre-populate: each holder owns the first half of its stripe rw.
   for (std::uint64_t c = 0; c < holders; ++c) {
-    auto d = tm.request(static_cast<gpfs::ClientId>(c), /*ino=*/7,
-                        {c * kStripe, c * kStripe + kStripe / 2},
+    const gpfs::TokenRange half{c * kStripe, c * kStripe + kStripe / 2};
+    auto d = tm.request(static_cast<gpfs::ClientId>(c), /*ino=*/7, half, half,
                         gpfs::LockMode::rw);
     if (!d.granted) std::abort();
     // Trim the whole-file widening the first holder received.

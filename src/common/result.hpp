@@ -43,8 +43,9 @@ enum class Errc {
   not_empty,
   stale,               // configuration generation mismatch
   timed_out,
-  gated,               // NSD write gate paused the I/O (manager takeover
-                       // rebuild in flight) — requeue, server is healthy
+  gated,               // paused by a manager takeover rebuild (a manager
+                       // op's admission gate or the NSD write gate):
+                       // retry; the server is alive, so no accusation
 };
 
 /// Human-readable code name (stable; used in logs and test assertions).

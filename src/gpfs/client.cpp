@@ -118,11 +118,13 @@ void Client::meta_call(std::uint32_t shard, Bytes req_payload,
        saw_recovery, sent = simulator().now(),
        done = std::move(done)](Result<R> res) mutable {
         if (res.code() == Errc::timed_out) ++rpc_timeouts_;
-        if (res.ok() || !retryable(res.code())) {
+        const bool settled = res.ok() || !retryable(res.code());
+        // A gated refusal is an answer: the manager is alive and paused
+        // by a takeover rebuild, so it proves liveness like any reply.
+        if (settled || res.code() == Errc::gated) {
           session_.heard(shard, target, simulator().now());
         }
-        if (res.ok() || !retryable(res.code()) ||
-            cfg_.retry.exhausted(attempt)) {
+        if (settled || cfg_.retry.exhausted(attempt)) {
           if (saw_recovery) {
             recovery_op_hist_.add(simulator().now() - started_at);
           }
@@ -130,11 +132,12 @@ void Client::meta_call(std::uint32_t shard, Bytes req_payload,
           done(std::move(res));
           return;
         }
-        // The manager did not answer: report it, so the cluster can elect
-        // a successor if the node is dead (it ignores reports while the
-        // shard rebuilds). Only a mounted client reports, only against
-        // the node this RPC was aimed at (a deposed manager's timeout is
-        // no evidence against its successor), and only if that node has
+        // The manager did not answer (a gated refusal did, and was just
+        // marked heard): report it, so the cluster can elect a successor
+        // if the node is dead (it ignores reports while the shard
+        // rebuilds). Only a mounted client reports, only against the node
+        // this RPC was aimed at (a deposed manager's timeout is no
+        // evidence against its successor), and only if that node has
         // answered nothing since the send (a slow grant is not a death).
         if (mounted() && fs_->manager_node(shard) == target &&
             session_.silent_since(shard, sent)) {
@@ -544,8 +547,7 @@ void Client::nsd_run_attempt(NsdRun run, bool write,
               break;
             case NsdServer::GateDecision::retry:
               // Manager takeover rebuilding state: pause-and-redrive.
-              reply(kDataHeader,
-                    err(Errc::gated, "manager takeover in progress"));
+              reply(kDataHeader, err(Errc::gated, "write paused by a rebuild"));
               return;
             case NsdServer::GateDecision::fence:
               reply(kDataHeader,
@@ -1447,10 +1449,11 @@ void Client::stat(const std::string& path,
 void Client::mkdir(const std::string& path, const Principal& who, Mode mode,
                    std::function<void(Status)> done) {
   FileSystem* fs = fs_;
+  const ClientId me = id_;
   meta_status(
       fs_->shard_of_path(path), kMetaPayload, 64,
-      [fs, path, who, mode] {
-        auto r = fs->op_mkdir(path, who, mode);
+      [fs, path, who, mode, me] {
+        auto r = fs->op_mkdir(path, who, mode, me);
         return r.ok() ? Status{} : Status(r.error());
       },
       std::move(done));
@@ -1505,11 +1508,12 @@ void Client::forget_inode(InodeNum ino) {
 void Client::rename(const std::string& from, const std::string& to,
                     const Principal& who, std::function<void(Status)> done) {
   FileSystem* fs = fs_;
+  const ClientId me = id_;
   // Routed by the source path's shard; op_rename itself gates on both
   // paths' domains, so a takeover on either side pauses the op.
   meta_status(
       fs_->shard_of_path(from), kMetaPayload, 64,
-      [fs, from, to, who] { return fs->op_rename(from, to, who); },
+      [fs, from, to, who, me] { return fs->op_rename(from, to, who, me); },
       std::move(done));
 }
 

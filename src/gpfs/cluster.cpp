@@ -154,7 +154,10 @@ FileSystem* Cluster::filesystem(const std::string& fsname) {
 }
 
 void Cluster::wire_filesystem(FileSystem& fs) {
-  fs.set_access_fn([this](ClientId id) { return access_of_client(id); });
+  fs.set_access_fn([this](ClientId id) {
+    auto it = registry_.find(id);
+    return it == registry_.end() ? AccessMode::none : it->second.access;
+  });
   fs.set_expel_listener([this](ClientId id) { registry_.erase(id); });
   fs.set_revoker([this, &fs](ClientId holder, InodeNum ino, TokenRange range,
                              FileSystem::RevokeAck ack) {
@@ -241,11 +244,6 @@ void Cluster::wire_filesystem(FileSystem& fs) {
   });
 }
 
-AccessMode Cluster::access_of_client(ClientId id) const {
-  auto it = registry_.find(id);
-  return it == registry_.end() ? AccessMode::none : it->second.access;
-}
-
 Client::ServerLookup Cluster::make_server_lookup() {
   return [this](net::NodeId node) { return server_on(node); };
 }
@@ -283,12 +281,12 @@ void Cluster::start_session(Cluster* exporter, FileSystem* fs, Client* c,
     rpc_.call<std::uint64_t>(
         c->node(), fs->manager_node(0), 128,
         [exporter, fs, c, access, via](Rpc::ReplyFn<std::uint64_t> reply) {
-          if (fs->shard_recovering(0)) {
-            // Readmission against a half-built lease table would hand
-            // out an epoch the rebuild is about to overwrite. Only the
-            // lease home (shard 0) gates rejoin — a data shard's
-            // takeover does not touch the lease plane.
-            reply(64, err(Errc::unavailable, "manager takeover in progress"));
+          // Readmission against a half-built lease table would hand
+          // out an epoch the rebuild is about to overwrite: the gate
+          // pauses rejoin while the lease home rebuilds.
+          if (Status st = fs->admit(FileSystem::MgrOp::rejoin, c->id());
+              !st.ok()) {
+            reply(64, st.error());
             return;
           }
           reply(64, exporter->readmit(*fs, c, access, via));

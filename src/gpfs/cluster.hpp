@@ -169,7 +169,6 @@ class Cluster {
   // --- introspection ---------------------------------------------------------
   std::uint64_t handshakes_completed() const { return handshakes_; }
   std::size_t mounted_clients() const { return registry_.size(); }
-  AccessMode access_of_client(ClientId id) const;
 
   /// mmlscluster: membership, services and key fingerprint, one line per
   /// node, formatted like the command's output.

@@ -20,6 +20,42 @@ std::vector<std::uint64_t> blocks_per_nsd(const std::vector<Nsd>& nsds,
   return out;
 }
 
+/// One row of the admission table (DESIGN.md §6, "Admission"): the
+/// domains whose rebuild pauses the op (its own, the lease home, or
+/// both); whether a client the takeover readmitted passes anyway (the
+/// overlap window); what the op does with its caller's lease (renew then
+/// sweep, or sweep then renew as the renewal itself); who may run it.
+struct Admission {
+  enum Wait : std::uint8_t { none, own, home, both } wait;
+  bool overlap;
+  enum Lease : std::uint8_t { keep, touch, renew } lease;
+  enum Need : std::uint8_t { anyone, live, reader, writer } need;
+};
+
+constexpr Admission admission(FileSystem::MgrOp op) {
+  using A = Admission;
+  using Op = FileSystem::MgrOp;
+  switch (op) {
+    //                              wait     overlap  lease     need
+    case Op::open_read:     return {A::own,  false,   A::touch, A::reader};
+    case Op::open_write:    return {A::own,  false,   A::touch, A::writer};
+    case Op::mkdir:         return {A::own,  false,   A::keep,  A::writer};
+    case Op::unlink:        return {A::own,  false,   A::touch, A::writer};
+    case Op::rename:        return {A::own,  false,   A::keep,  A::writer};
+    case Op::block_map:     return {A::own,  false,   A::keep,  A::anyone};
+    case Op::token:         return {A::both, false,   A::touch, A::live};
+    case Op::token_wait:    return {A::both, false,   A::keep,  A::anyone};
+    case Op::create_grant:  return {A::both, false,   A::keep,  A::live};
+    case Op::grant_recheck: return {A::none, false,   A::keep,  A::writer};
+    case Op::commit:        return {A::own,  true,    A::touch, A::live};
+    case Op::divergence:    return {A::both, true,    A::touch, A::live};
+    case Op::lease_renew:   return {A::home, true,    A::renew, A::anyone};
+    case Op::rejoin:        return {A::home, false,   A::keep,  A::anyone};
+    case Op::nsd_write:     return {A::both, false,   A::keep,  A::anyone};
+  }
+  return {A::none, false, A::keep, A::anyone};
+}
+
 }  // namespace
 
 FileSystem::FileSystem(sim::Simulator& sim, FsConfig cfg,
@@ -149,31 +185,60 @@ Bytes FileSystem::free_bytes() const {
   return alloc_.total_free() * cfg_.block_size;
 }
 
-AccessMode FileSystem::access_of(ClientId c) const {
-  return access_fn_ ? access_fn_(c) : AccessMode::read_write;
+bool FileSystem::rebuilding(MgrOp op, std::uint32_t shard,
+                            std::uint32_t also) const {
+  const Admission::Wait wait = admission(op).wait;
+  if (wait == Admission::none) return false;
+  if (wait != Admission::own && shards_[0].recovering) return true;
+  if (wait == Admission::home) return false;
+  return shards_[shard].recovering ||
+         (also != kNoShard && shards_[also].recovering);
+}
+
+Status FileSystem::admit(MgrOp op, ClientId client, std::uint32_t shard,
+                         std::uint32_t also) {
+  const Admission a = admission(op);
+  if (rebuilding(op, shard, also)) {
+    // A readmitted client's report on its own writes touches no table
+    // the rebuild is repopulating. Anyone else waits, never told stale:
+    // its fate is not decided until the rebuild ends.
+    if (a.overlap && lease_.renew(client, sim_.now())) return Status{};
+    return Status(Errc::gated, "manager takeover in progress");
+  }
+  // An op proves its client alive, so steady-state I/O needs no renewal
+  // RPCs; the renewal itself sweeps first, and fails stale.
+  if (a.lease == Admission::touch) lease_.renew(client, sim_.now());
+  if (a.lease != Admission::keep) sweep_leases();
+  if (a.lease == Admission::renew && !lease_.renew(client, sim_.now())) {
+    return Status(Errc::stale, "lease lost: re-register required");
+  }
+  if (a.need == Admission::anyone) return Status{};
+  // An expelled client's mount record is gone too, but that is a lease
+  // problem, not an authorization one: stale makes it rejoin under a
+  // fresh epoch instead of giving up.
+  if (lease_.expelled(client)) {
+    return Status(Errc::stale, "client expelled: rejoin required");
+  }
+  if (a.need == Admission::live) return Status{};
+  const AccessMode mount =
+      access_fn_ ? access_fn_(client) : AccessMode::read_write;
+  if (mount == AccessMode::none) {
+    return Status(Errc::not_authorized, "no access to " + cfg_.name);
+  }
+  if (a.need == Admission::writer && mount != AccessMode::read_write) {
+    return Status(Errc::read_only,
+                  cfg_.name + " is exported read-only to this cluster");
+  }
+  return Status{};
 }
 
 Result<OpenResult> FileSystem::open_file(const std::string& path,
                                          const Principal& who,
                                          OpenFlags flags, ClientId client) {
-  if (shards_[shard_of_path(path)].recovering) {
-    return err(Errc::unavailable, "manager takeover in progress");
-  }
-  lease_touch(client);
-  const AccessMode mount_access = access_of(client);
-  if (mount_access == AccessMode::none) {
-    // An expelled client's mount record is gone, but that is a lease
-    // problem, not an authorization one: signal stale so the client
-    // rejoins under a fresh epoch instead of giving up.
-    if (lease_.expelled(client)) {
-      return err(Errc::stale, "expelled: rejoin required");
-    }
-    return err(Errc::not_authorized, "no access to " + cfg_.name);
-  }
-  if (flags.write && mount_access != AccessMode::read_write) {
-    return err(Errc::read_only,
-               cfg_.name + " is exported read-only to this cluster");
-  }
+  const MgrOp op =
+      flags.write || flags.create ? MgrOp::open_write : MgrOp::open_read;
+  const Status gate = admit(op, client, shard_of_path(path));
+  if (!gate.ok()) return gate.error();
   auto ino = ns_.resolve(path);
   const bool created = !ino.ok();
   if (created) {
@@ -195,7 +260,7 @@ Result<OpenResult> FileSystem::open_file(const std::string& path,
     }
   }
   auto st = ns_.stat(*ino);
-  if (!st.ok()) return st.error();
+  if (!gate.ok()) return gate.error();
   if (st->type == FileType::directory && flags.write) {
     return err(Errc::is_a_directory, path);
   }
@@ -283,7 +348,7 @@ std::optional<WriteGrant> FileSystem::grant_first_block(ClientId client,
   // A fresh inode has no other holder to conflict with.
   const std::uint32_t s = shard_of(ino);
   TokenManager& tokens = shards_[s].tokens;
-  if (!grants_open(s) || lease_.expelled(client) ||
+  if (!admit(MgrOp::create_grant, client, s).ok() ||
       !tokens.holdings(ino).empty()) {
     return std::nullopt;
   }
@@ -302,7 +367,10 @@ Result<StatInfo> FileSystem::op_stat(const std::string& path) {
 }
 
 Result<InodeNum> FileSystem::op_mkdir(const std::string& path,
-                                      const Principal& who, Mode mode) {
+                                      const Principal& who, Mode mode,
+                                      ClientId client) {
+  const Status gate = admit(MgrOp::mkdir, client, shard_of_path(path));
+  if (!gate.ok()) return gate.error();
   return ns_.mkdir(path, who, mode, sim_.now());
 }
 
@@ -314,14 +382,8 @@ Result<std::vector<std::string>> FileSystem::op_readdir(
 Result<InodeNum> FileSystem::op_unlink(const std::string& path,
                                        const Principal& who, ClientId client,
                                        std::uint64_t req) {
-  if (shards_[shard_of_path(path)].recovering) {
-    return err(Errc::unavailable, "manager takeover in progress");
-  }
-  lease_touch(client);
-  const AccessMode mount_access = access_of(client);
-  if (mount_access != AccessMode::read_write) {
-    return err(Errc::read_only, cfg_.name);
-  }
+  const Status gate = admit(MgrOp::unlink, client, shard_of_path(path));
+  if (!gate.ok()) return gate.error();
   UnlinkRecord& last = last_unlink_[client];
   if (last.req == req) return last.ino;  // a retransmission: already applied
   auto ino = ns_.resolve(path);
@@ -342,25 +404,22 @@ Result<InodeNum> FileSystem::op_unlink(const std::string& path,
 }
 
 Status FileSystem::op_rename(const std::string& from, const std::string& to,
-                             const Principal& who) {
+                             const Principal& who, ClientId client) {
   // A rename touches two namespace domains; both must be out of
   // takeover — half-renamed paths across a mid-rebuild shard would be
-  // unreachable from the recovering side. Retryable, like every other
-  // recovering gate.
-  if (shards_[shard_of_path(from)].recovering ||
-      shards_[shard_of_path(to)].recovering) {
-    return Status(Errc::unavailable, "manager takeover in progress");
-  }
+  // unreachable from the recovering side.
+  const Status gate = admit(MgrOp::rename, client, shard_of_path(from),
+                            shard_of_path(to));
+  if (!gate.ok()) return gate;
   return ns_.rename(from, to, who);
 }
 
 Result<BlockMapChunk> FileSystem::op_block_map(InodeNum ino,
                                                std::uint64_t first_block,
                                                std::size_t count,
-                                               ClientId client) const {
-  if (shards_[shard_of(ino)].recovering) {
-    return err(Errc::unavailable, "manager takeover in progress");
-  }
+                                               ClientId client) {
+  const Status gate = admit(MgrOp::block_map, client, shard_of(ino));
+  if (!gate.ok()) return gate.error();
   if (ns_.inode(ino) == nullptr) return err(Errc::not_found, "stale inode");
   // A block another client's commit may still free reads as a hole: its
   // allocator's rw token covers it, so this client holds no token there,
@@ -396,12 +455,8 @@ Result<WriteGrant> FileSystem::allocate_batch(ClientId client, InodeNum ino,
                                               TokenRange desired,
                                               Bytes size_hint) {
   // A revoke round may have outlasted the client's lease or the file.
-  if (lease_.expelled(client)) {
-    return err(Errc::stale, "client expelled: rejoin required");
-  }
-  if (access_of(client) != AccessMode::read_write) {
-    return err(Errc::read_only, cfg_.name);
-  }
+  const Status gate = admit(MgrOp::grant_recheck, client);
+  if (!gate.ok()) return gate.error();
   if (ns_.inode(ino) == nullptr) return err(Errc::not_found, "stale inode");
   MetaJournal& jrnl = shards_[shard_of(ino)].journal;
   const std::uint64_t id = ++last_grant_;
@@ -471,32 +526,10 @@ Result<BlockPlacement> FileSystem::allocate_block(InodeNum ino,
   return p;
 }
 
-Status FileSystem::admit_own_writes(ClientId client, bool rebuilding) {
-  if (rebuilding) {
-    // Overlap window: a client that already reasserted has a live lease
-    // entry again, and what it reports concerns only *its own*
-    // pre-crash writes — no shared table the half-built rebuild could
-    // corrupt. Everyone else (unknown, must-rejoin, expelled) stays
-    // held behind the gate: unavailable, never stale, because their
-    // fate is not decided until the rebuild ends.
-    return lease_.renew(client, sim_.now())
-               ? Status{}
-               : Status(Errc::unavailable, "manager takeover in progress");
-  }
-  lease_touch(client);
-  return lease_.expelled(client)
-             ? Status(Errc::stale, "client expelled: rejoin required")
-             : Status{};
-}
-
 Status FileSystem::op_extend_size(InodeNum ino, Bytes size, ClientId client,
                                   BlockRange written, std::uint64_t grant) {
   const std::uint32_t s = shard_of(ino);
-  // Served in the overlap window too: an overlapped write's fsync
-  // finishes while stragglers are still being queried.
-  if (Status st = admit_own_writes(client, shards_[s].recovering); !st.ok()) {
-    return st;
-  }
+  if (Status gate = admit(MgrOp::commit, client, s); !gate.ok()) return gate;
   // Commit point: what the client allocated and never wrote is freed
   // (it dropped those blocks before sending, and nobody else has seen
   // them); allocations under the durable size are real.
@@ -510,15 +543,10 @@ Status FileSystem::op_extend_size(InodeNum ino, Bytes size, ClientId client,
 void FileSystem::op_token_acquire(
     ClientId client, InodeNum ino, TokenRange range, TokenRange desired,
     LockMode mode, std::function<void(Result<TokenRange>)> done) {
-  if (!grants_open(shard_of(ino))) {
-    done(err(Errc::unavailable, "manager takeover in progress"));
-    return;
-  }
-  lease_touch(client);
-  if (lease_.expelled(client)) {
-    // Tokens granted to an expelled incarnation would leak on its next
-    // expel; make it rejoin first.
-    done(err(Errc::stale, "client expelled: rejoin required"));
+  // Tokens granted to an expelled incarnation would leak on its next
+  // expel: it rejoins first.
+  if (Status gate = admit(MgrOp::token, client, shard_of(ino)); !gate.ok()) {
+    done(gate.error());
     return;
   }
   token_retry(client, ino, range, desired, mode, 8, std::move(done));
@@ -530,15 +558,11 @@ void FileSystem::token_retry(ClientId client, InodeNum ino, TokenRange range,
   // Re-resolve the shard at every re-entry: a delegation may have moved
   // the inode's authority while this request waited out a revoke round.
   const std::uint32_t s = shard_of(ino);
-  if (!grants_open(s)) {
-    // A takeover is repopulating this shard's token table from
-    // assertions; a request resolved against the half-built state could
-    // grant bytes a client is about to reassert. (Shard 0 mid-rebuild
-    // also parks everyone: the lease table drives expel decisions for
-    // every shard's revoke path.) Park the retry until finish_takeover
-    // drains the waiter list (attempts not consumed — nothing was
-    // tried). Resuming at rebuild completion, not after a fixed full
-    // recovery window, is most of the takeover_to_first_grant_s win.
+  if (rebuilding(MgrOp::token_wait, s)) {
+    // A grant against a half-built token table could hand out bytes a
+    // client is about to reassert (and the lease table drives every
+    // shard's expels). Park until finish_takeover drains the waiters,
+    // not a full recovery window; no attempt is consumed.
     park_for_recovery(s, [this, client, ino, range, desired, mode, attempts,
                           done = std::move(done)]() mutable {
       token_retry(client, ino, range, desired, mode, attempts,
@@ -646,11 +670,8 @@ void FileSystem::await_expel(ClientId holder, InodeNum ino,
                              TokenRange overlap, sim::Callback done) {
   const double now = sim_.now();
   const std::uint32_t s = shard_of(ino);
-  if (!grants_open(s)) {
-    // Hold the expel clock during a takeover rebuild: the lease table
-    // (shard 0) or this inode's token table is being repopulated and
-    // the holder may be about to reassert. Resume the moment the
-    // rebuild finishes, not a full window later.
+  if (rebuilding(MgrOp::token_wait, s)) {
+    // Hold the expel clock: the holder may be about to reassert.
     park_for_recovery(s, [this, holder, ino, overlap,
                           done = std::move(done)]() mutable {
       await_expel(holder, ino, overlap, std::move(done));
@@ -707,20 +728,9 @@ std::uint64_t FileSystem::op_client_register(ClientId client) {
 
 Result<std::uint64_t> FileSystem::op_lease_renew(ClientId client) {
   // One renewal covers every shard: the lease is node liveness, homed on
-  // shard 0. Only the lease home's rebuild gates it — other shards'
-  // takeovers must not lapse unrelated clients.
-  if (shards_[0].recovering) {
-    // Overlap window: a reasserted client's entry is live again, and
-    // serving its renewal keeps the lease from lapsing while stragglers
-    // are still queried. Anyone the rebuild has not readmitted gets
-    // unavailable (retry), never stale — its fate is not decided yet.
-    if (lease_.renew(client, sim_.now())) return lease_.epoch_of(client);
-    return err(Errc::unavailable, "manager takeover in progress");
-  }
-  sweep_leases();
-  if (!lease_.renew(client, sim_.now())) {
-    return err(Errc::stale, "lease lost: re-register required");
-  }
+  // shard 0, so only the lease home's rebuild pauses it.
+  const Status gate = admit(MgrOp::lease_renew, client);
+  if (!gate.ok()) return gate.error();
   return lease_.epoch_of(client);
 }
 
@@ -729,8 +739,9 @@ NsdServer::GateDecision FileSystem::write_gate(ClientId client, InodeNum ino,
                                                std::uint64_t mgr_epoch) {
   // The inode routes the check to its owning shard: the manager epoch
   // is per shard, and only that shard's takeover may gate the write.
-  MetaShard& sh = shards_[shard_of(ino)];
-  if (sh.recovering || shards_[0].recovering) {
+  const std::uint32_t s = shard_of(ino);
+  MetaShard& sh = shards_[s];
+  if (rebuilding(MgrOp::nsd_write, s)) {
     // Overlap window: a client that already reasserted has a live entry
     // under its preserved epoch and has adopted the new manager epoch —
     // both current means its pre-crash grants are intact, and admitting
@@ -741,7 +752,7 @@ NsdServer::GateDecision FileSystem::write_gate(ClientId client, InodeNum ino,
     if (mgr_epoch == sh.manager_epoch &&
         lease_.epoch_valid(client, lease_epoch)) {
       ++sh.overlap_admits;
-      note_first_grant(shard_of(ino));
+      note_first_grant(s);
       return NsdServer::GateDecision::admit;
     }
     return NsdServer::GateDecision::retry;
@@ -759,7 +770,7 @@ NsdServer::GateDecision FileSystem::write_gate(ClientId client, InodeNum ino,
     ++fenced_writes_;
     return NsdServer::GateDecision::fence;
   }
-  note_first_grant(shard_of(ino));
+  note_first_grant(s);
   return NsdServer::GateDecision::admit;
 }
 
@@ -872,10 +883,6 @@ void FileSystem::park_for_recovery(std::uint32_t shard, sim::Callback resume) {
   // mid-takeover and the waiter list is never drained), resume after
   // the old full-recovery-window park anyway so nothing wedges forever.
   sim_.after(std::max(cfg_.lease_recovery_wait, 1e-3), fire);
-}
-
-bool FileSystem::grants_open(std::uint32_t shard) const {
-  return !shards_[shard].recovering && !shards_[0].recovering;
 }
 
 void FileSystem::note_grant(std::uint32_t shard, ClientId client,
@@ -1036,14 +1043,6 @@ std::string FileSystem::stats() const {
   return os.str();
 }
 
-void FileSystem::lease_touch(ClientId client) {
-  // Any manager op from the client proves liveness — piggyback the
-  // renewal so steady-state I/O needs no extra renewal RPCs (the sim
-  // drains its queue between ops; periodic timers would never let it).
-  lease_.renew(client, sim_.now());
-  sweep_leases();
-}
-
 void FileSystem::op_client_gone(ClientId client) {
   // Clean unmount: the client flushed, so its journal tails need no
   // replay — drop them with the lease, across every shard it touched.
@@ -1065,12 +1064,8 @@ Status FileSystem::set_replication(const std::string& path,
 
 Status FileSystem::op_replica_divergence(ClientId client, InodeNum ino,
                                          std::uint64_t bi, std::uint8_t copy) {
-  // A reasserted writer whose flush just diverted to a replica must be
-  // able to record the divergence mid-rebuild.
-  if (Status st = admit_own_writes(client, !grants_open(shard_of(ino)));
-      !st.ok()) {
-    return st;
-  }
+  const Status gate = admit(MgrOp::divergence, client, shard_of(ino));
+  if (!gate.ok()) return gate;
   BlockPlacement p = ns_.placement(ino, bi);
   if (p.copies <= 1) {
     return Status(Errc::not_found, "no replica set for block");

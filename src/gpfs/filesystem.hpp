@@ -55,7 +55,7 @@ struct OpenResult {
   /// A create for write also hands the creator a write grant over
   /// exactly block 0 (DESIGN.md §5.1), so its first write needs no
   /// further manager round trip. Empty when the manager could not grant
-  /// (takeover in progress, file system full).
+  /// (a takeover rebuild in flight, file system full).
   std::optional<WriteGrant> grant;
 };
 
@@ -165,7 +165,26 @@ class FileSystem {
   void set_expel_listener(ExpelListener fn) {
     expel_listener_ = std::move(fn);
   }
-  AccessMode access_of(ClientId c) const;
+
+  // --- admission (DESIGN.md §6, "Admission") ----------------------------
+  /// The rows of the admission table: the manager ops, a parked token
+  /// request or expel wait re-entering (`token_wait`), a write grant
+  /// once its token is granted (`grant_recheck`), and the NSD write gate.
+  enum class MgrOp : std::uint8_t {
+    open_read, open_write, mkdir, unlink, rename, block_map, token,
+    token_wait, create_grant, grant_recheck, commit, divergence,
+    lease_renew, rejoin, nsd_write,
+  };
+  static constexpr std::uint32_t kNoShard = ~0u;
+  /// The one admission gate: may `client` run `op` now? `shard` is the
+  /// op's own domain (its path's or its inode's shard), `also` a
+  /// rename's second one. While a domain the op waits on rebuilds, the
+  /// answer is Errc::gated: paused, the manager is alive. Otherwise the
+  /// gate renews the lease of an op that carries it, then answers stale
+  /// to an expelled client and not_authorized or read_only to a mount
+  /// without the access the op needs.
+  Status admit(MgrOp op, ClientId client, std::uint32_t shard = 0,
+               std::uint32_t also = kNoShard);
 
   LeaseManager& lease() { return lease_; }
   const LeaseManager& lease() const { return lease_; }
@@ -178,13 +197,11 @@ class FileSystem {
   /// expelled — it must re-register before further I/O.
   Result<std::uint64_t> op_lease_renew(ClientId client);
   /// Two-epoch write gate consulted by NSD servers before admitting a
-  /// write (DESIGN.md §6): admit when both the lease epoch and the
-  /// manager epoch are current, retry while a takeover is rebuilding
-  /// state, fence (non-retryable stale) otherwise. The inode routes the
-  /// check to its owning shard — manager epochs are per shard, and only
-  /// that shard's takeover gates the write. Counts fenced attempts in
-  /// fenced_writes(); a stale *manager* epoch additionally counts in
-  /// stale_manager_fenced().
+  /// write (DESIGN.md §6): admit when the lease epoch and the inode's
+  /// shard's manager epoch are both current; otherwise retry while the
+  /// admission table's nsd_write row waits, else fence (non-retryable
+  /// stale). Counts fenced attempts in fenced_writes(); a stale
+  /// *manager* epoch also counts in stale_manager_fenced().
   NsdServer::GateDecision write_gate(ClientId client, InodeNum ino,
                                      std::uint64_t lease_epoch,
                                      std::uint64_t mgr_epoch);
@@ -209,7 +226,7 @@ class FileSystem {
     return at(shard).manager_epoch;
   }
   /// Is any shard's takeover rebuild in progress? Metadata ops answer
-  /// retryable `unavailable` and NSD write gates answer `retry` for the
+  /// retryable `gated` and NSD write gates answer `retry` for the
   /// affected shard's domain, so clients pause-and-redrive instead of
   /// failing.
   bool recovering() const;
@@ -298,7 +315,7 @@ class FileSystem {
                std::function<void(Result<OpenResult>)> done);
   Result<StatInfo> op_stat(const std::string& path);
   Result<InodeNum> op_mkdir(const std::string& path, const Principal& who,
-                            Mode mode);
+                            Mode mode, ClientId client);
   Result<std::vector<std::string>> op_readdir(const std::string& path,
                                               const Principal& who);
   /// `req` is the client's id for this unlink, the same on every
@@ -310,13 +327,13 @@ class FileSystem {
   Result<InodeNum> op_unlink(const std::string& path, const Principal& who,
                              ClientId client, std::uint64_t req);
   Status op_rename(const std::string& from, const std::string& to,
-                   const Principal& who);
+                   const Principal& who, ClientId client);
 
   /// Fetch blocks [first_block, first_block + count) of a file's block
   /// map for `client`'s cache, encoded in column extents. A block
   /// another client's commit may still free reads as a hole.
   Result<BlockMapChunk> op_block_map(InodeNum ino, std::uint64_t first_block,
-                                     std::size_t count, ClientId client) const;
+                                     std::size_t count, ClientId client);
 
   /// The write path's one manager op, charged once: op_token_acquire
   /// of an rw token on `range` with batch window `desired`, then the
@@ -457,18 +474,11 @@ class FileSystem {
   /// Stamp `shard`'s first post-takeover service point (write admit or
   /// token grant) for takeover_to_first_grant_s.
   void note_first_grant(std::uint32_t shard);
-  /// New token grants in `shard`'s domain: not while it or the lease
-  /// home (shard 0) rebuilds its tables.
-  bool grants_open(std::uint32_t shard) const;
+  /// Does a domain `op` waits on (for `shard`, and `also`) rebuild?
+  bool rebuilding(MgrOp op, std::uint32_t shard,
+                  std::uint32_t also = kNoShard) const;
   /// Bookkeeping of every token grant, the create grant's included.
   void note_grant(std::uint32_t shard, ClientId client, InodeNum ino);
-  /// Piggybacked renewal + lazy sweep at manager-op entry.
-  void lease_touch(ClientId client);
-  /// Admit a client's report on its own writes (a commit, a replica
-  /// divergence): while `rebuilding`, only a client the takeover already
-  /// readmitted (else unavailable); otherwise any client not expelled
-  /// (else stale).
-  Status admit_own_writes(ClientId client, bool rebuilding);
   /// Apply a revoke `holder` acknowledged: release the holding, and pin
   /// its records under it (no commit of its frees them any more).
   void release_revoked(ClientId holder, InodeNum ino, TokenRange overlap);

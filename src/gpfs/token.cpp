@@ -140,11 +140,6 @@ void TokenManager::coalesce_around(Table& t, std::size_t idx) {
 // --- public API -------------------------------------------------------
 
 TokenDecision TokenManager::request(ClientId client, InodeNum ino,
-                                    TokenRange range, LockMode mode) {
-  return request(client, ino, range, range, mode);
-}
-
-TokenDecision TokenManager::request(ClientId client, InodeNum ino,
                                     TokenRange range, TokenRange desired,
                                     LockMode mode) {
   MGFS_ASSERT(range.lo < range.hi, "empty token range");

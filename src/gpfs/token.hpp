@@ -86,16 +86,13 @@ class TokenManager {
   /// Ask for `range` of `ino` in `mode`. If nothing conflicts the token
   /// is granted at once (widened to the whole file when the requester
   /// would be the only holder). Otherwise `conflicts` lists what must be
-  /// revoked; the caller revokes and retries.
-  TokenDecision request(ClientId client, InodeNum ino, TokenRange range,
-                        LockMode mode);
-
-  /// As above, but with a `desired` range (⊇ `range`) the requester
-  /// would like if it is free: conflicts are computed on `range` only,
-  /// and the grant is `desired` clipped back wherever another client
-  /// holds an incompatible range. Streaming clients use this to batch
-  /// token traffic over their readahead/write-behind window without
-  /// ever forcing a revocation the narrow request would not have.
+  /// revoked; the caller revokes and retries. `desired` (⊇ `range`) is
+  /// what the requester would like if it is free: conflicts are
+  /// computed on `range` only, and the grant is `desired` clipped back
+  /// wherever another client holds an incompatible range. Streaming
+  /// clients use this to batch token traffic over their
+  /// readahead/write-behind window without ever forcing a revocation
+  /// the narrow request would not have.
   TokenDecision request(ClientId client, InodeNum ino, TokenRange range,
                         TokenRange desired, LockMode mode);
 

@@ -54,89 +54,7 @@ void GridFtpClient::get_range(GridFtpServer& server, const std::string& path,
         {&server, ext->offset + offset + pos, pos, slice_len});
     pos += slice_len;
   }
-  run_transfer(std::move(plan), /*upload=*/false, local, local_base, node_,
-               std::move(done));
-}
-
-void GridFtpClient::put(GridFtpServer& server, const std::string& path,
-                        FileStore& local, Done done) {
-  auto lext = local.lookup(path);
-  if (!lext.ok()) {
-    done(lext.error());
-    return;
-  }
-  auto rext = server.store().add(path, lext->size);
-  if (!rext.ok()) {
-    done(rext.error());
-    return;
-  }
-  Plan plan;
-  plan.total = lext->size;
-  const std::size_t streams = cfg_.parallel_streams;
-  const Bytes per = lext->size / streams;
-  Bytes pos = 0;
-  for (std::size_t s = 0; s < streams; ++s) {
-    const Bytes slice_len = (s + 1 == streams) ? lext->size - pos : per;
-    if (slice_len == 0) continue;
-    // For uploads src is the *local* extent, dst the remote extent.
-    plan.slices.push_back(
-        {&server, lext->offset + pos, rext->offset + pos, slice_len});
-    pos += slice_len;
-  }
-  run_transfer(std::move(plan), /*upload=*/true, &local, 0, node_,
-               std::move(done));
-}
-
-void GridFtpClient::get_striped(const std::vector<GridFtpServer*>& servers,
-                                const std::string& path, FileStore* local,
-                                Done done) {
-  MGFS_ASSERT(!servers.empty(), "striped get with no servers");
-  auto ext = servers.front()->store().lookup(path);
-  if (!ext.ok()) {
-    done(ext.error());
-    return;
-  }
-  Bytes local_base = 0;
-  if (local != nullptr) {
-    auto lext = local->add(path, ext->size);
-    if (!lext.ok()) {
-      done(lext.error());
-      return;
-    }
-    local_base = lext->offset;
-  }
-  // Partition the file contiguously across servers, then across each
-  // server's streams.
-  Plan plan;
-  plan.total = ext->size;
-  const std::size_t n = servers.size();
-  const std::size_t streams_per =
-      std::max<std::size_t>(1, cfg_.parallel_streams / n);
-  const Bytes per_server = ext->size / n;
-  Bytes pos = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    GridFtpServer* srv = servers[i];
-    auto sext = srv->store().lookup(path);
-    if (!sext.ok()) {
-      done(err(Errc::not_found, "replica missing on a stripe server"));
-      return;
-    }
-    const Bytes server_len =
-        (i + 1 == n) ? ext->size - pos : per_server;
-    const Bytes per_stream = server_len / streams_per;
-    Bytes spos = 0;
-    for (std::size_t s = 0; s < streams_per; ++s) {
-      const Bytes slice_len =
-          (s + 1 == streams_per) ? server_len - spos : per_stream;
-      if (slice_len == 0) continue;
-      plan.slices.push_back({srv, sext->offset + pos + spos, pos + spos,
-                             slice_len});
-      spos += slice_len;
-    }
-    pos += server_len;
-  }
-  run_transfer(std::move(plan), /*upload=*/false, local, local_base, node_,
-               std::move(done));
+  run_transfer(std::move(plan), local, local_base, node_, std::move(done));
 }
 
 void GridFtpClient::transfer(GridFtpServer& src, GridFtpServer& dst,
@@ -162,13 +80,13 @@ void GridFtpClient::transfer(GridFtpServer& src, GridFtpServer& dst,
     plan.slices.push_back({&src, ext->offset + pos, pos, slice_len});
     pos += slice_len;
   }
-  run_transfer(std::move(plan), /*upload=*/false, &dst.store(),
-               dext->offset, dst.node(), std::move(done));
+  run_transfer(std::move(plan), &dst.store(), dext->offset, dst.node(),
+               std::move(done));
 }
 
-void GridFtpClient::run_transfer(Plan plan, bool upload,
-                                 FileStore* sink_store, Bytes sink_base,
-                                 net::NodeId sink_node, Done done) {
+void GridFtpClient::run_transfer(Plan plan, FileStore* sink_store,
+                                 Bytes sink_base, net::NodeId sink_node,
+                                 Done done) {
   struct Shared {
     sim::Simulator* sim = nullptr;
     double start = 0;
@@ -197,18 +115,14 @@ void GridFtpClient::run_transfer(Plan plan, bool upload,
   GridFtpServer* first = plan.slices.front().server;
   net_.send(
       node_, first->node(), cfg_.control_bytes,
-      [this, plan = std::move(plan), upload, sink_store, sink_base, sh,
-       sink_node, fail_once]() mutable {
+      [this, plan = std::move(plan), sink_store, sink_base, sh, sink_node,
+       fail_once]() mutable {
         net_.send(plan.slices.front().server->node(), node_,
                   cfg_.control_bytes, [] {});  // 150/226 reply, fire-and-forget
 
         for (const Plan::Slice& sl : plan.slices) {
-          const net::NodeId src =
-              upload ? node_ : sl.server->node();
-          const net::NodeId dst =
-              upload ? sl.server->node() : sink_node;
           live_conns_.push_back(std::make_unique<net::TcpConnection>(
-              net_, src, dst, cfg_.tcp));
+              net_, sl.server->node(), sink_node, cfg_.tcp));
           net::TcpConnection* conn = live_conns_.back().get();
 
           struct Stream {
@@ -217,17 +131,12 @@ void GridFtpClient::run_transfer(Plan plan, bool upload,
           };
           auto st = std::make_shared<Stream>();
           st->src_pos = sl.src_offset;
-          st->dst_pos = upload ? sl.dst_offset : sink_base + sl.dst_offset;
+          st->dst_pos = sink_base + sl.dst_offset;
           st->remaining = sl.len;
 
-          storage::BlockDevice* src_dev =
-              upload ? &sink_store->device() : &sl.server->store().device();
-          storage::BlockDevice* dst_dev = nullptr;
-          if (upload) {
-            dst_dev = &sl.server->store().device();
-          } else if (sink_store != nullptr) {
-            dst_dev = &sink_store->device();
-          }
+          storage::BlockDevice* src_dev = &sl.server->store().device();
+          storage::BlockDevice* dst_dev =
+              sink_store != nullptr ? &sink_store->device() : nullptr;
 
           // Double-buffered pump: disk read -> tcp -> disk write. The
           // pump holds itself weakly and each chunk in flight holds it

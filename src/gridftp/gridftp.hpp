@@ -5,7 +5,6 @@
 //   * control channel exchange before data flows
 //   * parallel data streams (the -p knob), each an independent TCP
 //     connection — this is how GridFTP fights the window/RTT cap
-//   * optional striping across multiple server nodes (mode-E-like)
 //   * partial gets (offset/length), since the protocol supports them —
 //     the *paradigm* problem is that the workflow stages whole files
 //   * disk <-> network double buffering on both ends
@@ -75,16 +74,6 @@ class GridFtpClient {
   void get_range(GridFtpServer& server, const std::string& path,
                  Bytes offset, Bytes len, FileStore* local, Done done);
 
-  /// Upload a whole local file to the server's store.
-  void put(GridFtpServer& server, const std::string& path, FileStore& local,
-           Done done);
-
-  /// Striped get: the file is served in round-robin chunk stripes by
-  /// several servers holding replicas (the TeraGrid striped-GridFTP
-  /// deployment). Data lands in `local` if given.
-  void get_striped(const std::vector<GridFtpServer*>& servers,
-                   const std::string& path, FileStore* local, Done done);
-
   /// Third-party transfer: this client orchestrates, data flows
   /// directly server-to-server (classic GridFTP; how SDSC and PSC
   /// replicated each other's archives, §8).
@@ -104,8 +93,10 @@ class GridFtpClient {
     Bytes total = 0;
   };
 
-  void run_transfer(Plan plan, bool upload, FileStore* sink_store,
-                    Bytes sink_base, net::NodeId sink_node, Done done);
+  /// Move every slice from its server to `sink_node`, landing in
+  /// `sink_store` (if given) from `sink_base` on.
+  void run_transfer(Plan plan, FileStore* sink_store, Bytes sink_base,
+                    net::NodeId sink_node, Done done);
 
   net::Network& net_;
   net::NodeId node_;

@@ -42,11 +42,6 @@ Status HsmManager::ingest(const std::string& name, Bytes size) {
   return Status{};
 }
 
-void HsmManager::touch(const std::string& name) {
-  auto it = files_.find(name);
-  if (it != files_.end()) it->second.last_access = sim_.now();
-}
-
 bool HsmManager::resident(const std::string& name) const {
   auto it = files_.find(name);
   return it != files_.end() && it->second.resident;
@@ -55,10 +50,6 @@ bool HsmManager::resident(const std::string& name) const {
 bool HsmManager::archived(const std::string& name) const {
   auto it = files_.find(name);
   return it != files_.end() && !it->second.pieces.empty();
-}
-
-bool HsmManager::known(const std::string& name) const {
-  return files_.count(name) > 0;
 }
 
 void HsmManager::archive_pieces(const std::string& name, std::size_t idx,

@@ -44,12 +44,8 @@ class HsmManager {
   /// first).
   Status ingest(const std::string& name, Bytes size);
 
-  /// Record an access (drives LRU).
-  void touch(const std::string& name);
-
   bool resident(const std::string& name) const;
   bool archived(const std::string& name) const;
-  bool known(const std::string& name) const;
 
   /// Make a file resident, recalling from tape when purged. `done` runs
   /// after the bytes are back on disk (recall latency is recorded).

@@ -42,7 +42,7 @@ TEST_P(TokenFuzz, NoIncompatibleOverlapEver) {
 
     const int op = static_cast<int>(rng.below(10));
     if (op < 6) {
-      auto d = tm.request(client, ino, {lo, hi}, mode);
+      auto d = tm.request(client, ino, {lo, hi}, {lo, hi}, mode);
       if (!d.granted) {
         // The manager told us what blocks; resolve exactly like the
         // FileSystem does, then retry once.
@@ -50,7 +50,7 @@ TEST_P(TokenFuzz, NoIncompatibleOverlapEver) {
           tm.release(h.client, ino,
                      {std::max(h.range.lo, lo), std::min(h.range.hi, hi)});
         }
-        auto d2 = tm.request(client, ino, {lo, hi}, mode);
+        auto d2 = tm.request(client, ino, {lo, hi}, {lo, hi}, mode);
         EXPECT_TRUE(d2.granted) << "retry after revocation must succeed";
       }
     } else if (op < 9) {

@@ -137,40 +137,6 @@ TEST_F(FtpFixture, BadRangeRejected) {
   EXPECT_EQ(out->code(), Errc::invalid_argument);
 }
 
-TEST_F(FtpFixture, PutUploads) {
-  ASSERT_TRUE(ncsa_store.add("/result", 64 * MiB).ok());
-  GridFtpClient client(net, tg.ncsa.hosts[0]);
-  std::optional<Result<TransferStats>> out;
-  client.put(server, "/result", ncsa_store,
-             [&](Result<TransferStats> r) { out = std::move(r); });
-  sim.run();
-  ASSERT_TRUE(out.has_value() && out->ok()) << "put failed";
-  EXPECT_TRUE(sdsc_store.contains("/result"));
-  EXPECT_EQ(sdsc_store.lookup("/result")->size, 64 * MiB);
-}
-
-TEST_F(FtpFixture, StripedGetUsesAllServers) {
-  // Replicas on two SDSC hosts.
-  storage::RateDevice dev2(sim, 4 * TiB, 2e9);
-  FileStore store2(dev2);
-  GridFtpServer server2(net, tg.sdsc.hosts[1], store2);
-  ASSERT_TRUE(sdsc_store.add("/rep", 256 * MiB).ok());
-  ASSERT_TRUE(store2.add("/rep", 256 * MiB).ok());
-
-  GridFtpConfig cfg;
-  cfg.parallel_streams = 8;
-  GridFtpClient client(net, tg.ncsa.hosts[2], cfg);
-  std::optional<Result<TransferStats>> out;
-  client.get_striped({&server, &server2}, "/rep", &ncsa_store,
-                     [&](Result<TransferStats> r) { out = std::move(r); });
-  sim.run();
-  ASSERT_TRUE(out.has_value() && out->ok());
-  EXPECT_EQ((*out)->bytes, 256 * MiB);
-  // Both server GbE host links moved data.
-  EXPECT_GT(net.pipe(tg.sdsc.hosts[0], tg.sdsc.sw)->bytes_moved(), 64 * MiB);
-  EXPECT_GT(net.pipe(tg.sdsc.hosts[1], tg.sdsc.sw)->bytes_moved(), 64 * MiB);
-}
-
 TEST_F(FtpFixture, LinkFailureSurfaces) {
   ASSERT_TRUE(sdsc_store.add("/f", 256 * MiB).ok());
   GridFtpClient client(net, tg.ncsa.hosts[0]);

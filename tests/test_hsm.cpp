@@ -164,7 +164,8 @@ TEST_F(HsmFixture, TouchProtectsFromMigration) {
     ASSERT_TRUE(hsm.ingest("/f" + std::to_string(i), 5 * GB).ok());
     sim.run_until(sim.now() + 1);
   }
-  hsm.touch("/f0");  // oldest becomes newest
+  // An access: the oldest file becomes the newest.
+  ASSERT_TRUE(ensure_online("/f0").ok());
   ASSERT_TRUE(run_policy().ok());
   EXPECT_TRUE(hsm.resident("/f0"));
   EXPECT_FALSE(hsm.resident("/f1"));

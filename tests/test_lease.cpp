@@ -433,6 +433,53 @@ TEST(LeaseIntegration, ChurnedNodeReregistersAsNewIncarnation) {
 /// the waiter or corrupt token state, and double expels are idempotent.
 /// The victim is mid-flush acking a revoke when the expel fires, so the
 /// late release lands on holdings release_all already reclaimed.
+/// An expelled client's namespace writes answer stale, like its opens:
+/// the expel dropped its mount record too, but that is a lease problem,
+/// not an authorization one, and stale is what makes it rejoin.
+TEST(LeaseIntegration, ExpelledNamespaceWritesAnswerStale) {
+  MiniCluster mc;
+  Client* c = mc.mount_on(2);
+  auto fh = mc.open(c, "/f", kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(fh.ok());
+  ASSERT_TRUE(mc.close(c, *fh).ok());
+  mc.fs->expel_client(c->id(), "test: lease lapsed");
+
+  EXPECT_EQ(mc.fs->op_unlink("/f", kAlice, c->id(), 1).code(), Errc::stale);
+  EXPECT_EQ(mc.fs->op_mkdir("/d", kAlice, Mode{077}, c->id()).code(),
+            Errc::stale);
+  EXPECT_EQ(mc.fs->op_rename("/f", "/g", kAlice, c->id()).code(),
+            Errc::stale);
+  EXPECT_TRUE(mc.fs->ns().resolve("/f").ok());
+  EXPECT_FALSE(mc.fs->ns().resolve("/d").ok());
+  EXPECT_FALSE(mc.fs->ns().resolve("/g").ok());
+}
+
+/// The client side of the same answer: an expelled client's unlink fails
+/// stale, which lapses its lease and rejoins it, so a retried unlink
+/// runs.
+TEST(LeaseIntegration, ExpelledUnlinkLapsesAndRetriedUnlinkRuns) {
+  MiniCluster mc;
+  Client* c = mc.mount_on(2);
+  auto fh = mc.open(c, "/f", kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(fh.ok());
+  ASSERT_TRUE(mc.close(c, *fh).ok());
+  mc.fs->expel_client(c->id(), "test: lease lapsed");
+
+  std::optional<Status> first;
+  c->unlink("/f", kAlice, [&](Status st) { first = st; });
+  mc.sim.run();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->code(), Errc::stale) << first->to_string();
+  EXPECT_EQ(c->lease_lapses(), 1u);
+
+  std::optional<Status> again;
+  c->unlink("/f", kAlice, [&](Status st) { again = st; });
+  mc.sim.run();
+  ASSERT_TRUE(again.has_value());
+  EXPECT_TRUE(again->ok()) << again->to_string();
+  EXPECT_FALSE(mc.fs->ns().resolve("/f").ok());
+}
+
 TEST(LeaseIntegration, ExpelRacingVoluntaryReleaseIsSafe) {
   MiniCluster mc;
   Client* victim = mc.mount_on(2);

@@ -191,6 +191,27 @@ TEST_F(GridFixture, ReadOnlyGrantBlocksWrites) {
   EXPECT_TRUE(read(*c, *ro, 0, 4 * MiB).ok());
 }
 
+/// A read-only grant covers the namespace too: a remote mkdir or rename
+/// is a write to the exporting cluster's file system.
+TEST_F(GridFixture, ReadOnlyGrantBlocksNamespaceWrites) {
+  build();
+  establish_trust(auth::AccessMode::read_only);
+  seed("/data", 4 * MiB);
+  auto c = mount_remote();
+  ASSERT_TRUE(c.ok());
+  std::optional<Status> mk;
+  (*c)->mkdir("/ncsa_dir", kAlice, Mode{077}, [&](Status st) { mk = st; });
+  std::optional<Status> rn;
+  (*c)->rename("/data", "/renamed", kAlice, [&](Status st) { rn = st; });
+  sim.run();
+  ASSERT_TRUE(mk.has_value() && rn.has_value());
+  EXPECT_EQ(mk->code(), Errc::read_only) << mk->to_string();
+  EXPECT_EQ(rn->code(), Errc::read_only) << rn->to_string();
+  EXPECT_FALSE(fs->ns().resolve("/ncsa_dir").ok());
+  EXPECT_TRUE(fs->ns().resolve("/data").ok());
+  EXPECT_FALSE(fs->ns().resolve("/renamed").ok());
+}
+
 TEST_F(GridFixture, GrantUpgradeEnablesWrites) {
   build();
   establish_trust(auth::AccessMode::read_write);

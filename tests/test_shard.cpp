@@ -143,7 +143,7 @@ TEST(ShardFailover, CrossShardRenameStallsOnCrashedDestinationShard) {
   });
 
   // Fire the rename mid-rebuild: op_rename gates on BOTH path domains,
-  // so it must answer retryable-unavailable and redrive, not fail.
+  // so it must answer retryable gated and redrive, not fail.
   std::optional<Status> rn;
   bool fired = false;
   std::function<void()> poll = [&] {
@@ -462,6 +462,66 @@ TEST(ShardLease, OneHeartbeatCoversAllDomains) {
                                 mc.fs->manager_epoch(ino % 4)),
               NsdServer::GateDecision::admit);
   }
+}
+
+/// A refusal is an answer. The lease home's rebuild is held open, so a
+/// token request on a healthy data shard is refused (gated) at probe
+/// cadence for 2 s. Those refusals prove the data shard's manager alive:
+/// three readers refused by it never depose it, and their reads finish
+/// once the rebuild does.
+TEST(ShardLease, RefusalsNeverDeposeAHealthyShard) {
+  // Leases outlast the held rebuild: the waiting readers stay members.
+  ClusterConfig cfg = shard_cfg(3);
+  cfg.lease_duration = 60.0;
+  MiniCluster mc(8, 4, 1 * MiB, cfg);
+  mc.cluster->set_shard_managers(
+      *mc.fs, {mc.site.hosts[1], mc.site.hosts[5], mc.site.hosts[6]});
+  const std::string path = path_in_shard(mc.fs, 1);
+  Client* w = mc.mount_on(7);
+  ASSERT_NE(w, nullptr);
+  auto fw = mc.open(w, path, kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(fw.ok());
+  ASSERT_TRUE(mc.write(w, *fw, 0, 1 * MiB).ok());
+  ASSERT_TRUE(mc.close(w, *fw).ok());
+  mc.cluster->unmount(w);
+  ASSERT_EQ(mc.fs->shard_of(*mc.fs->ns().resolve(path)), 1u);
+
+  std::vector<Client*> readers;
+  std::vector<Fh> fhs;
+  for (std::size_t h : {2, 3, 4}) {
+    Client* r = mc.mount_on(h);
+    ASSERT_NE(r, nullptr);
+    auto fh = mc.open(r, path, kAlice, OpenFlags::ro());
+    ASSERT_TRUE(fh.ok());
+    readers.push_back(r);
+    fhs.push_back(*fh);
+  }
+
+  // The lease home's rebuild begins, every reader reasserts, and the
+  // rebuild is held open.
+  mc.fs->begin_takeover(mc.site.hosts[1], 0);
+  for (Client* r : readers) {
+    mc.fs->install_assertion(r->id(), r->lease_epoch(), {}, 0);
+  }
+  std::vector<std::optional<Result<Bytes>>> got(readers.size());
+  for (std::size_t i = 0; i < readers.size(); ++i) {
+    readers[i]->read(fhs[i], 0, 1 * MiB,
+                     [&got, i](Result<Bytes> r) { got[i] = std::move(r); });
+  }
+  mc.sim.run_until(mc.sim.now() + 2.0);
+  for (const auto& g : got) EXPECT_FALSE(g.has_value()) << "not refused";
+  EXPECT_EQ(mc.fs->manager_epoch(1), 1u);
+  EXPECT_EQ(mc.fs->manager_epoch(2), 1u);
+  EXPECT_EQ(mc.fs->shard_takeovers(1), 0u);
+
+  mc.fs->finish_takeover(0);
+  mc.sim.run();
+  for (const auto& g : got) {
+    ASSERT_TRUE(g.has_value());
+    EXPECT_TRUE(g->ok()) << g->error().to_string();
+  }
+  EXPECT_EQ(mc.fs->manager_epoch(1), 1u);
+  EXPECT_EQ(mc.fs->shard_takeovers(1), 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -68,7 +68,7 @@ TEST(WriteGrant, RefusedGrantAllocatesNothing) {
                         TokenRange{0, 16 * kBs}, kBs,
                         [&](Result<WriteGrant> r) { mid = std::move(r); });
   ASSERT_TRUE(mid.has_value());
-  EXPECT_EQ(mid->code(), Errc::unavailable);
+  EXPECT_EQ(mid->code(), Errc::gated);
   EXPECT_EQ(mc.fs->free_bytes(), free0);
   mc.sim.run();
   ASSERT_FALSE(mc.fs->shard_recovering(0));
