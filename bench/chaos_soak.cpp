@@ -894,10 +894,11 @@ bool run_manager_crash(const std::string&) {
 /// commit on that shard alone). Shard 2's manager node crashes
 /// mid-stream. Only that domain may stall: the other three writers
 /// must keep committing right through the outage, the victim domain's
-/// successor must be elected and grant again within 2 lease periods
-/// (_t1g_), the victim's writer must resume, no shard but the victim's
-/// may change epoch, and no client may be expelled — the batched lease
-/// heartbeat rides to shard 0, which never went down.
+/// successor must be elected on a live manager seat (never an NSD
+/// server) and grant again within 2 lease periods (_t1g_), the victim's
+/// writer must resume, no shard but the victim's may change epoch, no
+/// writer that reasserted may lapse, and no client may be expelled —
+/// the batched lease heartbeat rides to shard 0, which never went down.
 bool run_shard_crash(const std::string&) {
   // hosts: 0-1 NSD servers, 2 = shard-0 manager (the farm's lease
   // home), 3-5 = shard 1-3 manager seats, 6-17 = three writers per
@@ -1016,6 +1017,25 @@ bool run_shard_crash(const std::string&) {
         "exactly one takeover, on the victim shard");
   check(!(fs.manager_node(victim) == old_mgr),
         "victim shard's successor elected");
+  const net::NodeId successor = fs.manager_node(victim);
+  check(h.net.node_up(successor) &&
+            std::find(seats.begin(), seats.end(), successor) != seats.end(),
+        "successor is a live manager seat");
+  check(std::find(h.farm.server_nodes.begin(), h.farm.server_nodes.end(),
+                  successor) == h.farm.server_nodes.end(),
+        "successor is not an NSD server");
+  // A writer that reasserted adopted the victim's new epoch; its writes
+  // in flight across the takeover must have landed, not lapsed it.
+  std::size_t reasserted = 0, lapsed = 0;
+  for (const Writer& w : writers) {
+    if (w.c->session().manager_epoch(victim) != fs.manager_epoch(victim)) {
+      continue;
+    }
+    ++reasserted;
+    if (w.c->lease_lapses() > 0) ++lapsed;
+  }
+  check(reasserted >= 1 && lapsed == 0,
+        "no writer that reasserted lapsed its lease");
   check(fs.manager_epoch(victim) == 2 && fs.manager_epoch(0) == 1 &&
             fs.manager_epoch(1) == 1 && fs.manager_epoch(3) == 1,
         "only the victim shard changed epoch");

@@ -452,9 +452,10 @@ void Client::nsd_run_attempt(NsdRun run, bool write,
     }
   }
 
+  const std::uint64_t inc = session_.incarnation();
   auto after_transport = [this, run = std::move(run), write,
                           targets = std::move(targets), ti, attempt, target,
-                          total,
+                          total, gates, inc,
                           done = std::move(done)](Result<int> r) mutable {
     if (r.ok()) {
       breaker_.ok(target);
@@ -472,6 +473,19 @@ void Client::nsd_run_attempt(NsdRun run, bool write,
       return;
     }
     if (r.code() == Errc::timed_out) ++rpc_timeouts_;
+    if (write && r.code() == Errc::stale && session_.incarnation() == inc &&
+        std::any_of(gates.begin(), gates.end(), [this](const auto& g) {
+          return g.second < session_.manager_epoch(fs_->shard_of(g.first));
+        })) {
+      // Fenced for a manager epoch this incarnation has since moved past:
+      // the write left before the client reasserted to the successor (or
+      // was rerouted to it). Re-send it under the adopted epoch; fenced
+      // again with no newer takeover, it is final. A lapse in between
+      // (the pages discarded, their blocks maybe freed) is a new
+      // incarnation, which never re-sends the old one's writes.
+      nsd_io_run(std::move(run), write, attempt, std::move(done));
+      return;
+    }
     if (!retryable(r.code())) {
       // Media/namespace errors are final: failing over or retrying
       // would hide real data loss (e.g. a dead RAID set). A fenced
@@ -1333,9 +1347,17 @@ void Client::fsync(Fh fh, std::function<void(Status)> done) {
   // Stamp of the newest write this fsync covers; 0 = nothing written
   // since the last commit.
   const std::uint64_t seq = marks_.pending(ino);
-  flush_inode(ino, [this, ino, size, seq, done = std::move(done)]() mutable {
+  const std::uint64_t inc = session_.incarnation();
+  flush_inode(ino, [this, ino, size, seq, inc,
+                    done = std::move(done)]() mutable {
     if (!mounted()) {
       done(Status{});
+      return;
+    }
+    if (seq != 0 && session_.incarnation() != inc) {
+      // A lease lapse discarded the dirty pages this fsync was to make
+      // durable: they never reached a device.
+      done(Status(Errc::stale, "lease lapsed: pending writes discarded"));
       return;
     }
     // The commit frees the blocks this client's grants placed since its

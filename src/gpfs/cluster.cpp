@@ -669,13 +669,23 @@ void Cluster::note_manager_unreachable(FileSystem* fs, std::uint32_t shard,
 bool Cluster::takeover_manager(FileSystem& fs, std::uint32_t shard) {
   if (fs.shard_recovering(shard)) return true;  // already in flight
   const net::NodeId deposed = fs.manager_node(shard);
-  // Deterministic election: lowest-id live member node, never the
-  // deposed manager (it may be up-but-mute, which is why we are here).
-  std::optional<net::NodeId> successor;
+  // Deterministic election, never the deposed manager (it may be
+  // up-but-mute, which is why we are here): the lowest-id live node
+  // that seats another shard of `fs`, which keeps the role off the data
+  // path; with no such seat, the lowest-id live member.
+  auto seats_another = [&](net::NodeId n) {
+    for (std::uint32_t s = 0; s < fs.shard_count(); ++s) {
+      if (s != shard && fs.manager_node(s) == n) return true;
+    }
+    return false;
+  };
+  std::optional<net::NodeId> member, seat;
   for (net::NodeId n : nodes_) {
     if (n == deposed || !net_.node_up(n)) continue;
-    if (!successor.has_value() || n.v < successor->v) successor = n;
+    if (!member.has_value() || n.v < member->v) member = n;
+    if (seats_another(n) && (!seat.has_value() || n.v < seat->v)) seat = n;
   }
+  const std::optional<net::NodeId> successor = seat.has_value() ? seat : member;
   if (!successor.has_value()) {
     // No live member to take the role. Clients keep redriving their
     // RPCs; the next report retries the election.

@@ -156,7 +156,9 @@ class Cluster {
   void note_manager_unreachable(FileSystem* fs, std::uint32_t shard,
                                 ClientId reporter);
   /// GPFS-style manager takeover of one shard: elect the lowest-id live
-  /// member node (excluding the deposed shard manager), bump that
+  /// node that seats another shard of `fs` (a manager seat, off the
+  /// data path), else the lowest-id live member node — never the
+  /// deposed shard manager — bump that
   /// shard's manager epoch, and rebuild its token table — plus the
   /// global lease table for shard 0 — by querying every registered
   /// client for its holdings in that domain. Non-responders with dead

@@ -1076,8 +1076,9 @@ Status FileSystem::op_replica_divergence(ClientId client, InodeNum ino,
   if (p.is_divergent(copy)) return Status{};  // already recorded
   if (p.clean_copies() <= 1) {
     // The last clean copy is the only committed data left; marking it
-    // divergent would lose the block. The writer must keep retrying it.
-    return Status(Errc::unavailable, "last clean copy cannot diverge");
+    // divergent would lose the block. The refusal is final: the writer's
+    // flush keeps retrying the data write itself.
+    return Status(Errc::invalid_argument, "last clean copy cannot diverge");
   }
   p.divergent |= static_cast<std::uint8_t>(1u << copy);
   ++replica_divergences_;

@@ -39,11 +39,12 @@ void TcpConnection::pump() {
   if (pumping_) return;  // pump() can re-enter via synchronous failures
   pumping_ = true;
   while (inflight_ < cwnd_) {
-    while (send_cursor_ < queue_.size() && queue_[send_cursor_].to_send == 0) {
+    while (head_ + send_cursor_ < queue_.size() &&
+           queue_[head_ + send_cursor_].to_send == 0) {
       ++send_cursor_;
     }
-    if (send_cursor_ >= queue_.size()) break;
-    Message& m = queue_[send_cursor_];
+    if (head_ + send_cursor_ >= queue_.size()) break;
+    Message& m = queue_[head_ + send_cursor_];
     const Bytes c = std::min(cfg_.chunk, m.to_send);
     m.to_send -= c;
     inflight_ += c;
@@ -73,17 +74,41 @@ void TcpConnection::pump() {
   pumping_ = false;
 }
 
+void TcpConnection::pop_front() {
+  queue_[head_] = Message{};  // release the callbacks' captures now
+  if (++head_ == queue_.size()) {
+    queue_.clear();
+    head_ = 0;
+  } else if (head_ >= 32 && 2 * head_ >= queue_.size()) {
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  if (send_cursor_ > 0) --send_cursor_;
+}
+
+std::vector<TcpConnection::ErrorCallback> TcpConnection::take_queue() {
+  std::vector<ErrorCallback> to_fail;
+  to_fail.reserve(queue_.size() - head_);
+  for (std::size_t i = head_; i < queue_.size(); ++i) {
+    if (queue_[i].on_error) to_fail.push_back(std::move(queue_[i].on_error));
+  }
+  queue_.clear();
+  head_ = 0;
+  send_cursor_ = 0;
+  return to_fail;
+}
+
 void TcpConnection::on_chunk_delivered(Bytes n) {
   bytes_delivered_ += n;
-  MGFS_ASSERT(!queue_.empty() && queue_.front().to_deliver >= n,
+  MGFS_ASSERT(head_ < queue_.size() && queue_[head_].to_deliver >= n,
               "chunk delivery without matching message");
-  Message& m = queue_.front();
+  Message& m = queue_[head_];
   m.to_deliver -= n;
   if (m.to_deliver == 0) {
     MGFS_ASSERT(m.to_send == 0, "message delivered before fully sent");
     Callback cb = std::move(m.on_complete);
-    queue_.pop_front();
-    if (send_cursor_ > 0) --send_cursor_;
+    pop_front();
     ++messages_completed_;
     if (cb) cb();
   }
@@ -102,32 +127,18 @@ void TcpConnection::on_path_failure() {
   broken_ = true;
   ++epoch_;  // ignore every in-flight continuation
   inflight_ = 0;
-  send_cursor_ = 0;
   cwnd_ = cfg_.slow_start ? cfg_.chunk : cfg_.window;
-  std::vector<ErrorCallback> to_fail;
-  to_fail.reserve(queue_.size());
-  for (auto& m : queue_) {
-    if (m.on_error) to_fail.push_back(std::move(m.on_error));
-  }
-  queue_.clear();
-  for (auto& cb : to_fail) cb();
+  for (auto& cb : take_queue()) cb();
 }
 
 void TcpConnection::reset() {
   ++epoch_;
   broken_ = false;
   inflight_ = 0;
-  send_cursor_ = 0;
   // Queued messages die with the old connection; their senders must
   // hear about it (deferred — reset is often called from inside another
   // message's completion path).
-  std::vector<ErrorCallback> to_fail;
-  to_fail.reserve(queue_.size());
-  for (auto& m : queue_) {
-    if (m.on_error) to_fail.push_back(std::move(m.on_error));
-  }
-  queue_.clear();
-  for (auto& cb : to_fail) net_.simulator().defer(std::move(cb));
+  for (auto& cb : take_queue()) net_.simulator().defer(std::move(cb));
   cwnd_ = cfg_.slow_start ? cfg_.chunk : cfg_.window;
 }
 

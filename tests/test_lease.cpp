@@ -429,6 +429,31 @@ TEST(LeaseIntegration, ChurnedNodeReregistersAsNewIncarnation) {
   EXPECT_TRUE(mc.fs->fsck().clean());
 }
 
+/// An fsync never reports durable what a lapse dropped. The client is
+/// expelled while its write-behind is on the wire: the gate fences the
+/// flush, the client drops the dirty pages and lapses its lease, and the
+/// fsync waiting on them answers stale, not OK.
+TEST(LeaseIntegration, FsyncFencedAfterExpelAnswersStale) {
+  MiniCluster mc;
+  Client* c = mc.mount_on(2);
+  auto fh = mc.open(c, "/f", kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(fh.ok());
+  std::optional<Result<Bytes>> w;
+  c->write(*fh, 0, 4 * MiB, [&](Result<Bytes> r) { w = std::move(r); });
+  while (!w.has_value() && mc.sim.step()) {
+  }
+  ASSERT_TRUE(w.has_value() && w->ok());
+  mc.fs->expel_client(c->id(), "test: lease lapsed");
+
+  std::optional<Status> synced;
+  c->fsync(*fh, [&](Status st) { synced = st; });
+  mc.sim.run();
+  ASSERT_TRUE(synced.has_value());
+  EXPECT_EQ(synced->code(), Errc::stale) << synced->to_string();
+  EXPECT_GE(c->fenced_writes(), 1u);
+  EXPECT_GE(c->lease_lapses(), 1u);
+}
+
 /// An expel racing a voluntary (revoke-driven) release must not wedge
 /// the waiter or corrupt token state, and double expels are idempotent.
 /// The victim is mid-flush acking a revoke when the expel fires, so the

@@ -242,8 +242,41 @@ TEST(Replication, LastCleanCopyCannotBeMarkedDivergent) {
   // Refusing to mark the last clean copy is the data-loss firewall:
   // with every copy divergent there would be nothing to reconcile from.
   auto st = mc.fs->op_replica_divergence(c->id(), ino, 0, 0);
-  EXPECT_EQ(st.code(), Errc::unavailable);
+  EXPECT_EQ(st.code(), Errc::invalid_argument);
   EXPECT_EQ(mc.fs->ns().placement(ino, 0).clean_copies(), 1);
+}
+
+// A final refusal is one answer. Copy 0 of block 0 diverges behind the
+// writer's back, then copy 1's media dies: the writer's overwrite lands
+// on copy 0, fails on copy 1, and the manager refuses to mark copy 1,
+// the last clean copy. The writer sends that mark once, and the manager
+// that answered is never struck (with one client on the file system,
+// three strikes would depose it).
+TEST(Replication, LastCleanCopyRefusalIsSentOnce) {
+  MiniCluster mc;
+  Client* c = mc.mount_on(2);
+  auto fh = mc.open(c, "/rep", kAlice, OpenFlags::create_replicated(2));
+  ASSERT_TRUE(fh.ok());
+  ASSERT_TRUE(mc.write(c, *fh, 0, 1 * MiB).ok());
+  ASSERT_TRUE(mc.fsync(c, *fh).ok());
+  InodeNum ino = 0;
+  file_blocks(mc, c, "/rep", &ino);
+  const BlockPlacement p = mc.fs->ns().placement(ino, 0);
+  ASSERT_EQ(p.copies, 2);
+  ASSERT_TRUE(mc.fs->op_replica_divergence(c->id(), ino, 0, 0).ok());
+  mc.fs->nsd(p.addr[1].nsd).device->set_failed(true);
+
+  const std::uint64_t before = testutil::manager_rpcs(mc);
+  std::optional<Result<Bytes>> w;
+  c->write(*fh, 0, 1 * MiB, [&](Result<Bytes> r) { w = std::move(r); });
+  mc.sim.run_until(mc.sim.now() + 5.0);
+  ASSERT_TRUE(w.has_value() && w->ok());
+  // One for the overwrite's write grant, one for the mark.
+  EXPECT_EQ(testutil::manager_rpcs(mc) - before, 2u);
+  EXPECT_EQ(mc.fs->manager_takeovers(), 0u);
+  EXPECT_EQ(mc.fs->manager_epoch(0), 1u);
+  EXPECT_EQ(mc.fs->ns().placement(ino, 0).clean_copies(), 1);
+  EXPECT_EQ(c->rpc_retries(), 0u);
 }
 
 // --- crashed writer: journal undo of partially-propagated copies -------

@@ -524,6 +524,133 @@ TEST(ShardLease, RefusalsNeverDeposeAHealthyShard) {
   EXPECT_EQ(mc.fs->shard_takeovers(1), 0u);
 }
 
+/// The successor of a crashed shard manager sits on a manager seat, off
+/// the data path. Four shards on dedicated seats (hosts 4-7); shard 0's
+/// seat crashes, and the lowest live seat (host 5) takes shard 0 too,
+/// not hosts[0] — the lowest-id live member, and an NSD server.
+TEST(ShardLease, TakeoverSeatsTheSuccessorOnAManagerSeat) {
+  MiniCluster mc(8, 4, 1 * MiB, shard_cfg());
+  const auto& h = mc.site.hosts;
+  mc.cluster->set_shard_managers(*mc.fs, {h[4], h[5], h[6], h[7]});
+  Client* c = mc.mount_on(2);
+  ASSERT_NE(c, nullptr);
+
+  fault::FaultInjector inject(mc.net, Rng(7));
+  inject.watch_pool(mc.cluster->connection_pool());
+  inject.watch_cluster(*mc.cluster);
+  inject.schedule_node_crash(mc.sim.now() + 0.01, h[4], 0.1);
+  // An op routed at shard 0 finds the dead seat and drives the election.
+  const std::string path = path_in_shard(mc.fs, 0);
+  std::optional<Result<StatInfo>> probe;
+  mc.sim.after(0.03, [&] {
+    c->stat(path, [&](Result<StatInfo> r) { probe = std::move(r); });
+  });
+  mc.sim.run_until(mc.sim.now() + 0.2);
+
+  ASSERT_TRUE(probe.has_value());
+  EXPECT_EQ(probe->code(), Errc::not_found);
+  EXPECT_EQ(mc.fs->shard_takeovers(0), 1u);
+  EXPECT_EQ(mc.fs->manager_node(0), h[5]);
+  EXPECT_FALSE(mc.fs->manager_node(0) == h[0]);
+  // The other shards stay where they were seated.
+  EXPECT_EQ(mc.fs->manager_node(1), h[5]);
+  EXPECT_EQ(mc.fs->manager_node(2), h[6]);
+  EXPECT_EQ(mc.fs->manager_node(3), h[7]);
+
+  // Shard 0 serves from its new seat.
+  auto fh = mc.open(c, path, kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(fh.ok()) << fh.error().to_string();
+  ASSERT_TRUE(mc.write(c, *fh, 0, 16 * KiB).ok());
+  EXPECT_TRUE(mc.fsync(c, *fh).ok());
+  testutil::expect_durable(mc, path, 16 * KiB);
+}
+
+/// A write stamped before its client reasserted lands. The writer's
+/// 8 MiB flush is on the wire, stamped with shard 1's manager epoch 1,
+/// when shard 1 fails over; the rebuild finishes first, so the gate
+/// fences the runs still in transit. The writer has adopted epoch 2 by
+/// reasserting, so it re-sends them under it: they land, and nothing
+/// lapses or drops the writer's caches.
+TEST(ShardLease, AWriteStampedBeforeReassertLands) {
+  MiniCluster mc(8, 4, 1 * MiB, shard_cfg());
+  const auto& h = mc.site.hosts;
+  mc.cluster->set_shard_managers(*mc.fs, {h[4], h[5], h[6], h[7]});
+  Client* c = mc.mount_on(2);
+  ASSERT_NE(c, nullptr);
+  const std::string path = path_in_shard(mc.fs, 1);
+  auto fh = mc.open(c, path, kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(fh.ok());
+  ASSERT_EQ(mc.fs->shard_of(*mc.fs->ns().resolve(path)), 1u);
+  const std::uint64_t incarnation = c->session().incarnation();
+
+  std::optional<Result<Bytes>> w;
+  c->write(*fh, 0, 8 * MiB, [&](Result<Bytes> r) { w = std::move(r); });
+  // The whole takeover runs while the flush is on the wire: the writer
+  // reasserts (adopting epoch 2) and the rebuild finishes at once.
+  mc.sim.after(0.01, [&] {
+    mc.fs->begin_takeover(h[4], 1);
+    auto r = c->assert_tokens(h[4], mc.fs->manager_epoch(1), 1);
+    ASSERT_TRUE(r.ok());
+    mc.fs->install_assertion(c->id(), r->lease_epoch, r->tokens, 1);
+    mc.fs->finish_takeover(1);
+  });
+  mc.sim.run();
+
+  ASSERT_TRUE(w.has_value());
+  EXPECT_TRUE(w->ok()) << w->error().to_string();
+  EXPECT_EQ(mc.fs->shard_takeovers(1), 1u);
+  EXPECT_FALSE(mc.fs->shard_recovering(1));
+  EXPECT_EQ(c->session().manager_epoch(1), 2u);
+  EXPECT_GE(mc.fs->fenced_writes(), 1u) << "no write crossed the takeover";
+  EXPECT_EQ(c->fenced_writes(), 0u);
+  EXPECT_EQ(c->lease_lapses(), 0u);
+  EXPECT_EQ(c->session().incarnation(), incarnation);
+  EXPECT_TRUE(mc.fsync(c, *fh).ok());
+  testutil::expect_durable(mc, path, 8 * MiB);
+  EXPECT_TRUE(mc.fs->fsck().clean());
+}
+
+/// ...but a write stamped before a takeover that its incarnation did not
+/// survive never lands. The writer's 8 MiB flush is on the wire when
+/// shard 1 fails over and the writer is expelled instead of reasserting
+/// (the replay frees the blocks the flush targets). The first fenced run
+/// lapses the client, which rejoins and so adopts epoch 2 with a valid
+/// lease before the other runs' fences arrive: those come from a dead
+/// incarnation and are not re-sent, so no byte reaches a device.
+TEST(ShardLease, AWriteOfALapsedIncarnationIsNotReSent) {
+  MiniCluster mc(8, 4, 1 * MiB, shard_cfg());
+  const auto& h = mc.site.hosts;
+  mc.cluster->set_shard_managers(*mc.fs, {h[4], h[5], h[6], h[7]});
+  Client* c = mc.mount_on(2);
+  ASSERT_NE(c, nullptr);
+  const std::string path = path_in_shard(mc.fs, 1);
+  auto fh = mc.open(c, path, kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(fh.ok());
+  auto served = [&] {
+    return mc.cluster->server_on(h[0])->bytes_served() +
+           mc.cluster->server_on(h[1])->bytes_served();
+  };
+  const Bytes before = served();
+
+  std::optional<Result<Bytes>> w;
+  c->write(*fh, 0, 8 * MiB, [&](Result<Bytes> r) { w = std::move(r); });
+  mc.sim.after(0.001, [&] {
+    mc.fs->begin_takeover(h[4], 1);
+    mc.fs->expel_client(c->id(), "test: no reassertion");
+    mc.fs->finish_takeover(1);
+  });
+  mc.sim.run();
+
+  ASSERT_TRUE(w.has_value());
+  EXPECT_GE(c->lease_lapses(), 1u);
+  EXPECT_EQ(c->session().manager_epoch(1), 2u);
+  EXPECT_GE(mc.fs->fenced_writes(), 2u) << "no fence after the rejoin";
+  // Every fence was final: none was answered by a re-send.
+  EXPECT_EQ(c->fenced_writes(), mc.fs->fenced_writes());
+  EXPECT_EQ(served(), before) << "a dead incarnation's write landed";
+  EXPECT_TRUE(mc.fs->fsck().clean());
+}
+
 // ---------------------------------------------------------------------
 // Metanode delegation
 // ---------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <vector>
+
 namespace mgfs::net {
 namespace {
 
@@ -159,6 +163,49 @@ TEST_F(TcpFixture, BrokenConnectionFailsNewSendsUntilReset) {
   c.send(1 * MiB, [&] { ok = true; });
   sim.run();
   EXPECT_TRUE(ok);
+}
+
+// A long queue retires its head in place and compacts: more than 100
+// small messages, a reset while half of them wait, then as many again,
+// one of them queued from inside a completion. Completions stay FIFO
+// and every message resolves exactly once.
+TEST_F(TcpFixture, LongQueueStaysFifoAcrossAReset) {
+  wire(gbps(1.0), 0.001);
+  TcpConnection c(net, a, b);
+  constexpr int kBatch = 120;
+  std::vector<int> completed;
+  std::vector<int> resolved(2 * kBatch + 1, 0);
+  std::function<void(int)> send = [&](int i) {
+    c.send(
+        16 * KiB,
+        [&, i] {
+          completed.push_back(i);
+          ++resolved[i];
+          if (i == kBatch + 10) send(2 * kBatch);
+        },
+        [&, i] { ++resolved[i]; });
+  };
+  for (int i = 0; i < kBatch; ++i) send(i);
+  // About 1 MiB has arrived by then: the first half of the batch.
+  sim.after(0.010, [&] {
+    ASSERT_GT(c.messages_completed(), 32u);
+    ASSERT_LT(c.messages_completed(), static_cast<std::uint64_t>(kBatch));
+    c.reset();
+    for (int i = kBatch; i < 2 * kBatch; ++i) send(i);
+  });
+  sim.run();
+
+  for (std::size_t i = 0; i < resolved.size(); ++i) {
+    EXPECT_EQ(resolved[i], 1) << "message " << i;
+  }
+  EXPECT_TRUE(std::is_sorted(completed.begin(), completed.end()));
+  EXPECT_EQ(std::adjacent_find(completed.begin(), completed.end()),
+            completed.end());
+  // Every message queued after the reset completed.
+  const auto after = std::count_if(completed.begin(), completed.end(),
+                                   [](int i) { return i >= kBatch; });
+  EXPECT_EQ(after, kBatch + 1);
+  EXPECT_EQ(c.inflight(), 0u);
 }
 
 class TcpWindowSweep : public ::testing::TestWithParam<Bytes> {};
